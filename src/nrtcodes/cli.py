@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
-from .codes import (LinearCode, box_enumerator, is_mds, macwilliams_n1_ok,
+from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
                     read_code, weight_enumerator, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
@@ -80,6 +82,20 @@ def _read_code(path: str) -> LinearCode:
         return read_code(fh)
 
 
+@contextmanager
+def _output(path: str):
+    """A stream whose contents replace `path` only if the block succeeds;
+    it writes to a temporary file in the same directory meanwhile."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def cmd_generate(args) -> int:
     gf = _field_from_args(args)
     if args.g is not None and args.g > 1:
@@ -100,9 +116,9 @@ def cmd_generate(args) -> int:
     dist = build_optimum_distribution(space, k, nodes=nodes)
     comments = [f"nodes {_nodes_text(nodes)}"]
     out = args.out or "out"
-    with open(f"{out}.points", "w") as fh:
+    with _output(f"{out}.points") as fh:
         write_point_set(fh, dist, comments=comments)
-    with open(f"{out}.code", "w") as fh:
+    with _output(f"{out}.code") as fh:
         write_code(fh, code, comments=comments)
     mds = is_mds(code)
     opt = optimum_report(dist, k).ok
@@ -137,9 +153,9 @@ def _generate_composite(args, gf) -> int:
     build = peano.build_composite(gf, g, n, s, t, nodes=nodes)
     out = args.out or "out"
     comments = [f"nodes {_nodes_text(nodes)}", f"merged g={g} t={t}"]
-    with open(f"{out}.points", "w") as fh:
+    with _output(f"{out}.points") as fh:
         write_point_set(fh, build.dist, comments=comments)
-    with open(f"{out}.code", "w") as fh:
+    with _output(f"{out}.code") as fh:
         write_code(fh, build.code, comments=comments)
     k = s * t
     dual = build.code.dual()
@@ -209,9 +225,8 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     dist = _read_points(getattr(args, "in"))
     space = dist.space
-    zero = space.zero()
-    words = dist.words()
-    anchor = zero if zero in words else words[0]
+    flat = dist.array().reshape(len(dist), -1)
+    anchor = space.zero() if (~flat.any(axis=1)).any() else dist.word(0)
     spec = distance_spectrum(dist, anchor)
     q = space.q
     k = 0
@@ -233,15 +248,16 @@ def cmd_spectrum(args) -> int:
     else:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
-    code = LinearCode.from_words(space, words)
-    if len(code) == len(dist):
-        payload["weight_enumerator"] = weight_enumerator(code.distribution())
+    # the enumerators describe the input only when it is its own span
+    code = LinearCode(space, flat.tolist())
+    if len(code) == len(dist) and dist.same_multiset(linear := code.distribution()):
+        payload["weight_enumerator"] = weight_enumerator(linear)
         payload["box_enumerator"] = {
             ",".join(map(str, a)): c
-            for a, c in sorted(box_enumerator(code.distribution()).items())
+            for a, c in sorted(corner_box_counts(linear).items())
         }
         if space.n == 1:
-            ok = macwilliams_n1_ok(code.distribution(), code.dual().distribution())
+            ok = macwilliams_n1_ok(linear, code.dual().distribution())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)
@@ -252,7 +268,7 @@ def cmd_dual(args) -> int:
     code = _read_code(getattr(args, "in"))
     dual = code.dual()
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             write_code(fh, dual)
     payload = {
         "k": code.k, "dual_k": dual.k,
@@ -274,7 +290,7 @@ def cmd_peano(args) -> int:
             raise UsageError("--g must divide n")
         merged = peano.merge_code(code, g)
         if args.out:
-            with open(args.out, "w") as fh:
+            with _output(args.out) as fh:
                 write_code(fh, merged)
         w_before = code.min_weight("nrt") if code.k else None
         w_after = merged.min_weight("nrt") if merged.k else None
@@ -290,7 +306,7 @@ def cmd_peano(args) -> int:
             raise UsageError("--g must divide n")
         merged = peano.merge_distribution(dist, g)
         if args.out:
-            with open(args.out, "w") as fh:
+            with _output(args.out) as fh:
                 write_point_set(fh, merged)
         payload = {"g": g, "n": merged.space.n, "s": merged.space.s,
                    "points": len(merged)}
@@ -304,7 +320,7 @@ def cmd_basechange(args) -> int:
     rep = peano.distribution_base_change_weights(dist)
     reduced = dist.to_base_p()
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             write_point_set(fh, reduced)
     payload = {
         "p": dist.space.gf.p, "e": dist.space.gf.e,
@@ -368,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=int, help="net deficiency")
         p.add_argument("--nodes", help="comma separated node labels, inf allowed")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomized check")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; results never depend on it")
         if infile:
             p.add_argument("--in", required=True, help="input file")
         p.add_argument("--out", help="output file or prefix")

@@ -124,16 +124,6 @@ class LinearCode:
         return (f"LinearCode([{self.space.dim},{self.k}]_{self.space.s} "
                 f"over {self.space.gf!r})")
 
-    def contains(self, word) -> bool:
-        flat = list(self.space.flatten(self.space.check_word(word)))
-        gf = self.space.gf
-        for row in self.basis:
-            col = next(c for c, v in enumerate(row) if v)
-            if flat[col]:
-                c = flat[col]
-                flat = [gf.sub(a, gf.mul(c, b)) for a, b in zip(flat, row)]
-        return not any(flat)
-
     def words_array(self):
         """(q^k, n*s) label array of every codeword (coefficient colex)."""
         from . import bulk
@@ -215,10 +205,6 @@ class ParityCheck:
         if rank(space.gf, self.rows) != len(self.rows):
             raise ValueError("check rows are dependent")
 
-    @property
-    def k_check(self) -> int:
-        return len(self.rows)
-
     def block_column(self, j: int, i: int) -> tuple[int, ...]:
         """Column i (0-based) of block H_j, a vector of length k'."""
         return tuple(row[j * self.space.s + i] for row in self.rows)
@@ -248,7 +234,7 @@ def parity_nrt_weight(check: ParityCheck) -> int:
 
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
-    i.e. the coefficient table of the box enumerator."""
+    i.e. the coefficient table of the box enumerator phi(D)."""
     import numpy as np
     from itertools import product
 
@@ -266,11 +252,6 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
         sub = profile[tuple(slice(0, s - a + 1) for a in a_vec)]
         counts[a_vec] = int(sub.sum())
     return counts
-
-
-def box_enumerator(dist: Distribution) -> dict[tuple[int, ...], int]:
-    """Multivariate enumerator phi(D): exponent vector A -> corner count."""
-    return corner_box_counts(dist)
 
 
 def weight_enumerator(dist: Distribution) -> list[int]:

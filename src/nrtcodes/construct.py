@@ -10,7 +10,7 @@ same words, read as radix digits, are the points of the distribution.
 
 from __future__ import annotations
 
-from .codes import LinearCode
+from .codes import ENUMERATION_BOUND, LinearCode
 from .gf import GF
 from .poly import INF, binom_mod, hyper_eval
 from .words import Distribution, Space, Word
@@ -105,11 +105,15 @@ def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
 
 def build_optimum_distribution(space: Space, k: int, nodes=None) -> Distribution:
     """The q^k points whose digit words are exactly the codewords of
-    build_mds_code, in coefficient colex order."""
+    build_mds_code, in coefficient colex order.  More than
+    ENUMERATION_BOUND points are refused before any is built."""
     from . import bulk
 
     if not 1 <= k <= space.dim:
         raise ValueError("k out of range")
+    if space.q ** k > ENUMERATION_BOUND:
+        raise ValueError(f"q^k = {space.q ** k} points exceed the bound of "
+                         f"{ENUMERATION_BOUND} (2^21)")
     if nodes is None:
         nodes = default_nodes(space.gf, space.n)
     else:

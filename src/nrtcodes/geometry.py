@@ -87,56 +87,55 @@ class BoxReport:
         return self.ok
 
 
-def _prefix_keys(dist: Distribution, a_vec) -> "object":
-    """Vector of one composite key per point, combining the leading a_j
-    digits per coordinate; boxes of the family correspond to key values."""
+def _box_keys(dist: Distribution, a_vec):
+    """Per point, the colex index m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)) of
+    the box of family a_vec that holds it, so the first coordinate's
+    position varies fastest."""
     import numpy as np
 
-    space = dist.space
-    q = space.q
+    q, s = dist.space.q, dist.space.s
+    if q ** sum(a_vec) > 1 << 63:
+        raise ValueError("box family too large for 64-bit box indices")
     eta = dist.eta_array()
     keys = np.zeros(len(dist), dtype=np.int64)
-    for j, a in enumerate(a_vec):
-        depth = min(a, space.s)
-        val = np.zeros(len(dist), dtype=np.int64)
+    # Horner's rule in place, so no temporary of N keys is made
+    for j in reversed(range(len(a_vec))):
+        a = a_vec[j]
+        depth = min(a, s)
         for i in range(depth):
-            val = val * q + eta[:, j, i]
-        val *= q ** (a - depth)  # digits past the stored depth are zero
-        keys = keys * q ** a + val
+            keys *= q
+            keys += eta[:, j, i]
+        keys *= q ** (a - depth)  # digits past the stored depth are zero
     return keys
 
 
-def _family_ok(dist: Distribution, a_vec, per_box: int) -> bool:
+def _family_report(dist: Distribution, a_vec, per_box: int | None) -> BoxReport:
+    """Check that every box of family a_vec holds exactly `per_box` points
+    (the first failing box in colex order is the witness), or at most one
+    point when per_box is None (the witness is the box of the earliest
+    point that shares one).  Exact counts need q^sum(a_vec) <= len(dist)."""
     import numpy as np
 
-    _, counts = np.unique(_prefix_keys(dist, a_vec), return_counts=True)
     q = dist.space.q
-    total_boxes = q ** sum(a_vec)
-    if per_box == 0:
-        return False
-    # the length check catches empty boxes of the family
-    return bool((counts == per_box).all()) and len(counts) * per_box == len(dist)
-
-
-def _family_witness(dist: Distribution, a_vec, per_box: int, q: int) -> BoxReport:
-    from collections import Counter
-    from itertools import product
-
-    space = dist.space
-    counts = Counter()
-    for w in dist.words():
-        key = tuple(
-            tuple((row[space.s - 1 - i] if i < space.s else 0) for i in range(a))
-            for row, a in zip(w, a_vec)
-        )
-        counts[key] += 1
-    for m_vec in product(*(range(q ** a) for a in reversed(a_vec))):
-        m_vec = tuple(reversed(m_vec))
-        key = tuple(_anchor_digits(q, a, m) for a, m in zip(a_vec, m_vec))
-        c = counts.get(key, 0)
-        if c != per_box:
-            return BoxReport(False, ElementaryBox(tuple(a_vec), m_vec), c, per_box)
-    return BoxReport(True)
+    keys = _box_keys(dist, a_vec)
+    if per_box is None:
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        shared = counts[inverse] > 1
+        if not shared.any():
+            return BoxReport(True)
+        first = int(np.argmax(shared))
+        key, count, expected = int(keys[first]), counts[inverse[first]], 1
+    else:
+        counts = np.bincount(keys, minlength=q ** sum(a_vec))
+        bad = np.flatnonzero(counts != per_box)
+        if not bad.size:
+            return BoxReport(True)
+        key, count, expected = int(bad[0]), counts[bad[0]], per_box
+    m_vec = []
+    for a in a_vec:
+        key, m = divmod(key, q ** a)
+        m_vec.append(m)
+    return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)), int(count), expected)
 
 
 def net_report(dist: Distribution, delta: int) -> BoxReport:
@@ -155,8 +154,9 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
         raise ValueError("deficiency out of range")
     per_box = q ** delta
     for a_vec in bounded_compositions(s_net - delta, space.n, s_net - delta):
-        if not _family_ok(dist, a_vec, per_box):
-            return _family_witness(dist, a_vec, per_box, q)
+        report = _family_report(dist, a_vec, per_box)
+        if not report:
+            return report
     return BoxReport(True)
 
 
@@ -176,8 +176,9 @@ def optimum_report(dist: Distribution, k: int, depth: int | None = None) -> BoxR
     if not 0 <= k <= space.n * depth:
         raise ValueError("k out of range")
     for a_vec in bounded_compositions(k, space.n, depth):
-        if not _family_ok(dist, a_vec, 1):
-            return _family_witness(dist, a_vec, 1, q)
+        report = _family_report(dist, a_vec, 1)
+        if not report:
+            return report
     return BoxReport(True)
 
 
@@ -192,38 +193,12 @@ def check_counts(dist: Distribution, k: int) -> BoxReport:
     q = space.q
     if len(dist) != q ** k:
         raise ValueError("not q^k points")
-    import numpy as np
-
     for total in range(0, space.n * space.s + 1):
+        per_box = q ** (k - total) if total <= k else None
         for a_vec in bounded_compositions(total, space.n, space.s):
-            if total <= k:
-                if not _family_ok(dist, a_vec, q ** (k - total)):
-                    return _family_witness(dist, a_vec, q ** (k - total), q)
-            else:
-                _, counts = np.unique(_prefix_keys(dist, a_vec), return_counts=True)
-                if not (counts <= 1).all():
-                    return _overfull_witness(dist, a_vec, q)
-    return BoxReport(True)
-
-
-def _overfull_witness(dist: Distribution, a_vec, q: int) -> BoxReport:
-    from collections import Counter
-
-    space = dist.space
-    counts = Counter()
-    for w in dist.words():
-        key = tuple(
-            tuple((row[space.s - 1 - i] if i < space.s else 0) for i in range(a))
-            for row, a in zip(w, a_vec)
-        )
-        counts[key] += 1
-    for key, c in counts.items():
-        if c > 1:
-            m_vec = tuple(
-                sum(d * q ** (len(digs) - 1 - i) for i, d in enumerate(digs))
-                for digs in key
-            )
-            return BoxReport(False, ElementaryBox(tuple(a_vec), m_vec), c, 1)
+            report = _family_report(dist, a_vec, per_box)
+            if not report:
+                return report
     return BoxReport(True)
 
 

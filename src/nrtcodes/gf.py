@@ -253,9 +253,6 @@ class GF:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, m: int) -> int:
         if m == 0:
             return 1

@@ -193,8 +193,7 @@ def _min_weights(dist: Distribution) -> tuple[int, int]:
 
     space = dist.space
     arr = dist.array().reshape(len(dist), -1)
-    keys = dist.encode()
-    nz = keys != 0
+    nz = arr.any(axis=1)
     if not nz.any():
         raise ValueError("zero distribution")
     rho = bulk.nrt_weights(arr, space.n, space.s)

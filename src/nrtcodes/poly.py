@@ -9,11 +9,22 @@ INF reads reversed coefficients relative to an ambient space dimension t
 
 from __future__ import annotations
 
+import enum
 import math
 
 from .gf import GF
 
-INF = float("inf")
+
+class _Node(enum.Enum):
+    """The extra interpolation node beyond the field labels."""
+
+    INF = "inf"
+
+    def __repr__(self):
+        return "INF"
+
+
+INF = _Node.INF
 
 
 def normalize(f: list[int]) -> list[int]:
@@ -236,14 +247,3 @@ def hermite_interpolate(gf: GF, nodes, mults, targets):
             if hyper_eval(gf, f, beta, j, ambient=t) != v:
                 raise AssertionError("interpolation constraints not met")
     return f
-
-
-def format_poly(f) -> str:
-    """Space-separated labels, constant term first ("0" for zero)."""
-    if not f:
-        return "0"
-    return " ".join(str(c) for c in f)
-
-
-def parse_poly(text: str) -> list[int]:
-    return normalize([int(t) for t in text.split()])

@@ -34,10 +34,6 @@ def hamming_weight(word: Word) -> int:
     return sum(1 for row in word for v in row if v)
 
 
-def row_weights(word: Word) -> tuple[int, ...]:
-    return tuple(row_weight(row) for row in word)
-
-
 def truncate_digits(x: Fraction, q: int, s: int) -> Fraction:
     """Projection onto Q(q^s): keep the first s base-q digits of x."""
     if not 0 <= x < 1:
@@ -82,10 +78,6 @@ class Space:
 
     def __repr__(self):
         return f"Space({self.gf!r}, n={self.n}, s={self.s})"
-
-    def _require_same(self, other: "Space"):
-        if self != other:
-            raise ValueError("parameter mismatch between spaces")
 
     def check_word(self, word) -> Word:
         word = tuple(tuple(row) for row in word)
@@ -239,23 +231,14 @@ class Distribution:
     def points(self):
         return [self.space.word_to_point(w) for w in self.words()]
 
-    def encode(self):
-        """Per point a single integer key (injective for q^(ns) < 2^63)."""
-        import numpy as np
-
-        q = self.space.q
-        flat = self._array.reshape(len(self), -1).astype(np.int64)
-        if q ** flat.shape[1] >= 1 << 62:
-            raise ValueError("word space too large to encode in 64 bits")
-        weights = q ** np.arange(flat.shape[1], dtype=np.int64)
-        return flat @ weights
-
     def same_multiset(self, other: "Distribution") -> bool:
         import numpy as np
 
         if self.space != other.space or len(self) != len(other):
             return False
-        return bool(np.array_equal(np.sort(self.encode()), np.sort(other.encode())))
+        # rows in lexicographic order: no integer key, so no bound on q^(ns)
+        a, b = (d._array.reshape(len(d), -1) for d in (self, other))
+        return bool(np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)]))
 
     def min_distance(self, metric: str = "nrt") -> int:
         """Smallest pairwise distance; needs at least two points."""
@@ -299,12 +282,6 @@ class PointFileError(ValueError):
         self.line = line
 
 
-def _format_row(space: Space, row) -> str:
-    if space.q > len(DIGIT_CHARS):
-        raise ValueError("text digit format supports q <= 36")
-    return "".join(DIGIT_CHARS[v] for v in space.eta_row(row))
-
-
 def _parse_row(space: Space, token: str, line: int):
     if len(token) != space.s:
         raise PointFileError(f"digit string {token!r} is not {space.s} long", line)
@@ -314,19 +291,27 @@ def _parse_row(space: Space, token: str, line: int):
         raise PointFileError(f"bad digit in {token!r}", line) from None
     if any(d >= space.q for d in eta):
         raise PointFileError(f"digit out of range in {token!r}", line)
-    return tuple(reversed(eta))
+    return eta
 
 
 def write_point_set(stream, dist: Distribution, comments=()) -> None:
-    """Header "q n s N" preceded by the field line when e > 1."""
+    """Header "q n s N" preceded by the field line when e > 1, then one
+    line per point: n digit strings, most significant digit first."""
+    import numpy as np
+
     space = dist.space
+    if space.q > len(DIGIT_CHARS):
+        raise ValueError("text digit format supports q <= 36")
     for c in comments:
         stream.write(f"# {c}\n")
     if space.gf.e > 1:
         stream.write(space.gf.describe() + "\n")
     stream.write(f"{space.q} {space.n} {space.s} {len(dist)}\n")
-    for w in dist.words():
-        stream.write(" ".join(_format_row(space, row) for row in w) + "\n")
+    # each coordinate is s digit bytes plus a space, the last one a newline
+    text = np.full((len(dist), space.n, space.s + 1), ord(" "), dtype=np.uint8)
+    text[:, :, :-1] = np.frombuffer(DIGIT_CHARS.encode(), dtype=np.uint8)[dist.eta_array()]
+    text[:, -1, -1] = ord("\n")
+    stream.write(text.tobytes().decode("ascii"))
 
 
 def _content_lines(stream):
@@ -374,10 +359,12 @@ def _read_header(lines, kind: str):
 
 
 def read_point_set(stream) -> Distribution:
+    import numpy as np
+
     lines = _content_lines(stream)
     field, n, s, count, lineno = _read_header(lines, "point set")
     space = Space(field, n, s)
-    words = []
+    eta = []
     for _ in range(count):
         try:
             lineno, text = next(lines)
@@ -386,5 +373,6 @@ def read_point_set(stream) -> Distribution:
         tokens = text.split()
         if len(tokens) != n:
             raise PointFileError(f"expected {n} coordinates", lineno)
-        words.append(tuple(_parse_row(space, t, lineno) for t in tokens))
-    return Distribution(space, words=words)
+        eta.append([_parse_row(space, t, lineno) for t in tokens])
+    eta = np.array(eta, dtype=np.int16).reshape(count, n, s)
+    return Distribution(space, array=np.ascontiguousarray(eta[:, :, ::-1]))

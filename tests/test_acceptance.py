@@ -15,7 +15,7 @@ from nrtcodes import bulk
 from nrtcodes.codes import (LinearCode, character_sum_report,
                             macwilliams_n1_ok, parity_nrt_weight)
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
-from nrtcodes.geometry import (_family_ok, base_reduce_net,
+from nrtcodes.geometry import (_family_report, base_reduce_net,
                                bounded_compositions, is_net, optimum_report,
                                star_discrepancy)
 from nrtcodes.gf import GF
@@ -167,7 +167,7 @@ def test_criterion_08_box_regularity_iff_dual_weight():
             dual_w = dual.min_weight("nrt") if dual.k else space.dim + 1
             for delta in range(d + 1):
                 regular = all(
-                    _family_ok(dist, a_vec, 2 ** delta)
+                    _family_report(dist, a_vec, 2 ** delta).ok
                     for a_vec in bounded_compositions(d - delta, n, s))
                 assert regular == (dual_w >= d - delta + 1), (code.basis, delta)
                 cases += 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nrtcodes.cli import main
 
 
@@ -188,3 +190,61 @@ def test_nodes_override(tmp_path, capsys):
     assert code == 0
     with open(f"{prefix}.points") as fh:
         assert "nodes 0,1,inf" in fh.read()
+
+
+def test_spectrum_enumerators_only_for_linear_sets(tmp_path, capsys):
+    # four points whose span also has four words, but not the same ones
+    pts = tmp_path / "multi.points"
+    pts.write_text("2 2 1 4\n0 0\n0 0\n0 1\n1 0\n")
+    code, out, _ = run(["spectrum", "--in", str(pts), "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["w"] == [2, 2, 0]
+    assert "weight_enumerator" not in payload and "box_enumerator" not in payload
+    prefix = str(tmp_path / "lin")
+    run(["generate", "--q", "3", "--n", "2", "--s", "2", "--k", "2",
+         "--out", prefix], capsys)
+    code, out, _ = run(["spectrum", "--in", f"{prefix}.points",
+                        "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["weight_enumerator"] == payload["w"] == [1, 0, 0, 4, 4]
+    assert payload["box_enumerator"]["0,0"] == 9
+    assert payload["box_enumerator"]["2,2"] == 1
+
+
+def test_generate_refuses_oversize_before_allocating(tmp_path, capsys, monkeypatch):
+    from nrtcodes import bulk
+
+    def no_enumeration(*args):
+        raise AssertionError("the span was enumerated")
+
+    monkeypatch.setattr(bulk, "span_array", no_enumeration)
+    prefix = str(tmp_path / "big")
+    code, out, err = run(["generate", "--q", "2", "--n", "1", "--s", "30",
+                          "--k", "30", "--out", prefix], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys):
+    # q = 37 has no single-character digits, so the point file cannot be written
+    code, _, err = run(["generate", "--q", "37", "--n", "2", "--s", "1",
+                        "--k", "1", "--out", str(tmp_path / "g37")], capsys)
+    assert code == 2 and "q <= 36" in err
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is only replaced by a complete one
+    old = tmp_path / "g37.points"
+    old.write_text("old\n")
+    code, _, _ = run(["generate", "--q", "37", "--n", "2", "--s", "1",
+                      "--k", "1", "--out", str(tmp_path / "g37")], capsys)
+    assert code == 2 and old.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [old]
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--q", "3", "--n", "2", "--s", "2", "--k", "2",
+                  flag, "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()

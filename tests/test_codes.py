@@ -4,8 +4,8 @@ import random
 import pytest
 
 from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
-                            box_enumerator, character_sum_report,
-                            code_from_parity_check, is_mds, macwilliams_n1_ok,
+                            character_sum_report, code_from_parity_check,
+                            corner_box_counts, is_mds, macwilliams_n1_ok,
                             nullspace, parity_nrt_weight, rank, read_code,
                             rref, weight_enum_identity_n1, weight_enumerator,
                             write_code)
@@ -127,11 +127,11 @@ def test_parity_weight_matches_bruteforce():
 def test_box_enumerator_examples():
     sp = Space(GF(2), 2, 2)
     origin = Distribution(sp, words=[sp.zero()])
-    phi = box_enumerator(origin)
+    phi = corner_box_counts(origin)
     assert all(v == 1 for v in phi.values())
     assert len(phi) == (sp.s + 1) ** sp.n
     whole = Distribution(sp, words=list(sp.all_words()))
-    phi_whole = box_enumerator(whole)
+    phi_whole = corner_box_counts(whole)
     for a_vec, count in phi_whole.items():
         assert count == 2 ** (sp.dim - sum(a_vec))
 
@@ -211,7 +211,7 @@ def test_v0_subspace_duality():
 
 def test_prop_41_small():
     # box regularity of a linear distribution matches the dual weight bound
-    from nrtcodes.geometry import bounded_compositions, _family_ok
+    from nrtcodes.geometry import bounded_compositions, _family_report
 
     sp = Space(GF(2), 2, 2)
     for code in all_subspaces(sp):
@@ -221,7 +221,7 @@ def test_prop_41_small():
         dual_weight = dual.min_weight("nrt") if dual.k else sp.dim + 1
         for delta in range(d + 1):
             regular = all(
-                _family_ok(dist, a_vec, 2 ** delta)
+                _family_report(dist, a_vec, 2 ** delta).ok
                 for a_vec in bounded_compositions(d - delta, sp.n, sp.s)
             )
             assert regular == (dual_weight >= d - delta + 1), (code.basis, delta)

@@ -1,14 +1,16 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.geometry import (ElementaryBox, base_reduce_net,
                                bounded_compositions, box_contains, box_count,
                                check_counts, is_net, is_optimum, net_from_optimum,
-                               net_report, star_discrepancy)
+                               net_report, optimum_report, star_discrepancy)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
@@ -79,6 +81,76 @@ def test_check_counts():
     broken = Distribution(sp, words=[sp.zero()] * 9)
     rep = check_counts(broken, 2)
     assert not rep.ok
+    # 2^63 boxes still get exact 64-bit indices; 2^64 would wrap around
+    deep = Space(GF(2), 1, 63)
+    assert check_counts(Distribution(deep, words=[deep.zero(), ((0,) * 62 + (1,),)]), 1).ok
+    deeper = Space(GF(2), 1, 64)
+    with pytest.raises(ValueError):
+        check_counts(Distribution(deeper, words=[deeper.zero(), ((0,) * 63 + (1,),)]), 1)
+
+
+def _oracle_report(dist, families):
+    """First failure over (a_vec, per_box) families, found by slow recounts:
+    box_count over the boxes in colex order (first coordinate fastest) for
+    exact counts; for per_box None (at most one point), the box of the
+    earliest point that shares one, located from its exact coordinates."""
+    q = dist.space.q
+    points = dist.points()
+    for a_vec, per_box in families:
+        if per_box is None:
+            boxes = [tuple(int(x * q ** a) for x, a in zip(p, a_vec)) for p in points]
+            counts = Counter(boxes)
+            for m in boxes:
+                if counts[m] > 1:
+                    return a_vec, m, counts[m], 1
+            continue
+        for rev in itertools.product(*(range(q ** a) for a in reversed(a_vec))):
+            m = rev[::-1]
+            count = box_count(dist, ElementaryBox(a_vec, m))
+            if count != per_box:
+                return a_vec, m, count, per_box
+    return None
+
+
+def _as_tuple(report):
+    return None if report.ok else (report.box.a, report.box.m, report.count,
+                                   report.expected)
+
+
+def test_witness_is_first_failing_box_of_the_oracle():
+    rng = random.Random(11)
+    cases = []
+    for q in (2, 3, 4, 5):
+        configs = [(q, n, s, k) for n, s in ((1, 3), (2, 2), (2, 3), (3, 2))
+                   if n <= q + 1 for k in range(1, n * s) if q ** k <= 64]
+        cases += rng.sample(configs, 3)
+    checked = 0
+    for q, n, s, k in cases:
+        gf = GF(2, 2) if q == 4 else GF(q)
+        space = Space(gf, n, s)
+        arr = build_optimum_distribution(space, k).array()
+        moved = arr.copy()
+        i, j = rng.sample(range(len(arr)), 2)
+        moved[i] = arr[j]
+        # the first q^(k-1) points (a sub-span) each taken q times
+        doubled = np.repeat(arr[:q ** (k - 1)], q, axis=0)
+        shift = np.array([[rng.randrange(q) for _ in range(s)] for _ in range(n)])
+        shifted = gf.add_table[arr, shift[None]]
+        for variant in (moved, doubled, shifted):
+            dist = Distribution(space, array=variant)
+            families = [(a, 1) for a in bounded_compositions(k, n, s)]
+            assert _as_tuple(optimum_report(dist, k)) == _oracle_report(dist, families)
+            for delta in (0, 1):
+                side = k - delta
+                families = [(a, q ** delta) for a in bounded_compositions(side, n, side)]
+                assert (_as_tuple(net_report(dist, delta))
+                        == _oracle_report(dist, families)), (q, n, s, k, delta)
+            families = [(a, q ** (k - total) if total <= k else None)
+                        for total in range(n * s + 1)
+                        for a in bounded_compositions(total, n, s)]
+            assert _as_tuple(check_counts(dist, k)) == _oracle_report(dist, families)
+            checked += 1
+    assert checked == 36
 
 
 def test_net_from_optimum():

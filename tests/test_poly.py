@@ -236,3 +236,15 @@ def test_eval_poly_horner():
         direct = f9.add(f9.add(f[0], f9.mul(f[1], beta)),
                         f9.mul(f[2], f9.mul(beta, beta)))
         assert eval_poly(f9, f, beta) == direct
+
+
+def test_inf_is_a_node_not_a_float():
+    from nrtcodes.cli import _nodes_text, _parse_nodes
+    from nrtcodes.construct import default_nodes
+
+    assert not isinstance(INF, float) and repr(INF) == "INF"
+    gf = GF(3)
+    nodes = default_nodes(gf, 4)
+    assert INF in nodes and nodes[-1] == INF and 2 != INF
+    assert _nodes_text(nodes) == "0,1,2,inf"
+    assert _parse_nodes(gf, _nodes_text(nodes)) == nodes
