@@ -17,17 +17,40 @@ def span_array(gf: GF, rows, width: int) -> np.ndarray:
     combination i being digit m of i in base q (so prefixes of the output
     enumerate the spans of basis prefixes)."""
     q = gf.q
-    k = len(rows)
-    count = q ** k
     add_t = gf.add_table
     mul_t = gf.mul_table
-    out = np.zeros((count, width), dtype=np.int16)
-    idx = np.arange(count)
-    for m, row in enumerate(rows):
-        c = (idx // q ** m) % q
-        scaled = mul_t[np.asarray(row, dtype=np.intp)[None, :], c[:, None]]
-        out = add_t[out, scaled]
+    out = np.zeros((q ** len(rows), width), dtype=np.int16)
+    size = 1
+    for row in rows:
+        # combination c*q^m + j is combination j plus c times row m
+        row = np.asarray(row, dtype=np.intp)
+        for c in range(1, q):
+            out[c * size:(c + 1) * size] = add_t[out[:size], mul_t[c, row]]
+        size *= q
     return out
+
+
+def row_basis(gf: GF, arr: np.ndarray) -> np.ndarray:
+    """Echelon basis of the row space of an (N, width) label array: at
+    most width rows, each with a unit pivot that is zero in the rows after
+    it.  Each pivot is eliminated from all remaining rows at once, and
+    the rows that become zero are dropped."""
+    add_t, mul_t, neg_t = gf.add_table, gf.mul_table, gf.neg_table
+    rows = arr[arr.any(axis=1)]
+    basis = []
+    for col in range(arr.shape[1]):
+        if not len(rows):
+            break
+        hit = np.flatnonzero(rows[:, col])
+        if not hit.size:
+            continue
+        pivot = mul_t[gf.inv(int(rows[hit[0], col])), rows[hit[0]]]
+        basis.append(pivot)
+        # row - c * pivot for every row with c = row[col] != 0; the pivot
+        # row itself becomes zero
+        rows[hit] = add_t[rows[hit], mul_t[neg_t[rows[hit, col]][:, None], pivot]]
+        rows = rows[rows.any(axis=1)]
+    return np.array(basis, dtype=np.int16).reshape(len(basis), arr.shape[1])
 
 
 def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:

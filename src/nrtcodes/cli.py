@@ -223,7 +223,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import bulk
+
     dist = _read_points(getattr(args, "in"))
+    if not len(dist):
+        raise ValueError("point set is empty")
     space = dist.space
     flat = dist.array().reshape(len(dist), -1)
     anchor = space.zero() if (~flat.any(axis=1)).any() else dist.word(0)
@@ -249,7 +253,7 @@ def cmd_spectrum(args) -> int:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
     # the enumerators describe the input only when it is its own span
-    code = LinearCode(space, flat.tolist())
+    code = LinearCode(space, bulk.row_basis(space.gf, flat))
     if len(code) == len(dist) and dist.same_multiset(linear := code.distribution()):
         payload["weight_enumerator"] = weight_enumerator(linear)
         payload["box_enumerator"] = {

@@ -83,7 +83,7 @@ class LinearCode:
 
     def __init__(self, space: Space, basis_rows):
         self.space = space
-        rows = rref(space.gf, [list(r) for r in basis_rows])
+        rows = rref(space.gf, [[int(v) for v in r] for r in basis_rows])
         for r in rows:
             if len(r) != space.dim:
                 raise ValueError("basis row length mismatch")
@@ -240,18 +240,19 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
 
     space = dist.space
     n, s = space.n, space.s
-    profile = np.zeros((s + 1,) * n, dtype=np.int64)
     arr = dist.array()
     pos = np.arange(1, s + 1)
     rw = ((arr != 0) * pos).max(axis=2)
-    for row in rw:
-        profile[tuple(row)] += 1
-    counts = {}
-    for a_vec in product(range(s + 1), repeat=n):
-        # a point is in the corner box iff every row weight is <= s - a_j
-        sub = profile[tuple(slice(0, s - a + 1) for a in a_vec)]
-        counts[a_vec] = int(sub.sum())
-    return counts
+    shape = (s + 1,) * n
+    # profile[b] counts the points whose row weights are b; its cumulative
+    # sums count the points with row weights <= b, i.e. in the corner box
+    # with a_j = s - b_j
+    cum = np.bincount(np.ravel_multi_index(rw.T, shape),
+                      minlength=(s + 1) ** n).reshape(shape)
+    for axis in range(n):
+        cum = cum.cumsum(axis=axis)
+    return {a_vec: int(cum[tuple(s - a for a in a_vec)])
+            for a_vec in product(range(s + 1), repeat=n)}
 
 
 def weight_enumerator(dist: Distribution) -> list[int]:

@@ -109,33 +109,24 @@ def _box_keys(dist: Distribution, a_vec):
     return keys
 
 
-def _family_report(dist: Distribution, a_vec, per_box: int | None) -> BoxReport:
-    """Check that every box of family a_vec holds exactly `per_box` points
-    (the first failing box in colex order is the witness), or at most one
-    point when per_box is None (the witness is the box of the earliest
-    point that shares one).  Exact counts need q^sum(a_vec) <= len(dist)."""
+def _family_report(dist: Distribution, a_vec, per_box: int) -> BoxReport:
+    """Check that every box of family a_vec holds exactly `per_box` points;
+    the first failing box in colex order is the witness.  Needs
+    q^sum(a_vec) <= len(dist), so the counts fit in memory."""
     import numpy as np
 
     q = dist.space.q
-    keys = _box_keys(dist, a_vec)
-    if per_box is None:
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        shared = counts[inverse] > 1
-        if not shared.any():
-            return BoxReport(True)
-        first = int(np.argmax(shared))
-        key, count, expected = int(keys[first]), counts[inverse[first]], 1
-    else:
-        counts = np.bincount(keys, minlength=q ** sum(a_vec))
-        bad = np.flatnonzero(counts != per_box)
-        if not bad.size:
-            return BoxReport(True)
-        key, count, expected = int(bad[0]), counts[bad[0]], per_box
+    counts = np.bincount(_box_keys(dist, a_vec), minlength=q ** sum(a_vec))
+    bad = np.flatnonzero(counts != per_box)
+    if not bad.size:
+        return BoxReport(True)
+    key = int(bad[0])
     m_vec = []
     for a in a_vec:
         key, m = divmod(key, q ** a)
         m_vec.append(m)
-    return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)), int(count), expected)
+    return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)),
+                     int(counts[bad[0]]), per_box)
 
 
 def net_report(dist: Distribution, delta: int) -> BoxReport:
@@ -187,16 +178,20 @@ def is_optimum(dist: Distribution, k: int, depth: int | None = None) -> bool:
 
 
 def check_counts(dist: Distribution, k: int) -> BoxReport:
-    """Full audit of an optimum distribution: boxes with small side sum
-    hold exactly q^(k - sum), all others at most one point."""
+    """Full audit of an optimum distribution: every box with side sum
+    t <= k holds exactly q^(k - t) points, so every other box holds at
+    most one.
+
+    Only side sums up to k are walked: a box with sum above k (each
+    a_j <= s) lies inside a box with sum exactly k, which holds one
+    point, so the at-most-one families cannot fail once these pass."""
     space = dist.space
     q = space.q
     if len(dist) != q ** k:
         raise ValueError("not q^k points")
-    for total in range(0, space.n * space.s + 1):
-        per_box = q ** (k - total) if total <= k else None
+    for total in range(min(k, space.n * space.s) + 1):
         for a_vec in bounded_compositions(total, space.n, space.s):
-            report = _family_report(dist, a_vec, per_box)
+            report = _family_report(dist, a_vec, q ** (k - total))
             if not report:
                 return report
     return BoxReport(True)

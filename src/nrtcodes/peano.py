@@ -191,6 +191,8 @@ def _min_weights(dist: Distribution) -> tuple[int, int]:
     """Minimum nonzero NRT and Hamming weight over a linear distribution."""
     from . import bulk
 
+    if not len(dist):
+        raise ValueError("point set is empty")
     space = dist.space
     arr = dist.array().reshape(len(dist), -1)
     nz = arr.any(axis=1)

@@ -49,6 +49,7 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
     must itself belong to the distribution."""
+    import numpy as np
     from . import bulk
 
     space = dist.space
@@ -56,9 +57,7 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     arr = dist.array().reshape(len(dist), -1)
     diffs = bulk.sub_anchor(space.gf, arr, space.flatten(anchor))
     rho = bulk.nrt_weights(diffs, space.n, space.s)
-    out = [0] * (space.dim + 1)
-    for r in rho:
-        out[int(r)] += 1
+    out = np.bincount(rho, minlength=space.dim + 1).tolist()
     if out[0] == 0:
         raise ValueError("anchor is not a member of the distribution")
     return out

@@ -282,18 +282,6 @@ class PointFileError(ValueError):
         self.line = line
 
 
-def _parse_row(space: Space, token: str, line: int):
-    if len(token) != space.s:
-        raise PointFileError(f"digit string {token!r} is not {space.s} long", line)
-    try:
-        eta = [DIGIT_CHARS.index(ch) for ch in token.lower()]
-    except ValueError:
-        raise PointFileError(f"bad digit in {token!r}", line) from None
-    if any(d >= space.q for d in eta):
-        raise PointFileError(f"digit out of range in {token!r}", line)
-    return eta
-
-
 def write_point_set(stream, dist: Distribution, comments=()) -> None:
     """Header "q n s N" preceded by the field line when e > 1, then one
     line per point: n digit strings, most significant digit first."""
@@ -358,21 +346,55 @@ def _read_header(lines, kind: str):
     return field, n, s, count, lineno
 
 
-def read_point_set(stream) -> Distribution:
+def _digit_table():
+    """Byte -> digit value for both letter cases; 255 marks a bad digit."""
     import numpy as np
+
+    table = np.full(256, 255, dtype=np.uint8)
+    for d, ch in enumerate(DIGIT_CHARS):
+        table[ord(ch)] = table[ord(ch.upper())] = d
+    return table
+
+
+def read_point_set(stream) -> Distribution:
+    """Parse a point file; errors are `PointFileError`s naming the first
+    offending line, checked in file order (coordinate count, then per
+    digit string: length, bad digit, digit >= q)."""
+    import numpy as np
+    from itertools import islice
 
     lines = _content_lines(stream)
     field, n, s, count, lineno = _read_header(lines, "point set")
     space = Space(field, n, s)
-    eta = []
-    for _ in range(count):
-        try:
-            lineno, text = next(lines)
-        except StopIteration:
-            raise PointFileError("fewer points than the header promised", lineno) from None
-        tokens = text.split()
-        if len(tokens) != n:
-            raise PointFileError(f"expected {n} coordinates", lineno)
-        eta.append([_parse_row(space, t, lineno) for t in tokens])
-    eta = np.array(eta, dtype=np.int16).reshape(count, n, s)
-    return Distribution(space, array=np.ascontiguousarray(eta[:, :, ::-1]))
+    # the lines are read before anything is sized by the header's count
+    linenos, tokens, short_line = [], [], None
+    for lineno, text in islice(lines, count):
+        row = text.split()
+        if len(row) != n:
+            short_line = lineno
+            break
+        linenos.append(lineno)
+        tokens += row
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    wrong_length = np.flatnonzero(lengths != s)
+    # every token before the first one of a wrong length is s bytes long
+    good = int(wrong_length[0]) if wrong_length.size else len(tokens)
+    # non-ASCII characters become "?", a bad digit, one byte per character
+    raw = "".join(tokens).encode("ascii", "replace")[:good * s]
+    digits = _digit_table()[np.frombuffer(raw, dtype=np.uint8).reshape(good, s)]
+    # every digit is below 36, so this also flags the bad ones (255)
+    invalid = (digits >= min(space.q, len(DIGIT_CHARS))).any(axis=1)
+    if invalid.any():
+        bad = int(np.argmax(invalid))
+        token = tokens[bad]
+        what = "bad digit" if (digits[bad] == 255).any() else "digit out of range"
+        raise PointFileError(f"{what} in {token!r}", linenos[bad // n])
+    if good < len(tokens):
+        raise PointFileError(f"digit string {tokens[good]!r} is not {s} long",
+                             linenos[good // n])
+    if short_line is not None:
+        raise PointFileError(f"expected {n} coordinates", short_line)
+    if len(linenos) < count:
+        raise PointFileError("fewer points than the header promised", lineno)
+    eta = digits.reshape(count, n, s)[:, :, ::-1].astype(np.int16)
+    return Distribution(space, array=eta)

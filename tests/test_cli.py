@@ -83,6 +83,15 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_empty_point_set_is_refused(tmp_path, capsys):
+    pts = tmp_path / "empty.points"
+    pts.write_text("2 2 1 0\n")
+    for command in ("spectrum", "basechange"):
+        code, out, err = run([command, "--in", str(pts)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: point set is empty\n"
+
+
 def test_spectrum_report(tmp_path, capsys):
     prefix = str(tmp_path / "run")
     run(["generate", "--q", "3", "--n", "2", "--s", "2", "--k", "2",

@@ -1,8 +1,10 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
+from nrtcodes import bulk
 from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
                             character_sum_report, code_from_parity_check,
                             corner_box_counts, is_mds, macwilliams_n1_ok,
@@ -10,10 +12,11 @@ from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
                             rref, weight_enum_identity_n1, weight_enumerator,
                             write_code)
 from nrtcodes.construct import build_mds_code
+from nrtcodes.geometry import ElementaryBox, box_count
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space
 
-from _helpers import all_subspaces, random_code
+from _helpers import all_subspaces, random_code, span_array_by_passes
 
 
 def test_rref_and_rank():
@@ -134,6 +137,49 @@ def test_box_enumerator_examples():
     phi_whole = corner_box_counts(whole)
     for a_vec, count in phi_whole.items():
         assert count == 2 ** (sp.dim - sum(a_vec))
+
+
+def test_box_enumerator_matches_box_count():
+    # multisets with repeated and non-linear points, counted box by box
+    rng = random.Random(8)
+    for gf, n, s in ((GF(2), 2, 2), (GF(3), 1, 3), (GF(2, 2), 3, 1), (GF(5), 2, 2)):
+        sp = Space(gf, n, s)
+        words = [sp.random_word(rng) for _ in range(rng.randrange(1, 12))]
+        dist = Distribution(sp, words=words + words[:2])
+        phi = corner_box_counts(dist)
+        assert len(phi) == (s + 1) ** n
+        for a_vec, count in phi.items():
+            assert count == box_count(dist, ElementaryBox(a_vec, (0,) * n))
+
+
+def test_span_array_matches_k_pass_enumeration():
+    rng = random.Random(9)
+    for gf in (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)):
+        for k, width in ((0, 3), (1, 1), (2, 4), (3, 2), (4, 3)):
+            if gf.q ** k > 5000:
+                continue
+            rows = [[rng.randrange(gf.q) for _ in range(width)] for _ in range(k)]
+            arr = bulk.span_array(gf, rows, width)
+            assert arr.dtype == np.int16
+            assert np.array_equal(arr, span_array_by_passes(gf, rows, width))
+
+
+def test_row_basis_spans_the_rows():
+    rng = random.Random(10)
+    for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(2, 2), 1, 4), (GF(5), 3, 1),
+                     (GF(3, 2), 2, 2)):
+        sp = Space(gf, n, s)
+        for k in range(sp.dim + 1):
+            code = random_code(sp, k, rng) if k else LinearCode.zero(sp)
+            flat = code.distribution().array().reshape(len(code), -1)
+            shifted = gf.add_table[flat, flat[rng.randrange(len(flat))]]
+            sample = flat[[rng.randrange(len(flat)) for _ in range(5)]]
+            for arr in (flat, flat[::-1], shifted, sample):
+                basis = bulk.row_basis(gf, arr)
+                assert basis.shape[1] == sp.dim and len(basis) <= sp.dim
+                assert LinearCode(sp, basis) == LinearCode(sp, arr.tolist())
+                assert len(basis) == len(LinearCode(sp, basis).basis)
+    assert bulk.row_basis(GF(2), np.zeros((0, 3), dtype=np.int16)).shape == (0, 3)
 
 
 def test_box_duality():

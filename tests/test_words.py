@@ -3,12 +3,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nrtcodes.gf import GF
+from nrtcodes.gf import DIGIT_CHARS, GF
 from nrtcodes.words import (Distribution, PointFileError, Space, digits_of,
                             hamming_weight, nrt_weight, read_point_set,
                             row_weight, truncate_digits, write_point_set)
+
+from _helpers import read_point_array_by_line
 
 
 def test_weight_worked_example():
@@ -206,6 +210,131 @@ def test_point_set_file_errors():
     except PointFileError as exc:
         err = exc
     assert err is not None and err.line == 3
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(io.StringIO(text))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _same_outcome(text):
+    new = _parse_outcome(lambda fh: read_point_set(fh).array(), text)
+    old = _parse_outcome(read_point_array_by_line, text)
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.shape == old.shape, text
+        assert np.array_equal(new, old), text
+    else:
+        assert new == old, text
+    return new
+
+
+# characters that are no digit in any base: ASCII, non-ASCII, and
+# whitespace that splits a token
+_BAD_CHARS = "!.-_+/\u00e9\u0130\u00df\x00\x0c\xa0\u2028"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_vectorized_parse_matches_line_parser(data):
+    draw = data.draw
+    gf = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(7), GF(3, 2),
+                               GF(5, 2), GF(31)]))
+    n, s, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sp = Space(gf, n, s)
+    dist = Distribution(sp, words=[sp.random_word(rng) for _ in range(count)])
+    buf = io.StringIO()
+    write_point_set(buf, dist, comments=["generated"])
+    lines = buf.getvalue().split("\n")[:-1]
+    header = len(lines) - count - 1
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([
+            "comment", "blank", "spacing", "upper", "tokens", "length", "bad",
+            "range", "header_count", "trailing"]))
+        if kind in ("comment", "blank"):
+            i = draw(st.integers(0, len(lines)))
+            lines.insert(i, draw(st.sampled_from(
+                ["#", "# 0 1", "  # x", ""] if kind == "comment" else ["", " ", "\t", " \t "])))
+            header += i <= header
+            continue
+        if kind == "header_count":
+            parts = lines[header].split()
+            parts[-1] = str(draw(st.sampled_from([0, count + 1, 10 ** 12])))
+            lines[header] = " ".join(parts)
+            continue
+        if kind == "trailing":
+            lines.append(draw(st.sampled_from(["junk", "0 0 0 0 0", "# end"])))
+            continue
+        i = draw(st.integers(header + 1, len(lines) - 1)) if len(lines) > header + 1 else None
+        if i is None or not lines[i].strip() or lines[i].lstrip().startswith("#"):
+            continue
+        line = lines[i]
+        tokens = line.split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        tok = tokens[j]
+        pos = draw(st.integers(0, len(tok) - 1))
+        if kind == "spacing":
+            sep = draw(st.sampled_from(["\t", "  ", " \t", "\x0c"]))
+            lines[i] = draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens) + draw(
+                st.sampled_from(["", " ", "\t"]))
+            continue
+        if kind == "upper":
+            tok = tok.upper()
+        elif kind == "tokens" and draw(st.booleans()):
+            tokens.insert(j, tok)
+        elif kind == "tokens":
+            tokens.pop(j)
+        elif kind == "length":
+            tok = tok[:pos] + (tok[pos] * 2 if draw(st.booleans()) else "") + tok[pos + 1:]
+        elif kind == "bad":
+            tok = tok[:pos] + draw(st.sampled_from(_BAD_CHARS)) + tok[pos + 1:]
+        elif gf.q < 36:  # range
+            tok = tok[:pos] + draw(st.sampled_from(DIGIT_CHARS[gf.q:])) + tok[pos + 1:]
+        if kind != "tokens":
+            tokens[j] = tok
+        lines[i] = " ".join(tokens)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:len(text) - draw(st.integers(0, len(text)))]
+    _same_outcome(text)
+
+
+def test_parse_errors_keep_message_and_line():
+    cases = {
+        "2 1 2 1\n111\n": (2, "digit string '111' is not 2 long"),
+        "2 1 2 1\n2x\n": (2, "digit out of range in '2x'"),
+        "2 1 2 1\n0!\n": (2, "bad digit in '0!'"),
+        # no digit character stands for 36 or more, whatever q is
+        "257 1 1 1\n!\n": (2, "bad digit in '!'"),
+        "2 1 2 2\n01\n": (2, "fewer points than the header promised"),
+        "2 1 2 1000000000000\n01\n": (2, "fewer points than the header promised"),
+        "2 2 1 2\n\n# c\n0 1\n1\n": (5, "expected 2 coordinates"),
+        # the first bad line wins, whatever comes after it
+        "3 2 1 3\n0 1\n0 3\n0\n": (3, "digit out of range in '3'"),
+        "3 2 1 3\n0 1\n0 11\n0 z\n": (3, "digit string '11' is not 1 long"),
+    }
+    for text, (line, message) in cases.items():
+        with pytest.raises(PointFileError) as exc:
+            read_point_set(io.StringIO(text))
+        assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+        _same_outcome(text)
+    # trailing lines after the promised points are not read
+    assert read_point_set(io.StringIO("2 1 1 1\n1\njunk\n")).words() == [((1,),)]
+    assert read_point_set(io.StringIO("2 2 1 0\n")).array().shape == (0, 2, 1)
+
+
+def test_parse_accepts_only_ascii_digits():
+    # str.lower() maps the Kelvin sign to "k", so the line parser took it
+    # as digit 20; the byte table reads it as a bad digit
+    text = "29 1 1 1\n\u212a\n"
+    assert read_point_array_by_line(io.StringIO(text)).tolist() == [[[20]]]
+    with pytest.raises(PointFileError) as exc:
+        read_point_set(io.StringIO(text))
+    assert exc.value.line == 2 and "bad digit" in str(exc.value)
+    assert read_point_set(io.StringIO("29 1 1 1\nK\n")).words() == [((20,),)]
 
 
 def test_space_mismatch():
