@@ -82,7 +82,6 @@ def encode(arr: np.ndarray, q: int) -> np.ndarray:
 
 
 def sub_anchor(gf: GF, arr: np.ndarray, anchor) -> np.ndarray:
-    """arr - anchor, broadcast over all words."""
+    """arr - anchor for an (N, width) label array and a flat anchor."""
     neg = gf.neg_table[np.asarray(anchor, dtype=np.intp)]
-    flat_neg = neg.reshape(1, -1)
-    return gf.add_table[arr.reshape(arr.shape[0], -1), flat_neg]
+    return gf.add_table[arr, neg[None, :]]

@@ -18,7 +18,7 @@ from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
                     read_code, weight_enumerator, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
-from .gf import GF, is_prime
+from .gf import GF, TABLE_BOUND, is_prime
 from .poly import INF
 from .spectra import distance_spectrum, mds_spectrum, nets_exist
 from .words import (Distribution, PointFileError, Space, read_point_set,
@@ -34,10 +34,12 @@ class UsageError(Exception):
 
 def _field_from_args(args) -> GF:
     if args.p is not None:
-        return GF(args.p, args.e or 1)
+        return GF(args.p, args.e)
     if args.q is None:
         raise UsageError("need --q or --p/--e")
     q = args.q
+    if q > TABLE_BOUND:  # refused before the prime-power search
+        raise UsageError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
     for p in range(2, q + 1):
         if is_prime(p):
             e = 0
@@ -98,7 +100,7 @@ def _output(path: str):
 
 def cmd_generate(args) -> int:
     gf = _field_from_args(args)
-    if args.g is not None and args.g > 1:
+    if args.g > 1:
         return _generate_composite(args, gf)
     n, s, k = args.n, args.s, args.k
     if n is None or s is None or k is None:
@@ -287,7 +289,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_peano(args) -> int:
-    g = args.g or 1
+    g = args.g
     if args.type == "code":
         code = _read_code(getattr(args, "in"))
         if code.space.n % g:
@@ -370,6 +372,16 @@ def cmd_field_info(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrtcodes",
@@ -378,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, infile=False):
         p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--e", type=int, help="extension degree")
+        p.add_argument("--e", type=_positive_int, default=1, help="extension degree")
         p.add_argument("--q", type=int, help="field size (prime power)")
         p.add_argument("--n", type=int, help="number of dimensions / rows")
         p.add_argument("--s", type=int, help="digits per coordinate")
         p.add_argument("--k", type=int, help="code / distribution dimension")
-        p.add_argument("--g", type=int, help="row block size")
+        p.add_argument("--g", type=_positive_int, default=1, help="row block size")
         p.add_argument("--t", type=int, help="composite dimension multiplier")
         p.add_argument("--delta", type=int, help="net deficiency")
         p.add_argument("--nodes", help="comma separated node labels, inf allowed")

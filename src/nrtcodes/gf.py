@@ -6,19 +6,29 @@ sum(mu_i * p^(i-1)), so labels double as base-p digit vectors.  Elements
 of the prime subfield keep their residue as label, hence small integer
 constants can be used directly.
 
-Multiplication uses log/antilog tables for q <= 2^12 and schoolbook
-reduction modulo the field polynomial above that.
+All arithmetic is table lookup.  The tables are built once per field, on
+first use, and shared by equal fields.  They come from the digit vectors:
+addition and negation digitwise mod p, multiplication by folding
+a_i * (z^i b) over the digits a_i of a, where the multiples z^i b come
+from the multiply-by-z map, and inverses and traces read off those.
+Fields are limited to q <= TABLE_BOUND, which keeps each q x q table
+small.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-DEFAULT_Q_BOUND = 1 << 16
-LOG_TABLE_BOUND = 1 << 12
-BULK_TABLE_BOUND = 1 << 10
+TABLE_BOUND = 1 << 10
 
 DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+# fetched together on first access; `*_table` are read-only int16 numpy
+# arrays for bulk work, `*_lookup` tuples of the same entries for scalar work
+_TABLE_NAMES = frozenset(
+    ("add_table", "mul_table", "neg_table", "trace_table", "coeff_table",
+     "add_lookup", "mul_lookup", "neg_lookup", "inv_lookup", "trace_lookup"))
 
 
 def is_prime(m: int) -> bool:
@@ -30,49 +40,18 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-# --- polynomials over F_p as coefficient lists (constant term first) ---
-
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
 def _pmod(f, g, p):
+    """Remainder of f modulo the monic g over F_p, as coefficient lists
+    (constant term first); zero is the empty list."""
     f = list(f)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
     while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lead % p
+        c = f[-1]
         shift = len(f) - 1 - dg
         for i, b in enumerate(g):
             f[shift + i] = (f[shift + i] - c * b) % p
-        _ptrim(f)
+        while f and f[-1] == 0:
+            f.pop()
     return f
 
 
@@ -114,7 +93,8 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 class GF:
-    """The finite field F_q, q = p^e, acting on integer labels 0..q-1.
+    """The finite field F_q, q = p^e <= TABLE_BOUND, acting on integer
+    labels 0..q-1.
 
     Parameters
     ----------
@@ -124,14 +104,14 @@ class GF:
         over F_p (constant term first); defaults to the smallest one.
     """
 
-    def __init__(self, p: int, e: int = 1, modulus=None, q_bound: int = DEFAULT_Q_BOUND):
+    def __init__(self, p: int, e: int = 1, modulus=None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** e
-        if q > q_bound:
-            raise ValueError(f"q = {q} exceeds the configured bound {q_bound}")
+        if q > TABLE_BOUND:
+            raise ValueError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
         self.p = p
         self.e = e
         self.q = q
@@ -143,12 +123,6 @@ class GF:
                 raise ValueError("modulus must be monic of degree e")
             if not _is_irreducible(list(self.modulus), p):
                 raise ValueError("modulus is reducible over F_p")
-
-        self._exp = None
-        self._log = None
-        if e > 1 and q <= LOG_TABLE_BOUND:
-            self._build_log_tables()
-        self._np_tables = {}
 
     # --- representation ---
 
@@ -202,70 +176,32 @@ class GF:
     # --- arithmetic ---
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.add_lookup[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return -a % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.neg_lookup[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def _schoolbook_mul(self, a: int, b: int) -> int:
-        prod = _pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        rem = _pmod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.e - len(rem))
-        return self.from_coeffs(rem)
+        return self.add_lookup[a][self.neg_lookup[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._schoolbook_mul(a, b)
+        return self.mul_lookup[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self.pow(a, self.q - 2)
+        return self.inv_lookup[a]
 
     def pow(self, a: int, m: int) -> int:
-        if m == 0:
-            return 1
-        if a == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] * (m % (self.q - 1)) % (self.q - 1)]
+        """a^m for m >= 0 by square-and-multiply, with 0^0 = 1."""
+        if m < 0:
+            raise ValueError("negative exponent")
+        mul = self.mul_lookup
         out = 1
-        base = a
         while m:
             if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = mul[out][a]
+            a = mul[a][a]
             m >>= 1
         return out
 
@@ -274,92 +210,62 @@ class GF:
 
     def trace(self, a: int) -> int:
         """Trace to F_p: a + a^p + ... + a^(p^(e-1)).  Result label < p."""
-        acc = 0
-        x = a
-        for _ in range(self.e):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
-        if acc >= self.p:
-            raise AssertionError("trace left the prime subfield")
-        return acc
+        return self.trace_lookup[a]
 
-    def _build_log_tables(self):
-        q = self.q
-        gen = None
-        factors = _prime_factors(q - 1)
-        for g in range(2, q):
-            ok = True
-            for ell in factors:
-                x = 1
-                m = (q - 1) // ell
-                base = g
-                mm = m
-                while mm:
-                    if mm & 1:
-                        x = self._schoolbook_mul(x, base)
-                    base = self._schoolbook_mul(base, base)
-                    mm >>= 1
-                if x == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = g
-                break
-        exp = [0] * (2 * q)
-        log = [0] * q
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            exp[i + q - 1] = val
-            log[val] = i
-            val = self._schoolbook_mul(val, gen)
-        self._exp = exp
-        self._log = log
+    # --- tables ---
 
-    # --- lazy numpy lookup tables for bulk enumeration ---
+    def __getattr__(self, name):
+        # reached only while the tables are missing, so they are fetched once
+        if name not in _TABLE_NAMES:
+            raise AttributeError(name)
+        self.__dict__.update(_field_tables(self.p, self.e, self.modulus))
+        return self.__dict__[name]
 
-    def _table(self, name: str):
-        tab = self._np_tables.get(name)
-        if tab is not None:
-            return tab
-        import numpy as np
 
-        q = self.q
-        if name in ("add", "mul") and q > BULK_TABLE_BOUND:
-            raise ValueError(f"bulk tables disabled for q = {q} > {BULK_TABLE_BOUND}")
-        if name == "add":
-            tab = np.array([[self.add(a, b) for b in range(q)] for a in range(q)],
-                           dtype=np.int16)
-        elif name == "mul":
-            tab = np.array([[self.mul(a, b) for b in range(q)] for a in range(q)],
-                           dtype=np.int16)
-        elif name == "neg":
-            tab = np.array([self.neg(a) for a in range(q)], dtype=np.int16)
-        elif name == "trace":
-            tab = np.array([self.trace(a) for a in range(q)], dtype=np.int16)
-        elif name == "coeff":
-            tab = np.array([self.coeffs(a) for a in range(q)], dtype=np.int16)
-        else:
-            raise KeyError(name)
-        self._np_tables[name] = tab
-        return tab
+# Equal fields share one read-only set of tables, so a program that builds
+# GF(q) afresh for each task builds its tables once.  The cache is bounded
+# because tables at q = 1024 take about 21 MB.
+@functools.lru_cache(maxsize=16)
+def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> dict:
+    import numpy as np
 
-    @property
-    def add_table(self):
-        return self._table("add")
+    q = p ** e
+    labels = np.arange(q, dtype=np.int32)  # int32 halves the q x q temporaries
+    place = p ** np.arange(e, dtype=np.int32)
+    coeff = labels[:, None] // place % p  # (q, e), low digit first
+    add = sum((coeff[:, None, j] + coeff[None, :, j]) % p * place[j] for j in range(e))
+    # z * b: digits move up one place and z^e = -(m_0 + ... + m_(e-1) z^(e-1))
+    shifted = np.concatenate([np.zeros((q, 1), dtype=coeff.dtype), coeff[:, :-1]], axis=1)
+    times_z = (shifted - coeff[:, -1:] * np.array(modulus[:e])) % p @ place
+    z_multiples = [labels]  # z^i * b for every b
+    for _ in range(e - 1):
+        z_multiples.append(times_z[z_multiples[-1]])
+    z_digits = coeff[np.array(z_multiples)]  # (i, b, j): digit j of z^i b
+    # digit j of a*b = sum_i a_i * (digit j of z^i b) mod p
+    mul = sum(coeff @ z_digits[:, :, j] % p * place[j] for j in range(e))
+    frobenius = labels  # a -> a^p
+    for _ in range(p - 1):
+        frobenius = mul[frobenius, labels]
+    trace = np.zeros(q, dtype=labels.dtype)
+    conj = labels
+    for _ in range(e):
+        trace = add[trace, conj]
+        conj = frobenius[conj]
+    if (trace >= p).any():
+        raise AssertionError("trace left the prime subfield")
+    # a*b = 1 has one solution b per a != 0; row 0 gives 0
+    inv = np.argmax(mul == 1, axis=1)
+    neg = -coeff % p @ place
 
-    @property
-    def mul_table(self):
-        return self._table("mul")
-
-    @property
-    def neg_table(self):
-        return self._table("neg")
-
-    @property
-    def trace_table(self):
-        return self._table("trace")
-
-    @property
-    def coeff_table(self):
-        return self._table("coeff")
+    tables = {}
+    for name, tab in (("add", add), ("mul", mul), ("neg", neg), ("trace", trace),
+                      ("coeff", coeff)):
+        tables[f"{name}_table"] = tab.astype(np.int16)
+        tables[f"{name}_table"].setflags(write=False)
+    shared = labels.tolist()  # one int object per label, shared by all rows
+    for name, tab in (("add", add), ("mul", mul)):
+        tables[f"{name}_lookup"] = tuple(tuple(map(shared.__getitem__, row.tolist()))
+                                         for row in tab)
+    for name, tab in (("neg", neg), ("inv", inv), ("trace", trace)):
+        tables[f"{name}_lookup"] = tuple(tab.tolist())
+    return tables

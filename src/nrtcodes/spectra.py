@@ -54,7 +54,7 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
 
     space = dist.space
     anchor = space.check_word(anchor)
-    arr = dist.array().reshape(len(dist), -1)
+    arr = dist.array().reshape(len(dist), space.dim)
     diffs = bulk.sub_anchor(space.gf, arr, space.flatten(anchor))
     rho = bulk.nrt_weights(diffs, space.n, space.s)
     out = np.bincount(rho, minlength=space.dim + 1).tolist()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import GF, DIGIT_CHARS
+from .gf import DIGIT_CHARS, GF, TABLE_BOUND
 
 Word = tuple[tuple[int, ...], ...]
 
@@ -237,7 +237,7 @@ class Distribution:
         if self.space != other.space or len(self) != len(other):
             return False
         # rows in lexicographic order: no integer key, so no bound on q^(ns)
-        a, b = (d._array.reshape(len(d), -1) for d in (self, other))
+        a, b = (d._array.reshape(len(d), self.space.dim) for d in (self, other))
         return bool(np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)]))
 
     def min_distance(self, metric: str = "nrt") -> int:
@@ -333,6 +333,8 @@ def _read_header(lines, kind: str):
     except ValueError:
         raise PointFileError("header values must be integers", lineno) from None
     if field is None:
+        if q > TABLE_BOUND:
+            raise PointFileError(f"q = {q} exceeds the field bound {TABLE_BOUND}", lineno)
         try:
             field = GF(q)
         except ValueError:

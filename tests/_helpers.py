@@ -35,6 +35,27 @@ def all_subspaces(space):
     return list(seen.values())
 
 
+def schoolbook_add(gf, a, b):
+    """Digitwise sum mod p, the addition oracle of the field tables."""
+    return gf.from_coeffs([(x + y) % gf.p for x, y in zip(gf.coeffs(a), gf.coeffs(b))])
+
+
+def schoolbook_mul(gf, a, b):
+    """Product of the digit polynomials of a and b reduced modulo the field
+    polynomial over F_p, the multiplication oracle of the field tables."""
+    p, e, modulus = gf.p, gf.e, gf.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(gf.coeffs(a)):
+        for j, y in enumerate(gf.coeffs(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    # z^top = z^(top-e) * z^e, and the modulus is monic
+    for top in reversed(range(e, 2 * e - 1)):
+        c = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - e + i] = (prod[top - e + i] - c * m) % p
+    return gf.from_coeffs(prod[:e])
+
+
 def _parse_row(q, s, token, line):
     if len(token) != s:
         raise PointFileError(f"digit string {token!r} is not {s} long", line)

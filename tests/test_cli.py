@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nrtcodes
 from nrtcodes.cli import main
 
 
@@ -81,6 +85,21 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(["verify", "--kind", "optimum", "--in", str(bad)],
                        capsys)
     assert code == 2 and "line 2" in err
+
+
+def test_header_above_the_field_bound(tmp_path, capsys):
+    pts, code_file = tmp_path / "big.points", tmp_path / "big.code"
+    for q in (1031, 65537):
+        pts.write_text(f"{q} 1 1 1\n0\n")
+        code_file.write_text(f"{q} 1 1 1\n1\n")
+        for args in (["verify", "--kind", "optimum", "--in", str(pts)],
+                     ["dual", "--in", str(code_file)]):
+            code, out, err = run(args, capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: line 1: q = {q} exceeds the field bound 1024\n"
+    pts.write_text("1024 1 1 1\n0\n")
+    code, _, err = run(["verify", "--kind", "optimum", "--in", str(pts)], capsys)
+    assert code == 2 and "q = 1024 is not prime" in err
 
 
 def test_empty_point_set_is_refused(tmp_path, capsys):
@@ -189,6 +208,9 @@ def test_field_info(capsys):
     assert "q = 4 = 2^2" in out
     code, out, _ = run(["field-info", "--q", "6"], capsys)
     assert code == 2
+    for q in ("2048", "1000003"):
+        code, out, err = run(["field-info", "--q", q], capsys)
+        assert code == 2 and err == f"error: q = {q} exceeds the field bound 1024\n"
 
 
 def test_nodes_override(tmp_path, capsys):
@@ -248,6 +270,36 @@ def test_failed_write_leaves_no_file(tmp_path, capsys):
                       "--k", "1", "--out", str(tmp_path / "g37")], capsys)
     assert code == 2 and old.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [old]
+
+
+def test_degree_and_block_size_below_one_are_usage_errors(tmp_path, capsys):
+    code_file = tmp_path / "c.code"
+    code_file.write_text("2 2 1 1\n1 0\n")
+    for args in (["field-info", "--p", "2", "--e", "0"],
+                 ["peano", "--g", "0", "--in", str(code_file)],
+                 ["generate", "--q", "5", "--n", "2", "--s", "1", "--g", "0",
+                  "--t", "1", "--k", "1", "--out", str(tmp_path / "g")]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g*"))
+
+
+def test_field_info_builds_no_tables():
+    # a command that needs no arithmetic starts without numpy
+    script = ("import sys\n"
+              "from nrtcodes import cli, gf\n"
+              "def refuse(*field):\n"
+              "    raise AssertionError('field tables built')\n"
+              "gf._field_tables = refuse\n"
+              "assert cli.main(['field-info', '--q', '16']) == 0\n"
+              "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert "q = 16 = 2^4" in result.stdout
 
 
 def test_removed_flags_are_usage_errors(capsys):

@@ -232,6 +232,9 @@ def test_character_sums():
         for _ in range(5):
             c = random_code(spc, rng.randrange(1, spc.dim + 1), rng)
             assert character_sum_report(c).ok
+    # every Y is checked, so spaces above 4096 words are refused
+    with pytest.raises(ValueError):
+        character_sum_report(LinearCode.zero(Space(GF(2), 1, 13)))
 
 
 def test_v0_subspace_duality():

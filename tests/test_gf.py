@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from nrtcodes.gf import GF, default_modulus, is_prime
+from nrtcodes.gf import GF, TABLE_BOUND, default_modulus, is_prime
+
+from _helpers import schoolbook_add, schoolbook_mul
 
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
                 GF(11), GF(13), GF(2, 4)]
@@ -20,29 +24,13 @@ def test_add_examples():
     assert f4.add(2, 3) == 1
 
 
-def schoolbook_f4_mul(a, b):
-    # polynomial product of the digit vectors, reduced mod z^2 + z + 1
-    da = (a & 1, a >> 1)
-    db = (b & 1, b >> 1)
-    prod = [0, 0, 0]
-    for i in range(2):
-        for j in range(2):
-            prod[i + j] ^= da[i] & db[j]
-    # z^2 = z + 1
-    prod[0] ^= prod[2]
-    prod[1] ^= prod[2]
-    return prod[0] | (prod[1] << 1)
-
-
 def test_mul_examples():
     f4 = GF(2, 2)
     for a in f4.elements():
         assert f4.mul(a, 1) == a
-    assert f4.mul(2, 2) == schoolbook_f4_mul(2, 2) == 3
+    # (0,1) * (0,1) = z^2 = z + 1 modulo z^2 + z + 1
+    assert f4.mul(2, 2) == schoolbook_mul(f4, 2, 2) == 3
     assert GF(3).mul(2, 2) == 1
-    for a in f4.elements():
-        for b in f4.elements():
-            assert f4.mul(a, b) == schoolbook_f4_mul(a, b)
 
 
 def test_inv_examples():
@@ -143,14 +131,74 @@ def test_construction_errors():
         GF(2, 2).check(4)
 
 
-def test_schoolbook_path_above_table_bound():
-    # q = 5^6 = 15625 > 2^12 exercises the table-free branch
-    gf = GF(5, 6)
-    assert gf._exp is None
-    a, b = 1234, 4321
-    assert gf.mul(a, gf.inv(a)) == 1
-    assert gf.mul(a, b) == gf.mul(b, a)
-    assert gf.trace(gf.add(a, b)) == (gf.trace(a) + gf.trace(b)) % 5
+def test_fields_above_the_table_bound_are_refused():
+    for p, e in ((5, 6), (2, 11), (1031, 1)):
+        with pytest.raises(ValueError, match="exceeds the field bound 1024"):
+            GF(p, e)
+    assert GF(2, 10).q == TABLE_BOUND
+
+
+def _oracle_pow(gf, a, m):
+    out = 1
+    while m:
+        if m & 1:
+            out = schoolbook_mul(gf, out, a)
+        a = schoolbook_mul(gf, a, a)
+        m >>= 1
+    return out
+
+
+def _oracle_trace(gf, a):
+    acc = 0
+    for _ in range(gf.e):
+        acc = schoolbook_add(gf, acc, a)
+        a = _oracle_pow(gf, a, gf.p)
+    return acc
+
+
+def _oracle_neg(gf, a):
+    return gf.from_coeffs([-x % gf.p for x in gf.coeffs(a)])
+
+
+SMALL_PRIME_POWERS = [GF(p, e) for p in range(2, 65) if is_prime(p)
+                      for e in range(1, 7) if p ** e <= 64]
+
+
+# GF(3, 2) uses z^2 + 1, whose root z has order 4, so z is not primitive
+@pytest.mark.parametrize("gf", SMALL_PRIME_POWERS + [GF(2, 3, (1, 0, 1, 1)), GF(3, 2)],
+                         ids=repr)
+def test_every_table_entry_matches_schoolbook(gf):
+    els = list(gf.elements())
+    add = [[schoolbook_add(gf, a, b) for b in els] for a in els]
+    mul = [[schoolbook_mul(gf, a, b) for b in els] for a in els]
+    neg = [_oracle_neg(gf, a) for a in els]
+    trace = [_oracle_trace(gf, a) for a in els]
+    assert gf.add_table.tolist() == add
+    assert gf.mul_table.tolist() == mul
+    assert gf.neg_table.tolist() == neg
+    assert gf.trace_table.tolist() == trace
+    assert [[gf.add(a, b) for b in els] for a in els] == add
+    assert [[gf.sub(a, neg[b]) for b in els] for a in els] == add
+    assert [[gf.mul(a, b) for b in els] for a in els] == mul
+    assert [gf.neg(a) for a in els] == neg
+    assert [gf.trace(a) for a in els] == trace
+    assert [gf.inv(a) for a in els[1:]] == [row.index(1) for row in mul[1:]]
+    assert [gf.pow(a, m) for a in els for m in range(5)] == \
+        [_oracle_pow(gf, a, m) for a in els for m in range(5)]
+
+
+@pytest.mark.parametrize("p, e", [(3, 5), (2, 8), (31, 2), (1021, 1), (2, 10)])
+def test_large_field_tables_match_schoolbook(p, e):
+    gf = GF(p, e)
+    rng = random.Random(p * 100 + e)
+    for _ in range(2000):
+        a, b = rng.randrange(gf.q), rng.randrange(1, gf.q)
+        assert gf.add(a, b) == gf.add_table[a, b] == schoolbook_add(gf, a, b)
+        assert gf.mul(a, b) == gf.mul_table[a, b] == schoolbook_mul(gf, a, b)
+        assert gf.neg(a) == gf.neg_table[a] == _oracle_neg(gf, a)
+        assert schoolbook_mul(gf, b, gf.inv(b)) == 1
+    for a in rng.sample(range(gf.q), 200):
+        assert gf.trace(a) == gf.trace_table[a] == _oracle_trace(gf, a)
 
 
 def test_is_prime():

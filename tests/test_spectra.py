@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nrtcodes.construct import build_optimum_distribution
@@ -126,6 +127,9 @@ def test_distance_spectrum_basics():
     assert spec == [sphere_size(r, 2, 2, 2) for r in range(5)]
     with pytest.raises(ValueError):
         distance_spectrum(single, ((1, 0), (0, 0)))
+    empty = Distribution(sp, array=np.zeros((0, 2, 2), dtype=np.int16))
+    with pytest.raises(ValueError, match="anchor is not a member"):
+        distance_spectrum(empty, sp.zero())
 
 
 def test_mds_spectrum_against_bruteforce():

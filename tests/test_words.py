@@ -160,6 +160,9 @@ def test_distribution_basics():
     d3 = Distribution.from_points(sp, [(Fraction(0), Fraction(0))] * 2)
     assert not d.same_multiset(d3)
     assert d3.min_distance("nrt") == 0
+    empty = np.zeros((0, 2, 1), dtype=np.int16)
+    assert Distribution(sp, array=empty).same_multiset(Distribution(sp, array=empty))
+    assert not d.same_multiset(Distribution(sp, array=empty))
 
 
 def test_distribution_projection():
