@@ -3,7 +3,8 @@ digit-block transforms, base change, and discrepancy, over the text file
 formats of the library.
 
 Exit codes: 0 success / verified, 1 a verification answered "no",
-2 usage or parse errors.
+2 usage, parse or resource errors and internal faults, reported on stderr,
+or under --format json as one {"schema": 1, "error": ...} object on stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from contextlib import contextmanager
 
 from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
-                    read_code, weight_enumerator, write_code)
+                    read_code, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
 from .gf import GF, TABLE_BOUND, is_prime
@@ -106,10 +107,8 @@ def cmd_generate(args) -> int:
     if n is None or s is None or k is None:
         raise UsageError("generate needs --n, --s and --k")
     if not nets_exist(n, gf.q):
-        print(f"error: q = {gf.q} < n - 1 = {n - 1}: no such distributions exist "
-              f"(the spectrum entry above the minimum weight would be negative)",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"q = {gf.q} < n - 1 = {n - 1}: no such distributions exist "
+                         f"(the spectrum entry above the minimum weight would be negative)")
     if not 1 <= k <= n * s:
         raise UsageError("need 1 <= k <= n*s")
     space = Space(gf, n, s)
@@ -148,9 +147,8 @@ def _generate_composite(args, gf) -> int:
     if args.k is not None:
         raise UsageError("--k is determined by --t in composite mode (k = s*t)")
     if gf.q < g * n - 1:
-        print(f"error: q = {gf.q} < g*n - 1 = {g * n - 1}: not enough "
-              f"evaluation nodes", file=sys.stderr)
-        return 2
+        raise UsageError(f"q = {gf.q} < g*n - 1 = {g * n - 1}: not enough "
+                         f"evaluation nodes")
     nodes = _parse_nodes(gf, args.nodes) if args.nodes else default_nodes(gf, g * n)
     build = peano.build_composite(gf, g, n, s, t, nodes=nodes)
     out = args.out or "out"
@@ -192,12 +190,11 @@ def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "mds":
         code = _read_code(getattr(args, "in"))
-        ok = is_mds(code)
-        payload = {"kind": "mds", "ok": ok,
-                   "weight": code.min_weight("nrt"),
-                   "bound": code.space.dim - code.k + 1}
-        _emit(args, payload, [f"MDS: {ok} (weight {payload['weight']}, "
-                              f"bound {payload['bound']})"])
+        weight = code.min_weight("nrt")
+        bound = code.space.dim - code.k + 1  # an MDS code meets it
+        ok = weight == bound
+        payload = {"kind": "mds", "ok": ok, "weight": weight, "bound": bound}
+        _emit(args, payload, [f"MDS: {ok} (weight {weight}, bound {bound})"])
         return 0 if ok else 1
     dist = _read_points(getattr(args, "in"))
     if kind == "net":
@@ -225,6 +222,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
     from . import bulk
 
     dist = _read_points(getattr(args, "in"))
@@ -245,7 +244,8 @@ def cmd_spectrum(args) -> int:
         "source": "bruteforce",
     }
     lines = [f"bruteforce spectrum: {spec}"]
-    if q ** k == len(dist) and optimum_report(dist, k).ok:
+    # more than q^(ns) points (k > ns) repeat one, so cannot be optimum
+    if q ** k == len(dist) and k <= space.dim and optimum_report(dist, k).ok:
         formula = mds_spectrum(space.n, space.s, k, q)
         payload["formula"] = formula
         payload["formula_matches"] = formula == spec
@@ -254,16 +254,18 @@ def cmd_spectrum(args) -> int:
     else:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
-    # the enumerators describe the input only when it is its own span
+    # the enumerators describe the input only when it is its own span, of
+    # q^rank words: it lies in it, so iff it has q^rank distinct points
     code = LinearCode(space, bulk.row_basis(space.gf, flat))
-    if len(code) == len(dist) and dist.same_multiset(linear := code.distribution()):
-        payload["weight_enumerator"] = weight_enumerator(linear)
+    if len(code) == len(dist) == len(np.unique(flat, axis=0)):
+        # a linear set holds zero, the anchor of its spectrum
+        payload["weight_enumerator"] = spec
         payload["box_enumerator"] = {
             ",".join(map(str, a)): c
-            for a, c in sorted(corner_box_counts(linear).items())
+            for a, c in sorted(corner_box_counts(dist).items())
         }
         if space.n == 1:
-            ok = macwilliams_n1_ok(linear, code.dual().distribution())
+            ok = macwilliams_n1_ok(dist, code.dual().distribution())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)
@@ -439,12 +441,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except PointFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error = {"error": str(exc)}
+        if isinstance(exc, PointFileError):
+            error["line"] = exc.line
+    except Exception as exc:  # a fault of the program, still never a traceback
+        error = {"error": f"internal: {type(exc).__name__}: {exc}"}
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **error}, sort_keys=True))
+    else:
+        print(f"error: {error['error']}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -235,23 +235,21 @@ def parity_nrt_weight(check: ParityCheck) -> int:
 
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
-    i.e. the coefficient table of the box enumerator phi(D)."""
+    i.e. the coefficient table of the box enumerator phi(D).  There are
+    (s+1)^n of them, at most ENUMERATION_BOUND."""
     import numpy as np
     from itertools import product
 
+    from .geometry import _cumulative_counts
+
     space = dist.space
     n, s = space.n, space.s
-    arr = dist.array()
-    pos = np.arange(1, s + 1)
-    rw = ((arr != 0) * pos).max(axis=2)
-    shape = (s + 1,) * n
-    # profile[b] counts the points whose row weights are b; its cumulative
-    # sums count the points with row weights <= b, i.e. in the corner box
-    # with a_j = s - b_j
-    cum = np.bincount(np.ravel_multi_index(rw.T, shape),
-                      minlength=(s + 1) ** n).reshape(shape)
-    for axis in range(n):
-        cum = cum.cumsum(axis=axis)
+    if (s + 1) ** n > ENUMERATION_BOUND:
+        raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
+                         f"coefficients, above the bound {ENUMERATION_BOUND}")
+    rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)
+    # points with row weights <= b lie in the corner box with a_j = s - b_j
+    cum = _cumulative_counts(rw.T, (s + 1,) * n)
     return {a_vec: int(cum[tuple(s - a for a in a_vec)])
             for a_vec in product(range(s + 1), repeat=n)}
 

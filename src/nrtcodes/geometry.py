@@ -10,12 +10,13 @@ mixed-radix order, so failure reports are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import Distribution
 
-DISCREPANCY_EVAL_BOUND = 10_000_000
+DISCREPANCY_CELL_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,24 +110,39 @@ def _box_keys(dist: Distribution, a_vec):
     return keys
 
 
-def _family_report(dist: Distribution, a_vec, per_box: int) -> BoxReport:
-    """Check that every box of family a_vec holds exactly `per_box` points;
-    the first failing box in colex order is the witness.  Needs
+def _cumulative_counts(index, shape):
+    """For every cell of an array of `shape`, the number of points whose
+    cell (one index array per axis in `index`) is at or below it in every
+    coordinate."""
+    import numpy as np
+
+    counts = np.bincount(np.ravel_multi_index(index, shape),
+                         minlength=math.prod(shape)).reshape(shape)
+    for axis in range(len(shape)):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts
+
+
+def _family_report(dist: Distribution, families) -> BoxReport:
+    """Check, family by family, that every box of each (a_vec, per_box)
+    family holds exactly `per_box` points; the witness is the first
+    failing box, in colex order, of the first failing family.  Needs
     q^sum(a_vec) <= len(dist), so the counts fit in memory."""
     import numpy as np
 
     q = dist.space.q
-    counts = np.bincount(_box_keys(dist, a_vec), minlength=q ** sum(a_vec))
-    bad = np.flatnonzero(counts != per_box)
-    if not bad.size:
-        return BoxReport(True)
-    key = int(bad[0])
-    m_vec = []
-    for a in a_vec:
-        key, m = divmod(key, q ** a)
-        m_vec.append(m)
-    return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)),
-                     int(counts[bad[0]]), per_box)
+    for a_vec, per_box in families:
+        counts = np.bincount(_box_keys(dist, a_vec), minlength=q ** sum(a_vec))
+        bad = np.flatnonzero(counts != per_box)
+        if bad.size:
+            key = int(bad[0])
+            m_vec = []
+            for a in a_vec:
+                key, m = divmod(key, q ** a)
+                m_vec.append(m)
+            return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)),
+                             int(counts[bad[0]]), per_box)
+    return BoxReport(True)
 
 
 def net_report(dist: Distribution, delta: int) -> BoxReport:
@@ -143,12 +159,8 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
-    per_box = q ** delta
-    for a_vec in bounded_compositions(s_net - delta, space.n, s_net - delta):
-        report = _family_report(dist, a_vec, per_box)
-        if not report:
-            return report
-    return BoxReport(True)
+    families = bounded_compositions(s_net - delta, space.n, s_net - delta)
+    return _family_report(dist, ((a_vec, q ** delta) for a_vec in families))
 
 
 def is_net(dist: Distribution, delta: int) -> bool:
@@ -166,11 +178,8 @@ def optimum_report(dist: Distribution, k: int, depth: int | None = None) -> BoxR
     depth = space.s if depth is None else depth
     if not 0 <= k <= space.n * depth:
         raise ValueError("k out of range")
-    for a_vec in bounded_compositions(k, space.n, depth):
-        report = _family_report(dist, a_vec, 1)
-        if not report:
-            return report
-    return BoxReport(True)
+    families = bounded_compositions(k, space.n, depth)
+    return _family_report(dist, ((a_vec, 1) for a_vec in families))
 
 
 def is_optimum(dist: Distribution, k: int, depth: int | None = None) -> bool:
@@ -189,12 +198,10 @@ def check_counts(dist: Distribution, k: int) -> BoxReport:
     q = space.q
     if len(dist) != q ** k:
         raise ValueError("not q^k points")
-    for total in range(min(k, space.n * space.s) + 1):
-        for a_vec in bounded_compositions(total, space.n, space.s):
-            report = _family_report(dist, a_vec, q ** (k - total))
-            if not report:
-                return report
-    return BoxReport(True)
+    return _family_report(dist, (
+        (a_vec, q ** (k - total))
+        for total in range(min(k, space.n * space.s) + 1)
+        for a_vec in bounded_compositions(total, space.n, space.s)))
 
 
 def net_from_optimum(dist: Distribution, k: int) -> tuple[int, int, int]:
@@ -227,61 +234,40 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     """Exact star discrepancy sup |count/N - volume| over anchored boxes,
     as a Fraction.
 
-    The supremum over the half-open boxes [0, y) is realized on the grid
-    of point coordinates (and 1), comparing both the attained value at
-    each grid corner and the one-sided limit from above.
+    The supremum over the half-open boxes [0, y) is reached at the corners
+    c of the grid of distinct point coordinates (and 1), by the count of
+    points x < c there or by the count of x <= c in the limit from above.
+    Ranking each coordinate's values, one cumulative histogram over the
+    ranks gives the closed count x <= c at every corner, and the same
+    array shifted one rank along every axis the open count x < c.
+    Integer arithmetic only; grids of more than DISCREPANCY_CELL_BOUND
+    cells are refused before allocating.
     """
+    import numpy as np
+
     space = dist.space
-    n = space.n
-    points = dist.points()
-    count = len(points)
+    q, n, s = space.q, space.n, space.s
+    count = len(dist)
     if count == 0:
         raise ValueError("empty distribution")
-    grids = []
+    ranks, grids = [], []
     for j in range(n):
-        grids.append(sorted({p[j] for p in points} | {Fraction(1)}))
-    evals = count
-    for g in grids:
-        evals *= len(g)
-    if evals > DISCREPANCY_EVAL_BOUND:
+        # distinct digit rows in value order (digits most significant first)
+        rows, inverse = np.unique(dist.eta_array()[:, j], axis=0, return_inverse=True)
+        ranks.append(inverse.reshape(-1))
+        nums = rows @ q ** np.arange(s - 1, -1, -1, dtype=object)  # over q^s
+        grids.append(np.append(nums, q ** s))  # then 1
+    shape = tuple(len(g) for g in grids)
+    if math.prod(shape) > DISCREPANCY_CELL_BOUND:
         raise ValueError("point set too large for the exact grid sweep; "
                          "sampled estimation is out of scope")
-
-    # per dimension and grid value: bitmasks of points strictly below / not above
-    strict = []
-    weak = []
-    for j, grid in enumerate(grids):
-        sj = {}
-        wj = {}
-        for gv in grid:
-            ms = 0
-            mw = 0
-            for idx, pt in enumerate(points):
-                if pt[j] < gv:
-                    ms |= 1 << idx
-                if pt[j] <= gv:
-                    mw |= 1 << idx
-            sj[gv] = ms
-            wj[gv] = mw
-        strict.append(sj)
-        weak.append(wj)
-
-    from itertools import product
-
-    best = Fraction(0)
-    for corner in product(*grids):
-        vol = Fraction(1)
-        for c in corner:
-            vol *= c
-        m_strict = ~0
-        m_weak = ~0
-        for j, c in enumerate(corner):
-            m_strict &= strict[j][c]
-            m_weak &= weak[j][c]
-        mask_all = (1 << count) - 1
-        inside = (m_strict & mask_all).bit_count()
-        closure = (m_weak & mask_all).bit_count()
-        best = max(best,
-                   abs(Fraction(inside, count) - vol),
-                   abs(Fraction(closure, count) - vol))
-    return best
+    unit = q ** (s * n)
+    # closed and open counts times q^(sn) against count * volume * q^(sn)
+    closed = _cumulative_counts(ranks, shape).astype(object)
+    closed *= unit
+    opened = np.zeros_like(closed)
+    opened[(slice(1, None),) * n] = closed[(slice(None, -1),) * n]
+    volume = count * math.prod(np.ix_(*grids))
+    closed -= volume
+    np.subtract(volume, opened, out=opened)
+    return Fraction(int(max(closed.max(), opened.max())), count * unit)

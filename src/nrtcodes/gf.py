@@ -92,6 +92,10 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
+class FieldBoundError(ValueError):
+    """A field with q above TABLE_BOUND was asked for."""
+
+
 class GF:
     """The finite field F_q, q = p^e <= TABLE_BOUND, acting on integer
     labels 0..q-1.
@@ -111,7 +115,7 @@ class GF:
             raise ValueError("extension degree must be >= 1")
         q = p ** e
         if q > TABLE_BOUND:
-            raise ValueError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
+            raise FieldBoundError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
         self.p = p
         self.e = e
         self.q = q

@@ -66,8 +66,9 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
 def mds_spectrum(n: int, s: int, k: int, q: int) -> list[int]:
     """Weight spectrum of any MDS code of dimension k in Mat_{n,s}(F_q):
     w_0 = 1, zero below the minimum weight ns-k+1, then the alternating
-    double sum over part counts l and inclusion depth t."""
-    if not 1 <= k <= n * s:
+    double sum over part counts l and inclusion depth t.  k = 0 is the
+    zero code, whose spectrum is (1, 0, ..., 0)."""
+    if not 0 <= k <= n * s:
         raise ValueError("k out of range")
     rho = n * s - k + 1
     w = [0] * (n * s + 1)
@@ -87,7 +88,7 @@ def mds_spectrum(n: int, s: int, k: int, q: int) -> list[int]:
 
 def mds_spectrum_alt(n: int, s: int, k: int, q: int) -> list[int]:
     """Same spectrum via the equivalent (q-1)-factored form."""
-    if not 1 <= k <= n * s:
+    if not 0 <= k <= n * s:
         raise ValueError("k out of range")
     rho = n * s - k + 1
     w = [0] * (n * s + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import DIGIT_CHARS, GF, TABLE_BOUND
+from .gf import DIGIT_CHARS, GF, TABLE_BOUND, FieldBoundError
 
 Word = tuple[tuple[int, ...], ...]
 
@@ -319,7 +319,9 @@ def _read_header(lines, kind: str):
     if len(parts) != 4:
         try:
             field = GF.from_description(text)
-        except Exception:
+        except FieldBoundError as exc:
+            raise PointFileError(str(exc), lineno) from None
+        except ValueError:
             raise PointFileError("expected field line or 4-value header", lineno) from None
         try:
             lineno, text = next(lines)

@@ -99,3 +99,36 @@ def span_array_by_passes(gf, rows, width):
         scaled = gf.mul_table[np.asarray(row, dtype=np.intp)[None, :], c[:, None]]
         out = gf.add_table[out, scaled]
     return out
+
+
+def lattice_discrepancy(dist):
+    """Exact star discrepancy by integer counts on the full q^-s lattice.
+
+    For y in the lattice cell (c, c + 1] / q^s, the box [0, y) holds the
+    points x <= c / q^s, a cumulative sum of the lattice histogram, while
+    its volume runs between prod c_j and prod (c_j + 1) over q^(sn); the
+    supremum is the larger gap at those two ends, over all cells.  Needs
+    N q^(sn) < 2^62, so every product fits in int64."""
+    from fractions import Fraction
+
+    space = dist.space
+    q, n, s, count = space.q, space.n, space.s, len(dist)
+    side = q ** s
+    assert count * side ** n < 1 << 62
+    coords = np.zeros((count, n), dtype=np.int64)
+    for i in range(s):  # most significant digit first
+        coords = coords * q + dist.eta_array()[:, :, i]
+    cum = np.zeros((side,) * n, dtype=np.int64)
+    np.add.at(cum, tuple(coords.T), 1)
+    for axis in range(n):
+        cum = np.cumsum(cum, axis=axis)
+    lower = np.full((side,) * n, count, dtype=np.int64)
+    upper = lower.copy()
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = side
+        lower = lower * np.arange(side).reshape(shape)
+        upper = upper * np.arange(1, side + 1).reshape(shape)
+    scaled = cum * side ** n
+    worst = max(int(np.abs(scaled - lower).max()), int(np.abs(scaled - upper).max()))
+    return Fraction(worst, count * side ** n)

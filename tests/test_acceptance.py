@@ -166,9 +166,8 @@ def test_criterion_08_box_regularity_iff_dual_weight():
             dual = code.dual()
             dual_w = dual.min_weight("nrt") if dual.k else space.dim + 1
             for delta in range(d + 1):
-                regular = all(
-                    _family_report(dist, a_vec, 2 ** delta).ok
-                    for a_vec in bounded_compositions(d - delta, n, s))
+                families = bounded_compositions(d - delta, n, s)
+                regular = _family_report(dist, ((a, 2 ** delta) for a in families)).ok
                 assert regular == (dual_w >= d - delta + 1), (code.basis, delta)
                 cases += 1
             # net characterization at dimension s

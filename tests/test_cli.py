@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nrtcodes
 from nrtcodes.cli import main
+from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
+from nrtcodes.gf import GF
+from nrtcodes.words import Distribution, Space, write_point_set
 
 
 def run(args, capsys):
@@ -100,6 +108,21 @@ def test_header_above_the_field_bound(tmp_path, capsys):
     pts.write_text("1024 1 1 1\n0\n")
     code, _, err = run(["verify", "--kind", "optimum", "--in", str(pts)], capsys)
     assert code == 2 and "q = 1024 is not prime" in err
+    # the same message when a field line describes the field
+    field = "2 11 1 0 1 0 0 0 0 0 0 0 0 1\n"
+    pts.write_text(field + "2048 1 1 1\n0\n")
+    code_file.write_text(field + "2048 1 1 1\n1\n")
+    for args in (["verify", "--kind", "optimum", "--in", str(pts)],
+                 ["dual", "--in", str(code_file)]):
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: line 1: q = 2048 exceeds the field bound 1024\n"
+    # while malformed field lines keep the syntax message
+    for line in ("2 x 1 1 1\n", "4 2 1 1 1\n", "2 2 1 1 0\n", "2 1\n"):
+        pts.write_text(line + "4 1 1 1\n0\n")
+        code, out, err = run(["verify", "--kind", "optimum", "--in", str(pts)], capsys)
+        assert code == 2
+        assert err == "error: line 1: expected field line or 4-value header\n", line
 
 
 def test_empty_point_set_is_refused(tmp_path, capsys):
@@ -309,3 +332,138 @@ def test_removed_flags_are_usage_errors(capsys):
                   flag, "1"])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_spectrum_of_one_point(tmp_path, capsys):
+    # one point is an optimum distribution with k = 0
+    pts = tmp_path / "one.points"
+    pts.write_text("2 1 2 1\n01\n")
+    code, out, _ = run(["spectrum", "--in", str(pts), "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["w"] == payload["formula"] == [1, 0, 0]
+    assert payload["formula_matches"] is True
+    assert "weight_enumerator" not in payload  # {01} is not linear
+    pts.write_text("2 1 2 1\n00\n")
+    code, out, _ = run(["spectrum", "--in", str(pts), "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["weight_enumerator"] == [1, 0, 0]
+    assert payload["box_enumerator"] == {"0": 1, "1": 1, "2": 1}
+    assert payload["macwilliams_n1"] is True
+
+
+def test_spectrum_refuses_a_box_enumerator_above_the_bound(tmp_path, capsys, monkeypatch):
+    from nrtcodes import geometry
+
+    def no_histogram(*args):
+        raise AssertionError("the histogram was allocated")
+
+    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    pts = tmp_path / "two.points"
+    pts.write_text("2 12 12 2\n" + " ".join(["0" * 12] * 12) + "\n"
+                   + " ".join(["0" * 11 + "1"] * 12) + "\n")
+    code, out, err = run(["spectrum", "--in", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: box enumerator has (s+1)^n = 23298085122481 coefficients, "
+                   "above the bound 2097152\n")
+
+
+def test_errors_are_json_under_json_format(tmp_path, capsys):
+    bad = tmp_path / "bad.points"
+    bad.write_text("# comment\n2 1 2 1\n0x\n")
+    cases = (
+        (["verify", "--kind", "optimum", "--in", str(bad)],
+         {"error": "line 3: digit out of range in '0x'", "line": 3}),
+        (["spectrum", "--in", str(tmp_path / "absent.points")],
+         {"error": f"[Errno 2] No such file or directory: '{tmp_path / 'absent.points'}'"}),
+        (["field-info", "--q", "6"], {"error": "q = 6 is not a prime power"}),
+        (["generate", "--q", "2", "--n", "4", "--s", "1", "--k", "1"],
+         {"error": "q = 2 < n - 1 = 3: no such distributions exist (the spectrum "
+                   "entry above the minimum weight would be negative)"}),
+    )
+    for args, expected in cases:
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == "" and err == f"error: {expected['error']}\n"
+        code, out, err = run(args + ["--format", "json"], capsys)
+        assert code == 2 and err == "" and out.count("\n") == 1
+        assert json.loads(out) == {"schema": 1, **expected}
+
+
+def test_internal_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    from nrtcodes import cli
+
+    pts = tmp_path / "two.points"
+    pts.write_text("2 1 1 2\n0\n1\n")
+    for exc, text in ((RuntimeError("boom"), "RuntimeError: boom"),
+                      (MemoryError(), "MemoryError: "),
+                      (AssertionError("cross-check failed"),
+                       "AssertionError: cross-check failed")):
+        def fail(dist, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "star_discrepancy", fail)
+        code, out, err = run(["discrepancy", "--in", str(pts)], capsys)
+        assert code == 2 and out == "" and err == f"error: internal: {text}\n"
+        code, out, err = run(["discrepancy", "--in", str(pts), "--format", "json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"schema": 1, "error": f"internal: {text}"}
+
+
+def test_verify_mds_finds_the_minimum_weight_once(tmp_path, capsys, monkeypatch):
+    from nrtcodes.codes import LinearCode
+
+    calls = []
+    min_weight = LinearCode.min_weight
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return min_weight(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "min_weight", counted)
+    code_file = tmp_path / "c.code"
+    code_file.write_text("3 2 2 2\n0 1 1 1\n1 0 1 0\n")
+    code, out, _ = run(["verify", "--kind", "mds", "--in", str(code_file)], capsys)
+    assert code == 0 and out == "MDS: True (weight 3, bound 3)\n"
+    assert len(calls) == 1
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_spectrum_enumerators_iff_the_input_is_its_own_span(data):
+    # the oracle builds the span; spectrum itself never does
+    gf = data.draw(st.sampled_from([GF(2), GF(3), GF(2, 2)]))
+    sp = Space(gf, data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    word = st.lists(st.integers(0, gf.q - 1), min_size=sp.dim, max_size=sp.dim)
+    span = LinearCode(sp, data.draw(st.lists(word, max_size=2))).words_array()
+    kind = data.draw(st.sampled_from(["span", "subset", "coset", "duplicate", "multiset"]))
+    if kind == "multiset":
+        rows = np.array(data.draw(st.lists(word, min_size=1, max_size=10)))
+    elif kind == "subset":
+        keep = data.draw(st.lists(st.integers(0, len(span) - 1), min_size=1, unique=True))
+        rows = span[keep]
+    else:
+        rows = span[data.draw(st.permutations(range(len(span))))]
+        if kind == "coset":
+            rows = gf.add_table[rows, np.array(data.draw(word))]
+        elif kind == "duplicate":
+            rows = np.concatenate([rows, rows[:data.draw(st.integers(1, len(rows)))]])
+            if data.draw(st.booleans()):
+                rows = rows[-len(span):]  # as many points as the span, one repeated
+    dist = Distribution(sp, array=np.asarray(rows).reshape(len(rows), sp.n, sp.s))
+    code = LinearCode(sp, dist.array().reshape(len(dist), sp.dim))
+    linear = len(code) == len(dist) and dist.same_multiset(code.distribution())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.points")
+        with open(path, "w") as fh:
+            write_point_set(fh, dist)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["spectrum", "--in", path, "--format", "json"]) == 0
+    payload = json.loads(out.getvalue())
+    assert ("weight_enumerator" in payload) == linear, kind
+    assert ("box_enumerator" in payload) == linear
+    assert ("macwilliams_n1" in payload) == (linear and sp.n == 1)
+    if linear:
+        assert payload["weight_enumerator"] == weight_enumerator(dist)
+        assert payload["box_enumerator"] == {
+            ",".join(map(str, a)): c for a, c in corner_box_counts(dist).items()}

@@ -152,6 +152,25 @@ def test_box_enumerator_matches_box_count():
             assert count == box_count(dist, ElementaryBox(a_vec, (0,) * n))
 
 
+def test_box_enumerator_bound_is_checked_before_allocating(monkeypatch):
+    from nrtcodes import geometry
+
+    def no_histogram(*args):
+        raise AssertionError("the histogram was allocated")
+
+    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    # 13^12 coefficients would take 170 TiB
+    sp = Space(GF(2), 12, 12)
+    two = Distribution(sp, words=[sp.zero(), ((1,) + (0,) * 11,) * 12])
+    with pytest.raises(ValueError, match="above the bound 2097152"):
+        corner_box_counts(two)
+    with pytest.raises(ValueError, match="above the bound"):
+        corner_box_counts(Distribution(Space(GF(2), 22, 1), words=[((0,),) * 22]))
+    # 2^21 coefficients are within the bound
+    with pytest.raises(AssertionError, match="histogram was allocated"):
+        corner_box_counts(Distribution(Space(GF(2), 21, 1), words=[((0,),) * 21]))
+
+
 def test_span_array_matches_k_pass_enumeration():
     rng = random.Random(9)
     for gf in (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)):
@@ -269,10 +288,8 @@ def test_prop_41_small():
         dual = code.dual()
         dual_weight = dual.min_weight("nrt") if dual.k else sp.dim + 1
         for delta in range(d + 1):
-            regular = all(
-                _family_report(dist, a_vec, 2 ** delta).ok
-                for a_vec in bounded_compositions(d - delta, sp.n, sp.s)
-            )
+            families = bounded_compositions(d - delta, sp.n, sp.s)
+            regular = _family_report(dist, ((a, 2 ** delta) for a in families)).ok
             assert regular == (dual_weight >= d - delta + 1), (code.basis, delta)
 
 

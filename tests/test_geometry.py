@@ -14,6 +14,8 @@ from nrtcodes.geometry import (ElementaryBox, base_reduce_net,
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
+from _helpers import lattice_discrepancy
+
 
 def frac_points(sp, pts):
     return Distribution.from_points(sp, [tuple(Fraction(x) for x in p) for p in pts])
@@ -267,18 +269,63 @@ def test_star_discrepancy_examples():
         sp = Space(gf, 1, s)
         full = Distribution(sp, words=list(sp.all_words()))
         assert star_discrepancy(full) == Fraction(1, q ** s)
+    # coordinates beyond 64-bit integers: one point at 1 - 2^-70
+    deep = Space(GF(2), 1, 70)
+    assert star_discrepancy(Distribution(deep, words=[((1,) * 70,)])) == 1 - Fraction(1, 2 ** 70)
 
 
 def test_star_discrepancy_matches_bruteforce():
+    # every space here has a lattice of at most 125 corners
+    spaces = [Space(gf, n, s) for gf, n, s in (
+        (GF(2), 1, 3), (GF(2), 2, 2), (GF(3), 2, 1), (GF(2), 3, 1), (GF(2), 3, 2),
+        (GF(3), 3, 1), (GF(2, 2), 2, 1), (GF(2, 2), 3, 1), (GF(3, 2), 2, 1),
+        (GF(3, 2), 1, 2), (GF(5), 1, 2))]
     rng = random.Random(7)
-    for q, n, s in ((2, 1, 3), (2, 2, 2), (3, 2, 1)):
-        gf = GF(q)
-        sp = Space(gf, n, s)
-        words = list(sp.all_words())
-        for trial in range(4):
-            count = rng.randrange(1, min(9, len(words)) + 1)
-            d = Distribution(sp, words=[rng.choice(words) for _ in range(count)])
+    for trial in range(200):
+        sp = spaces[trial % len(spaces)]
+        count = rng.randrange(1, 10)
+        words = [sp.random_word(rng) for _ in range(count)]
+        if count > 2:
+            words[-1] = words[0]  # a repeated point
+        d = Distribution(sp, words=words)
+        assert star_discrepancy(d) == brute_force_discrepancy(d) == lattice_discrepancy(d)
+    for sp in spaces:  # one point, at the origin and at the far corner
+        for word in (sp.zero(), tuple((sp.q - 1,) * sp.s for _ in range(sp.n))):
+            d = Distribution(sp, words=[word])
             assert star_discrepancy(d) == brute_force_discrepancy(d)
+
+
+def test_star_discrepancy_of_a_4096_point_set():
+    sp = Space(GF(2, 2), 2, 4)
+    dist = build_optimum_distribution(sp, 6)
+    value = star_discrepancy(dist)
+    assert value == lattice_discrepancy(dist) == Fraction(519, 65536)
+
+
+def _points_with_ranks(distinct_x, distinct_y):
+    """A set over GF(2), n = 2, s = 16 whose coordinates take distinct_x
+    and distinct_y values, so its grid has (distinct_x + 1)(distinct_y + 1)
+    cells."""
+    count = max(distinct_x, distinct_y)
+    values = np.stack([np.arange(count) % distinct_x, np.arange(count) % distinct_y], axis=1)
+    digits = (values[:, :, None] >> np.arange(16)) & 1  # least significant first
+    return Distribution(Space(GF(2), 2, 16), array=digits)
+
+
+def test_star_discrepancy_cell_bound(monkeypatch):
+    from nrtcodes import geometry
+
+    def no_histogram(*args):
+        raise AssertionError("the histogram was allocated")
+
+    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    # 17 * 61681 = 2^20 + 1 cells are refused before the histogram
+    with pytest.raises(ValueError, match="too large for the exact grid sweep"):
+        star_discrepancy(_points_with_ranks(16, 61680))
+    # 16 * 65536 = 2^20 cells reach it
+    assert geometry.DISCREPANCY_CELL_BOUND == 16 * 65536
+    with pytest.raises(AssertionError, match="histogram was allocated"):
+        star_discrepancy(_points_with_ranks(15, 65535))
 
 
 def test_discrepancy_of_generated_net():

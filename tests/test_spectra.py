@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,19 @@ def test_mds_spectrum_against_bruteforce():
             brute = distance_spectrum(dist, sp.zero())
             assert brute == mds_spectrum(n, s, k, q), (q, n, s, k)
             assert brute == mds_spectrum_alt(n, s, k, q)
+
+
+def test_mds_spectrum_of_the_zero_code():
+    for n, s, q in ((1, 2, 2), (2, 3, 3), (3, 1, 4)):
+        assert mds_spectrum(n, s, 0, q) == [1] + [0] * (n * s)
+        assert mds_spectrum_alt(n, s, 0, q) == [1] + [0] * (n * s)
+        # a one-point set is an optimum distribution with k = 0
+        sp = Space(GF(2), n, s)
+        point = Distribution(sp, words=[sp.random_word(random.Random(n))])
+        assert distance_spectrum(point, point.word(0)) == mds_spectrum(n, s, 0, q)
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="k out of range"):
+            mds_spectrum(2, 3, k, 2)
 
 
 def test_mds_spectrum_anchor_independent():
