@@ -54,10 +54,15 @@ def row_basis(gf: GF, arr: np.ndarray) -> np.ndarray:
 
 
 def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
-    """NRT weight of every word in an (N, n*s) or (N, n, s) label array."""
-    a = arr.reshape(arr.shape[0], n, s) != 0
-    pos = np.arange(1, s + 1)
-    return (a * pos).max(axis=2).sum(axis=1)
+    """NRT weight of every word in an (N, n*s) or (N, n, s) label array,
+    in one pass over the digits with (N, n) row weights (int8 up to
+    s = 127)."""
+    a = arr.reshape(arr.shape[0], n, s)
+    rw = np.zeros((a.shape[0], n), dtype=np.int8 if s <= 127 else np.int64)
+    for i in range(s):
+        # positions grow with i, so a row keeps that of its last nonzero digit
+        np.maximum(rw, (a[:, :, i] != 0) * rw.dtype.type(i + 1), out=rw)
+    return rw.sum(axis=1, dtype=np.int64)
 
 
 def hamming_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
@@ -82,6 +87,10 @@ def encode(arr: np.ndarray, q: int) -> np.ndarray:
 
 
 def sub_anchor(gf: GF, arr: np.ndarray, anchor) -> np.ndarray:
-    """arr - anchor for an (N, width) label array and a flat anchor."""
-    neg = gf.neg_table[np.asarray(anchor, dtype=np.intp)]
+    """arr - anchor for an (N, width) label array and a flat anchor; a
+    zero anchor returns `arr` itself, not a copy."""
+    anchor = np.asarray(anchor, dtype=np.intp)
+    if not anchor.any():
+        return arr
+    neg = gf.neg_table[anchor]
     return gf.add_table[arr, neg[None, :]]

@@ -33,6 +33,34 @@ class UsageError(Exception):
     pass
 
 
+class _ParseError(Exception):
+    """A command line argparse refused; `main` reports it in the requested
+    format."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseError(self, message)
+
+
+def _requested_format(argv) -> str:
+    """The last --format value of a command line argparse refused, in any
+    spelling argparse accepts: "--format json", "--format=json", "--fo json"."""
+    fmt = "text"
+    for i, arg in enumerate(argv):
+        name, eq, value = arg.partition("=")
+        if len(name) > 2 and "--format".startswith(name):
+            if eq:
+                fmt = value
+            elif i + 1 < len(argv):
+                fmt = argv[i + 1]
+    return fmt
+
+
 def _field_from_args(args) -> GF:
     if args.p is not None:
         return GF(args.p, args.e)
@@ -385,7 +413,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nrtcodes",
         description="MDS codes in the NRT metric, optimum distributions and nets")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,17 +465,24 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    fmt = _requested_format(argv)
     try:
+        args = build_parser().parse_args(argv)
+        fmt = args.format
         return COMMANDS[args.command](args)
+    except _ParseError as exc:
+        if fmt != "json":
+            # argparse's own report: usage on stderr, then exit 2
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        error = {"error": str(exc)}
     except (UsageError, ValueError, OSError) as exc:
         error = {"error": str(exc)}
         if isinstance(exc, PointFileError):
             error["line"] = exc.line
     except Exception as exc:  # a fault of the program, still never a traceback
         error = {"error": f"internal: {type(exc).__name__}: {exc}"}
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps({"schema": SCHEMA, **error}, sort_keys=True))
     else:
         print(f"error: {error['error']}", file=sys.stderr)

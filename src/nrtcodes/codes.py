@@ -144,9 +144,10 @@ class LinearCode:
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
 
-        Enumerates the code when feasible; beyond the enumeration bound
-        the NRT weight falls back to the parity-check prefix-rank search,
-        which needs no enumeration at all.
+        Enumerates the code when feasible.  Beyond the enumeration bound
+        the NRT weight comes from the check matrix: `parity_nrt_weight`
+        walks the tree of prefix profiles at total k' = rank(H) first,
+        then binary-searches [1, k'] for the smallest dependent total.
         """
         from . import bulk
 
@@ -206,29 +207,68 @@ class ParityCheck:
         if rank(space.gf, self.rows) != len(self.rows):
             raise ValueError("check rows are dependent")
 
-    def block_column(self, j: int, i: int) -> tuple[int, ...]:
-        """Column i (0-based) of block H_j, a vector of length k'."""
-        return tuple(row[j * self.space.s + i] for row in self.rows)
-
 
 def parity_nrt_weight(check: ParityCheck) -> int:
-    """NRT weight of the code of `check`, found as the smallest total
-    d_1 + ... + d_n over nonzero prefix profiles whose selected columns
-    (first d_j of each block) are linearly dependent."""
-    from .geometry import bounded_compositions
+    """NRT weight of the code of `check`: the smallest total
+    d_1 + ... + d_n over prefix profiles (0 <= d_j <= s) whose columns,
+    the first d_j of each block H_j, are linearly dependent.
 
+    A dependent profile of total t extends to one of total t + 1, and any
+    k' + 1 columns are dependent (the Singleton bound).  So total
+    k' = rank(H) is checked first: if every profile of it is independent,
+    the weight is k' + 1, the MDS case.  Otherwise a binary search over
+    [1, k'] finds the smallest dependent total.  Each check walks the
+    profile tree depth first: a node adds one column, the next of its
+    last block or the first of a later block, so every profile is visited
+    once; it reduces that column against the echelon rows of its
+    ancestors' columns, and the walk ends at a column that reduces to 0."""
     space = check.space
-    gf = space.gf
-    n, s = space.n, space.s
-    for total in range(1, space.dim + 1):
-        for d_vec in bounded_compositions(total, n, s):
-            cols = []
-            for j, d in enumerate(d_vec):
-                for i in range(d):
-                    cols.append(check.block_column(j, i))
-            if rank(gf, cols) < len(cols):
-                return total
-    raise ValueError("zero code has no nonzero word")
+    s, rank_h = space.s, len(check.rows)
+    if rank_h >= space.dim:
+        raise ValueError("zero code has no nonzero word")
+    add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
+                          space.gf.neg_lookup, space.gf.inv_lookup)
+    columns = list(zip(*check.rows))
+    blocks = [columns[j * s:(j + 1) * s] for j in range(space.n)]
+    echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
+
+    def dependent(last: int, depth: int, left: int) -> bool:
+        # whether adding at most `left` columns to the current profile,
+        # which ends `depth` columns into block `last`, makes it dependent
+        for j in range(last, space.n):
+            i = depth if j == last else 0
+            if i == s:
+                continue
+            vec = blocks[j][i]
+            for pivot, row in echelon:
+                c = vec[pivot]
+                if c:
+                    times = mul[neg[c]]
+                    vec = [add[a][times[b]] for a, b in zip(vec, row)]
+            for pivot, v in enumerate(vec):
+                if v:
+                    break
+            else:
+                return True
+            if left > 1:
+                scale = mul[inv[vec[pivot]]]
+                echelon.append((pivot, [scale[v] for v in vec]))
+                found = dependent(j, i + 1, left - 1)
+                echelon.pop()
+                if found:
+                    return True
+        return False
+
+    if not dependent(0, 0, rank_h):
+        return rank_h + 1
+    low, high = 1, rank_h  # some profile of total `high` is dependent
+    while low < high:
+        mid = (low + high) // 2
+        if dependent(0, 0, mid):
+            high = mid
+        else:
+            low = mid + 1
+    return high
 
 
 # --- enumerators and duality identities ---

@@ -37,32 +37,6 @@ class ElementaryBox:
         return Fraction(1, q ** sum(self.a))
 
 
-def _anchor_digits(q: int, a: int, m: int) -> tuple[int, ...]:
-    """Leading a radix digits of m / q^a, most significant first."""
-    if m >= q ** a:
-        raise ValueError("box position out of range")
-    return tuple(m // q ** i % q for i in range(a - 1, -1, -1))
-
-
-def box_contains(box: ElementaryBox, word, q: int, s: int) -> bool:
-    for row, aj, mj in zip(word, box.a, box.m):
-        digits = _anchor_digits(q, aj, mj)
-        for i, want in enumerate(digits):
-            # eta digit i+1 of the row; digits beyond the stored depth are 0
-            have = row[s - 1 - i] if i < s else 0
-            if have != want:
-                return False
-    return True
-
-
-def box_count(dist: Distribution, box: ElementaryBox) -> int:
-    space = dist.space
-    if len(box.a) != space.n:
-        raise ValueError("box dimension mismatch")
-    return sum(1 for w in dist.words()
-               if box_contains(box, w, space.q, space.s))
-
-
 def bounded_compositions(total: int, parts: int, bound: int):
     """All (a_1..a_parts) with sum total and 0 <= a_j <= bound, colex order
     (last coordinate varies slowest)."""
@@ -240,8 +214,9 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     Ranking each coordinate's values, one cumulative histogram over the
     ranks gives the closed count x <= c at every corner, and the same
     array shifted one rank along every axis the open count x < c.
-    Integer arithmetic only; grids of more than DISCREPANCY_CELL_BOUND
-    cells are refused before allocating.
+    Integer arithmetic only, in int64 while N q^(sn) < 2^63 and in Python
+    integers above; grids of more than DISCREPANCY_CELL_BOUND cells are
+    refused before allocating.
     """
     import numpy as np
 
@@ -250,20 +225,23 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     count = len(dist)
     if count == 0:
         raise ValueError("empty distribution")
+    unit = q ** (s * n)
+    # every scaled count and volume below is at most count * unit
+    dtype = np.int64 if count * unit < 1 << 63 else object
     ranks, grids = [], []
     for j in range(n):
         # distinct digit rows in value order (digits most significant first)
         rows, inverse = np.unique(dist.eta_array()[:, j], axis=0, return_inverse=True)
         ranks.append(inverse.reshape(-1))
-        nums = rows @ q ** np.arange(s - 1, -1, -1, dtype=object)  # over q^s
+        powers = q ** np.arange(s - 1, -1, -1).astype(dtype)
+        nums = rows.astype(dtype) @ powers  # over q^s
         grids.append(np.append(nums, q ** s))  # then 1
     shape = tuple(len(g) for g in grids)
     if math.prod(shape) > DISCREPANCY_CELL_BOUND:
         raise ValueError("point set too large for the exact grid sweep; "
                          "sampled estimation is out of scope")
-    unit = q ** (s * n)
     # closed and open counts times q^(sn) against count * volume * q^(sn)
-    closed = _cumulative_counts(ranks, shape).astype(object)
+    closed = _cumulative_counts(ranks, shape).astype(dtype, copy=False)
     closed *= unit
     opened = np.zeros_like(closed)
     opened[(slice(1, None),) * n] = closed[(slice(None, -1),) * n]

@@ -86,26 +86,6 @@ def mds_spectrum(n: int, s: int, k: int, q: int) -> list[int]:
     return w
 
 
-def mds_spectrum_alt(n: int, s: int, k: int, q: int) -> list[int]:
-    """Same spectrum via the equivalent (q-1)-factored form."""
-    if not 0 <= k <= n * s:
-        raise ValueError("k out of range")
-    rho = n * s - k + 1
-    w = [0] * (n * s + 1)
-    w[0] = 1
-    for r in range(rho, n * s + 1):
-        total = 0
-        for l in range(1, n + 1):
-            sig = composition_count(l, r, s)
-            if not sig:
-                continue
-            inner = sum((-1) ** t * math.comb(l - 1, t) * q ** (r - rho - t)
-                        for t in range(0, r - rho + 1))
-            total += math.comb(n, l) * sig * inner
-        w[r] = (q - 1) * total
-    return w
-
-
 def net_spectrum(n: int, s: int, q: int) -> list[int]:
     """Spectrum of a zero-deficiency net (the k = s case), with minimum
     weight (n-1)s + 1."""
@@ -117,20 +97,6 @@ def net_spectrum(n: int, s: int, q: int) -> list[int]:
         inner = sum((-1) ** t * math.comb(n, t) * (q ** (r - rho + 1 - t) - 1)
                     for t in range(0, r - rho + 1))
         w[r] = sig * inner
-    return w
-
-
-def net_spectrum_alt(n: int, s: int, q: int) -> list[int]:
-    """(q-1)-factored form of the net spectrum.  The printed source of
-    this variant carries a sign typo; the alternating sign is intended."""
-    rho = (n - 1) * s + 1
-    w = [0] * (n * s + 1)
-    w[0] = 1
-    for r in range(rho, n * s + 1):
-        sig = weak_composition_count(n, r, s)
-        inner = sum((-1) ** t * math.comb(n - 1, t) * q ** (r - rho - t)
-                    for t in range(0, r - rho + 1))
-        w[r] = sig * (q - 1) * inner
     return w
 
 

@@ -231,30 +231,6 @@ class Distribution:
     def points(self):
         return [self.space.word_to_point(w) for w in self.words()]
 
-    def same_multiset(self, other: "Distribution") -> bool:
-        import numpy as np
-
-        if self.space != other.space or len(self) != len(other):
-            return False
-        # rows in lexicographic order: no integer key, so no bound on q^(ns)
-        a, b = (d._array.reshape(len(d), self.space.dim) for d in (self, other))
-        return bool(np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)]))
-
-    def min_distance(self, metric: str = "nrt") -> int:
-        """Smallest pairwise distance; needs at least two points."""
-        if len(self) < 2:
-            raise ValueError("distance needs at least two points")
-        weigh = nrt_weight if metric == "nrt" else hamming_weight
-        space = self.space
-        ws = self.words()
-        best = None
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                d = weigh(space.sub(ws[i], ws[j]))
-                if best is None or d < best:
-                    best = d
-        return best
-
     def project(self, s: int) -> "Distribution":
         """Truncate every coordinate to its s most significant digits."""
         if s > self.space.s:

@@ -1,10 +1,14 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: random codes, and the slow oracles
+that the fast paths of the package are checked against."""
+
+import math
 
 import numpy as np
 
 from nrtcodes.codes import LinearCode
 from nrtcodes.gf import DIGIT_CHARS
-from nrtcodes.words import PointFileError, _content_lines, _read_header
+from nrtcodes.words import (PointFileError, _content_lines, _read_header,
+                            hamming_weight, nrt_weight)
 
 
 def random_code(space, k, rng):
@@ -132,3 +136,118 @@ def lattice_discrepancy(dist):
     scaled = cum * side ** n
     worst = max(int(np.abs(scaled - lower).max()), int(np.abs(scaled - upper).max()))
     return Fraction(worst, count * side ** n)
+
+
+def parity_weight_by_composition(check):
+    """The per-composition search, the oracle of `parity_nrt_weight`:
+    totals ascending, one fresh rank per composition of each total."""
+    from nrtcodes.codes import rank
+    from nrtcodes.geometry import bounded_compositions
+
+    space = check.space
+    gf = space.gf
+    n, s = space.n, space.s
+    for total in range(1, space.dim + 1):
+        for d_vec in bounded_compositions(total, n, s):
+            cols = []
+            for j, d in enumerate(d_vec):
+                for i in range(d):
+                    cols.append(tuple(row[j * s + i] for row in check.rows))
+            if rank(gf, cols) < len(cols):
+                return total
+    raise ValueError("zero code has no nonzero word")
+
+
+def mds_spectrum_alt(n, s, k, q):
+    """The MDS spectrum in its equivalent (q-1)-factored form, the oracle
+    of `spectra.mds_spectrum`."""
+    from nrtcodes.spectra import composition_count
+
+    if not 0 <= k <= n * s:
+        raise ValueError("k out of range")
+    rho = n * s - k + 1
+    w = [0] * (n * s + 1)
+    w[0] = 1
+    for r in range(rho, n * s + 1):
+        total = 0
+        for l in range(1, n + 1):
+            sig = composition_count(l, r, s)
+            if not sig:
+                continue
+            inner = sum((-1) ** t * math.comb(l - 1, t) * q ** (r - rho - t)
+                        for t in range(0, r - rho + 1))
+            total += math.comb(n, l) * sig * inner
+        w[r] = (q - 1) * total
+    return w
+
+
+def net_spectrum_alt(n, s, q):
+    """(q-1)-factored form of the net spectrum, the oracle of
+    `spectra.net_spectrum`.  The printed source of this variant carries a
+    sign typo; the alternating sign is intended."""
+    from nrtcodes.spectra import weak_composition_count
+
+    rho = (n - 1) * s + 1
+    w = [0] * (n * s + 1)
+    w[0] = 1
+    for r in range(rho, n * s + 1):
+        sig = weak_composition_count(n, r, s)
+        inner = sum((-1) ** t * math.comb(n - 1, t) * q ** (r - rho - t)
+                    for t in range(0, r - rho + 1))
+        w[r] = sig * (q - 1) * inner
+    return w
+
+
+def _anchor_digits(q, a, m):
+    """Leading a radix digits of m / q^a, most significant first."""
+    if m >= q ** a:
+        raise ValueError("box position out of range")
+    return tuple(m // q ** i % q for i in range(a - 1, -1, -1))
+
+
+def box_contains(box, word, q, s):
+    """Whether a tuple word lies in an elementary box, digit by digit."""
+    for row, aj, mj in zip(word, box.a, box.m):
+        digits = _anchor_digits(q, aj, mj)
+        for i, want in enumerate(digits):
+            # eta digit i+1 of the row; digits beyond the stored depth are 0
+            have = row[s - 1 - i] if i < s else 0
+            if have != want:
+                return False
+    return True
+
+
+def box_count(dist, box):
+    """Points of `dist` in `box`, one word at a time: the oracle of the
+    bincount box families."""
+    space = dist.space
+    if len(box.a) != space.n:
+        raise ValueError("box dimension mismatch")
+    return sum(1 for w in dist.words()
+               if box_contains(box, w, space.q, space.s))
+
+
+def same_multiset(dist, other):
+    """Whether two distributions hold the same points with multiplicity."""
+    if dist.space != other.space or len(dist) != len(other):
+        return False
+    # rows in lexicographic order: no integer key, so no bound on q^(ns)
+    a, b = (d.array().reshape(len(d), dist.space.dim) for d in (dist, other))
+    return bool(np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)]))
+
+
+def min_distance(dist, metric="nrt"):
+    """Smallest pairwise distance, over every pair of points; needs at
+    least two points."""
+    if len(dist) < 2:
+        raise ValueError("distance needs at least two points")
+    weigh = nrt_weight if metric == "nrt" else hamming_weight
+    space = dist.space
+    ws = dist.words()
+    best = None
+    for i in range(len(ws)):
+        for j in range(i + 1, len(ws)):
+            d = weigh(space.sub(ws[i], ws[j]))
+            if best is None or d < best:
+                best = d
+    return best

@@ -16,6 +16,8 @@ from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
+from _helpers import same_multiset
+
 
 def run(args, capsys):
     code = main(args)
@@ -388,6 +390,28 @@ def test_errors_are_json_under_json_format(tmp_path, capsys):
         assert json.loads(out) == {"schema": 1, **expected}
 
 
+def test_usage_errors_are_json_under_json_format(capsys):
+    cases = (
+        (["verify", "--kind", "foo", "--in", "x"],
+         "argument --kind: invalid choice: 'foo' (choose from 'net', 'optimum', 'mds')"),
+        (["field-info", "--p", "2", "--e", "0"], "argument --e: 0 is not a positive integer"),
+        (["dual"], "the following arguments are required: --in"),
+        (["generate", "--q", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    )
+    for args, message in cases:
+        # text mode is argparse's own report: usage, then the message
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: nrtcodes")
+        assert captured.err.endswith(f"error: {message}\n")
+        for fmt in (["--format", "json"], ["--format=json"], ["--fo", "json"]):
+            code, out, err = run(args + fmt, capsys)
+            assert code == 2 and err == "" and out.count("\n") == 1
+            assert json.loads(out) == {"schema": 1, "error": message}
+
+
 def test_internal_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
     from nrtcodes import cli
 
@@ -450,7 +474,7 @@ def test_spectrum_enumerators_iff_the_input_is_its_own_span(data):
                 rows = rows[-len(span):]  # as many points as the span, one repeated
     dist = Distribution(sp, array=np.asarray(rows).reshape(len(rows), sp.n, sp.s))
     code = LinearCode(sp, dist.array().reshape(len(dist), sp.dim))
-    linear = len(code) == len(dist) and dist.same_multiset(code.distribution())
+    linear = len(code) == len(dist) and same_multiset(dist, code.distribution())
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.points")

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrtcodes import bulk
 from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
@@ -12,11 +13,15 @@ from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
                             rref, weight_enum_identity_n1, weight_enumerator,
                             write_code)
 from nrtcodes.construct import build_mds_code
-from nrtcodes.geometry import ElementaryBox, box_count
+from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
-from nrtcodes.words import Distribution, Space
+from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import all_subspaces, random_code, span_array_by_passes
+from _helpers import (all_subspaces, box_count, parity_weight_by_composition,
+                      random_code, span_array_by_passes)
+
+FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
+          9: GF(3, 2), 16: GF(2, 4)}
 
 
 def test_rref_and_rank():
@@ -125,6 +130,110 @@ def test_parity_weight_matches_bruteforce():
         assert parity_nrt_weight(code.parity_check()) == code.min_weight("nrt")
         assert code.min_weight("nrt", method="parity") == \
             code.min_weight("nrt", method="enumerate")
+
+
+def _check_parity_weight(check, enumerate_up_to=1 << 12):
+    """The tree walk agrees with the per-composition oracle, and with
+    enumeration when the code has at most `enumerate_up_to` words."""
+    space = check.space
+    if len(check.rows) == space.dim:  # the zero code
+        for search in (parity_nrt_weight, parity_weight_by_composition):
+            with pytest.raises(ValueError, match="zero code"):
+                search(check)
+        return None
+    weight = parity_nrt_weight(check)
+    assert weight == parity_weight_by_composition(check)
+    code = code_from_parity_check(check)
+    if len(code) <= enumerate_up_to:
+        assert weight == code.min_weight("nrt", method="enumerate")
+    return weight
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_parity_weight_matches_the_oracle_and_enumeration(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = data.draw(st.integers(1, 5))
+    s = data.draw(st.integers(1, min(5, 12 // n)))
+    space = Space(FIELDS[q], n, s)
+    # codes of k = ns - k' <= log_q 4096 dimensions, so all are enumerated
+    k_max = max(k for k in range(space.dim + 1) if q ** k <= 4096)
+    rank_h = data.draw(st.integers(max(1, space.dim - k_max), space.dim))
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=space.dim, max_size=space.dim),
+                              min_size=rank_h, max_size=rank_h))
+    zero = data.draw(st.sets(st.integers(0, space.dim - 1), max_size=3))
+    rows = rref(space.gf, [[0 if c in zero else v for c, v in enumerate(row)]
+                           for row in rows])
+    if rows:
+        _check_parity_weight(ParityCheck(space, rows))
+
+
+def test_parity_weight_edge_shapes():
+    rng = random.Random(5)
+    seen = set()
+    for q, n, s in ((2, 1, 5), (7, 1, 3), (3, 5, 1), (9, 3, 1), (4, 1, 1), (5, 2, 2),
+                    (8, 2, 3), (2, 5, 2)):
+        space = Space(FIELDS[q], n, s)
+        for k in sorted(k for k in {1, space.dim - 1} if 0 < k < space.dim):
+            check = random_code(space, k, rng).parity_check()
+            seen.add(_check_parity_weight(check) == space.dim - k + 1)
+            # a zero first column in the last block is a word of weight 1
+            rows = [list(r) for r in check.rows]
+            for row in rows:
+                row[(n - 1) * s] = 0
+            rows = rref(space.gf, rows)
+            if rows and len(rows) < space.dim:
+                assert _check_parity_weight(ParityCheck(space, rows)) == 1
+        # a full-rank square H cuts out the zero code, which both searches refuse
+        _check_parity_weight(ParityCheck(space, LinearCode.whole_space(space).basis))
+    assert seen == {True, False}  # both MDS and non-MDS codes came up
+
+
+def test_parity_weight_of_the_benchmark_certificate_shapes():
+    # codes beyond the enumeration bound: the construction's MDS code, and
+    # random codes holding a planted word of weight ns - k, which are not
+    rng = random.Random(6)
+    for q, n, s, k in ((16, 5, 3, 8), (8, 4, 5, 10), (7, 4, 6, 12), (9, 4, 4, 8)):
+        space = Space(FIELDS[q], n, s)
+        mds = build_mds_code(space, k).parity_check()
+        assert _check_parity_weight(mds, 0) == space.dim - k + 1
+        depths = [s] * ((space.dim - k) // s) + [(space.dim - k) % s]
+        depths += [0] * (n - len(depths))
+        planted = [[rng.randrange(1, q) if i == d - 1 else rng.randrange(q) if i < d else 0
+                    for i in range(s)] for d in depths[:n]]
+        assert nrt_weight(planted) == space.dim - k
+        while True:
+            rows = [space.flatten(space.random_word(rng)) for _ in range(k - 1)]
+            code = LinearCode(space, rows + [space.flatten(planted)])
+            if code.k == k:
+                break
+        assert _check_parity_weight(code.parity_check(), 0) <= space.dim - k
+
+
+def test_nrt_weights_match_the_per_word_weight():
+    rng = np.random.default_rng(7)
+    for q, n, s in ((2, 1, 1), (3, 4, 1), (5, 3, 4), (4, 2, 127), (2, 2, 128), (3, 1, 200)):
+        arr = rng.integers(0, q, size=(40, n, s), dtype=np.int16)
+        arr[rng.random(arr.shape) < 0.9] = 0  # high digits are zero often
+        arr[:5] = 0  # all-zero words
+        arr[5:10, 0] = 0  # words with a zero row
+        want = [nrt_weight(tuple(map(tuple, word.tolist()))) for word in arr]
+        for view in (arr, arr.reshape(len(arr), n * s)):
+            got = bulk.nrt_weights(view, n, s)
+            assert got.dtype == np.int64 and got.tolist() == want
+    assert bulk.nrt_weights(np.zeros((0, 6), dtype=np.int16), 2, 3).shape == (0,)
+
+
+def test_sub_anchor_matches_the_table_gather():
+    rng = np.random.default_rng(8)
+    for gf in (GF(2), GF(3), GF(2, 2), GF(3, 2)):
+        arr = rng.integers(0, gf.q, size=(30, 6), dtype=np.int16)
+        for anchor in ([0] * 6, arr[3].tolist(), [0] * 5 + [1]):
+            want = gf.add_table[arr, gf.neg_table[np.array(anchor)][None, :]]
+            assert np.array_equal(bulk.sub_anchor(gf, arr, anchor), want)
+        # a zero anchor hands back the caller's array itself
+        assert bulk.sub_anchor(gf, arr, (0,) * 6) is arr
 
 
 def test_box_enumerator_examples():

@@ -8,13 +8,13 @@ import pytest
 
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.geometry import (ElementaryBox, base_reduce_net,
-                               bounded_compositions, box_contains, box_count,
-                               check_counts, is_net, is_optimum, net_from_optimum,
-                               net_report, optimum_report, star_discrepancy)
+                               bounded_compositions, check_counts, is_net,
+                               is_optimum, net_from_optimum, net_report, optimum_report, star_discrepancy)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import lattice_discrepancy
+from _helpers import (box_contains, box_count, lattice_discrepancy, min_distance,
+                      same_multiset)
 
 
 def frac_points(sp, pts):
@@ -202,7 +202,7 @@ def test_optimum_iff_mds_randomized():
     words = list(sp.all_words())
     for _ in range(60):
         d = Distribution(sp, words=rng.sample(words, 3))
-        min_dist = d.min_distance("nrt")
+        min_dist = min_distance(d, "nrt")
         assert is_optimum(d, 1) == (min_dist == 2)
 
 
@@ -236,7 +236,7 @@ def test_projection_stability():
                 (rng.randrange(2), rng.randrange(2)) + row for row in w))
         extended = Distribution(deep, words=deep_words)
         assert is_optimum(extended, k, depth=2) == is_optimum(base, k)
-        assert extended.project(2).same_multiset(base)
+        assert same_multiset(extended.project(2), base)
 
 
 def brute_force_discrepancy(dist):
@@ -300,6 +300,25 @@ def test_star_discrepancy_of_a_4096_point_set():
     dist = build_optimum_distribution(sp, 6)
     value = star_discrepancy(dist)
     assert value == lattice_discrepancy(dist) == Fraction(519, 65536)
+
+
+def test_star_discrepancy_in_int64_and_in_python_integers():
+    # N q^(sn) < 2^63 takes int64 counts, larger products Python integers;
+    # zero digits appended below the stored ones move no point, so the
+    # deep copy of each set has the same discrepancy
+    rng = random.Random(12)
+    for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(2, 2), 3, 1), (GF(5), 1, 3)):
+        sp = Space(gf, n, s)
+        for _ in range(10):
+            d = Distribution(sp, words=[sp.random_word(rng) for _ in range(rng.randrange(1, 12))])
+            pad = 64 // n  # len(d) * 2^(n * (s + pad)) >= 2^64
+            deep = Distribution(Space(gf, n, s + pad), array=np.concatenate(
+                [np.zeros((len(d), n, pad), dtype=np.int16), d.array()], axis=2))
+            assert star_discrepancy(d) == star_discrepancy(deep) == lattice_discrepancy(d)
+    # at the edge N q^(sn) = 2^62 is counted in int64, 2^63 in Python integers
+    edge = Space(GF(2), 1, 62)
+    assert star_discrepancy(Distribution(edge, words=[((1,) * 62,)])) == 1 - Fraction(1, 2 ** 62)
+    assert star_discrepancy(Distribution(edge, words=[edge.zero()] * 2)) == 1
 
 
 def _points_with_ranks(distinct_x, distinct_y):

@@ -10,11 +10,12 @@ from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.gf import GF
 from nrtcodes.spectra import (ball_packing_ok, ball_size, composition_count,
                               distance_spectrum, mds_first_weight,
-                              mds_next_weight, mds_spectrum, mds_spectrum_alt,
-                              net_excess_weight, net_spectrum, net_spectrum_alt,
-                              net_spectrum_tail, nets_exist, sphere_size,
-                              weak_composition_count)
+                              mds_next_weight, mds_spectrum, net_excess_weight,
+                              net_spectrum, net_spectrum_tail, nets_exist,
+                              sphere_size, weak_composition_count)
 from nrtcodes.words import Distribution, Space, nrt_weight, row_weight
+
+from _helpers import mds_spectrum_alt, net_spectrum_alt
 
 
 def compositions_brute(parts, total, bound):
@@ -131,6 +132,16 @@ def test_distance_spectrum_basics():
     empty = Distribution(sp, array=np.zeros((0, 2, 2), dtype=np.int16))
     with pytest.raises(ValueError, match="anchor is not a member"):
         distance_spectrum(empty, sp.zero())
+
+
+def test_distance_spectrum_leaves_the_labels_unmodified():
+    # from the origin the weights are taken on the caller's array itself
+    sp = Space(GF(3), 2, 2)
+    dist = build_optimum_distribution(sp, 3)
+    before = dist.array().copy()
+    for anchor in (sp.zero(), dist.word(5)):
+        assert distance_spectrum(dist, anchor) == mds_spectrum(2, 2, 3, 3)
+        assert np.array_equal(dist.array(), before)
 
 
 def test_mds_spectrum_against_bruteforce():
