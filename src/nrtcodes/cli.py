@@ -5,6 +5,8 @@ formats of the library.
 Exit codes: 0 success / verified, 1 a verification answered "no",
 2 usage, parse or resource errors and internal faults, reported on stderr,
 or under --format json as one {"schema": 1, "error": ...} object on stdout.
+Each command accepts only the options it reads (the `COMMANDS` table);
+any other option is a usage error.
 """
 
 from __future__ import annotations
@@ -412,56 +414,53 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# one spec per option: the keyword arguments of `add_argument`
+OPTIONS = {
+    "p": dict(type=int, help="field characteristic"),
+    "e": dict(type=_positive_int, default=1, help="extension degree"),
+    "q": dict(type=int, help="field size (prime power)"),
+    "n": dict(type=int, help="number of dimensions / rows"),
+    "s": dict(type=int, help="digits per coordinate"),
+    "k": dict(type=int, help="code / distribution dimension"),
+    "g": dict(type=_positive_int, default=1, help="row block size"),
+    "t": dict(type=int, help="composite dimension multiplier"),
+    "delta": dict(type=int, help="net deficiency"),
+    "nodes": dict(help="comma separated node labels, inf allowed"),
+    "format": dict(choices=("text", "json"), default="text"),
+    "in": dict(required=True, help="input file"),
+    "out": dict(help="output file or prefix"),
+    "kind": dict(choices=("net", "optimum", "mds"), required=True),
+    "type": dict(choices=("code", "points"), default="code"),
+}
+
+# command -> (handler, help, the options its handler reads)
+COMMANDS = {
+    "generate": (cmd_generate, "build an MDS code + optimum distribution",
+                 ("p", "e", "q", "n", "s", "k", "g", "t", "nodes", "format", "out")),
+    "verify": (cmd_verify, "verify a net / optimum / MDS property",
+               ("k", "delta", "format", "in", "kind")),
+    "spectrum": (cmd_spectrum, "weight spectra of a point set", ("format", "in")),
+    "dual": (cmd_dual, "dual of a linear code", ("format", "in", "out")),
+    "peano": (cmd_peano, "merge row blocks (gn,s) -> (n,gs)",
+              ("g", "format", "in", "out", "type")),
+    "basechange": (cmd_basechange, "re-express base p^e in base p",
+                   ("format", "in", "out")),
+    "discrepancy": (cmd_discrepancy, "exact star discrepancy", ("format", "in")),
+    "field-info": (cmd_field_info, "describe the field tables",
+                   ("p", "e", "q", "format")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nrtcodes",
         description="MDS codes in the NRT metric, optimum distributions and nets")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, infile=False):
-        p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--e", type=_positive_int, default=1, help="extension degree")
-        p.add_argument("--q", type=int, help="field size (prime power)")
-        p.add_argument("--n", type=int, help="number of dimensions / rows")
-        p.add_argument("--s", type=int, help="digits per coordinate")
-        p.add_argument("--k", type=int, help="code / distribution dimension")
-        p.add_argument("--g", type=_positive_int, default=1, help="row block size")
-        p.add_argument("--t", type=int, help="composite dimension multiplier")
-        p.add_argument("--delta", type=int, help="net deficiency")
-        p.add_argument("--nodes", help="comma separated node labels, inf allowed")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if infile:
-            p.add_argument("--in", required=True, help="input file")
-        p.add_argument("--out", help="output file or prefix")
-
-    common(sub.add_parser("generate", help="build an MDS code + optimum distribution"))
-    p = sub.add_parser("verify", help="verify a net / optimum / MDS property")
-    common(p, infile=True)
-    p.add_argument("--kind", choices=("net", "optimum", "mds"), required=True)
-    common(sub.add_parser("spectrum", help="weight spectra of a point set"),
-           infile=True)
-    common(sub.add_parser("dual", help="dual of a linear code"), infile=True)
-    p = sub.add_parser("peano", help="merge row blocks (gn,s) -> (n,gs)")
-    common(p, infile=True)
-    p.add_argument("--type", choices=("code", "points"), default="code")
-    common(sub.add_parser("basechange", help="re-express base p^e in base p"),
-           infile=True)
-    common(sub.add_parser("discrepancy", help="exact star discrepancy"),
-           infile=True)
-    common(sub.add_parser("field-info", help="describe the field tables"))
+    for command, (_, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(f"--{name}", **OPTIONS[name])
     return parser
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "dual": cmd_dual,
-    "peano": cmd_peano,
-    "basechange": cmd_basechange,
-    "discrepancy": cmd_discrepancy,
-    "field-info": cmd_field_info,
-}
 
 
 def main(argv=None) -> int:
@@ -470,7 +469,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         fmt = args.format
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except _ParseError as exc:
         if fmt != "json":
             # argparse's own report: usage on stderr, then exit 2

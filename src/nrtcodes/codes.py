@@ -184,8 +184,13 @@ class LinearCode:
 
 
 def is_mds(code: LinearCode) -> bool:
-    """Weight meets the Singleton-type bound ns - k + 1."""
-    return code.min_weight("nrt") == code.space.dim - code.k + 1
+    """Weight meets the Singleton-type bound ns - k + 1.  Beyond the
+    enumeration bound one walk decides it: the code is MDS iff no prefix
+    profile of total k' = rank(H) = ns - k is dependent."""
+    space = code.space
+    if len(code) <= ENUMERATION_BOUND or code.k == space.dim:
+        return code.min_weight("nrt") == space.dim - code.k + 1
+    return not _dependent_profile(code.parity_check(), space.dim - code.k)
 
 
 def code_from_parity_check(check: "ParityCheck") -> LinearCode:
@@ -208,24 +213,16 @@ class ParityCheck:
             raise ValueError("check rows are dependent")
 
 
-def parity_nrt_weight(check: ParityCheck) -> int:
-    """NRT weight of the code of `check`: the smallest total
-    d_1 + ... + d_n over prefix profiles (0 <= d_j <= s) whose columns,
-    the first d_j of each block H_j, are linearly dependent.
-
-    A dependent profile of total t extends to one of total t + 1, and any
-    k' + 1 columns are dependent (the Singleton bound).  So total
-    k' = rank(H) is checked first: if every profile of it is independent,
-    the weight is k' + 1, the MDS case.  Otherwise a binary search over
-    [1, k'] finds the smallest dependent total.  Each check walks the
-    profile tree depth first: a node adds one column, the next of its
-    last block or the first of a later block, so every profile is visited
-    once; it reduces that column against the echelon rows of its
-    ancestors' columns, and the walk ends at a column that reduces to 0."""
+def _dependent_profile(check: ParityCheck, total: int) -> bool:
+    """Whether some prefix profile (d_1, ..., d_n), 0 <= d_j <= s, of total
+    at most `total` has linearly dependent columns, the first d_j of each
+    block H_j.  The walk goes depth first through the profile tree: a node
+    adds one column, the next of its last block or the first of a later
+    block, so every profile is visited once; it reduces that column
+    against the echelon rows of its ancestors' columns, and the walk ends
+    at a column that reduces to 0."""
     space = check.space
-    s, rank_h = space.s, len(check.rows)
-    if rank_h >= space.dim:
-        raise ValueError("zero code has no nonzero word")
+    s = space.s
     add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
                           space.gf.neg_lookup, space.gf.inv_lookup)
     columns = list(zip(*check.rows))
@@ -259,12 +256,29 @@ def parity_nrt_weight(check: ParityCheck) -> int:
                     return True
         return False
 
-    if not dependent(0, 0, rank_h):
+    return dependent(0, 0, total)
+
+
+def parity_nrt_weight(check: ParityCheck) -> int:
+    """NRT weight of the code of `check`: the smallest total
+    d_1 + ... + d_n over prefix profiles (0 <= d_j <= s) whose columns,
+    the first d_j of each block H_j, are linearly dependent.
+
+    A dependent profile of total t extends to one of total t + 1, and any
+    k' + 1 columns are dependent (the Singleton bound).  So total
+    k' = rank(H) is checked first: if every profile of it is independent,
+    the weight is k' + 1, the MDS case.  Otherwise a binary search over
+    [1, k'] finds the smallest dependent total, one `_dependent_profile`
+    walk per step."""
+    rank_h = len(check.rows)
+    if rank_h >= check.space.dim:
+        raise ValueError("zero code has no nonzero word")
+    if not _dependent_profile(check, rank_h):
         return rank_h + 1
     low, high = 1, rank_h  # some profile of total `high` is dependent
     while low < high:
         mid = (low + high) // 2
-        if dependent(0, 0, mid):
+        if _dependent_profile(check, mid):
             high = mid
         else:
             low = mid + 1

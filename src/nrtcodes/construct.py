@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .codes import ENUMERATION_BOUND, LinearCode
 from .gf import GF
-from .poly import INF, binom_mod, hyper_eval
+from .poly import INF, hyper_eval
 from .words import Distribution, Space, Word
 
 
@@ -57,38 +57,9 @@ def evaluation_word(space: Space, f, nodes, ambient: int | None = None) -> Word:
     )
 
 
-def evaluation_matrix(gf: GF, nodes, s: int, k: int):
-    """The (n*s) x k matrix of the coefficient-vector-to-word map: column m
-    is the flattened word of the monomial z^m.  Row order matches the
-    flattened word layout."""
-    nodes = _check_nodes(gf, nodes)
-    rows = []
-    for beta in nodes:
-        for i in range(s):
-            d = s - 1 - i  # derivative order at this digit position
-            row = []
-            for m in range(k):
-                if beta == INF:
-                    row.append(1 if m == k - 1 - d else 0)
-                else:
-                    c = binom_mod(m, d, gf.p)
-                    # 0^0 = 1 so constants survive at beta = 0
-                    row.append(gf.mul(c, gf.pow(beta, m - d)) if m >= d else 0)
-            rows.append(row)
-    return rows
-
-
-def _monomial_words(space: Space, k: int, nodes):
-    basis = []
-    for m in range(k):
-        mono = [0] * m + [1]
-        basis.append(evaluation_word(space, mono, nodes, ambient=k))
-    return basis
-
-
-def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
-    """MDS code of dimension k in Mat_{n,s}(F_q), spanned by the monomial
-    evaluation words.  Needs q >= n - 1 and 1 <= k <= ns."""
+def _monomial_rows(space: Space, k: int, nodes) -> list:
+    """Flat evaluation words of 1, z, ..., z^(k-1) at the nodes (by
+    default `default_nodes`), once k and the nodes are checked."""
     if not 1 <= k <= space.dim:
         raise ValueError("k out of range")
     if nodes is None:
@@ -97,7 +68,14 @@ def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
         nodes = _check_nodes(space.gf, nodes)
         if len(nodes) != space.n:
             raise ValueError("node count must equal n")
-    code = LinearCode.from_words(space, _monomial_words(space, k, nodes))
+    return [space.flatten(evaluation_word(space, [0] * m + [1], nodes, ambient=k))
+            for m in range(k)]
+
+
+def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
+    """MDS code of dimension k in Mat_{n,s}(F_q), spanned by the monomial
+    evaluation words.  Needs q >= n - 1 and 1 <= k <= ns."""
+    code = LinearCode(space, _monomial_rows(space, k, nodes))
     if code.k != k:
         raise AssertionError("evaluation words are dependent")
     return code
@@ -109,17 +87,9 @@ def build_optimum_distribution(space: Space, k: int, nodes=None) -> Distribution
     ENUMERATION_BOUND points are refused before any is built."""
     from . import bulk
 
-    if not 1 <= k <= space.dim:
-        raise ValueError("k out of range")
+    basis = _monomial_rows(space, k, nodes)
     if space.q ** k > ENUMERATION_BOUND:
         raise ValueError(f"q^k = {space.q ** k} points exceed the bound of "
                          f"{ENUMERATION_BOUND} (2^21)")
-    if nodes is None:
-        nodes = default_nodes(space.gf, space.n)
-    else:
-        nodes = _check_nodes(space.gf, nodes)
-        if len(nodes) != space.n:
-            raise ValueError("node count must equal n")
-    basis = [space.flatten(w) for w in _monomial_words(space, k, nodes)]
     arr = bulk.span_array(space.gf, basis, space.dim)
     return Distribution(space, array=arr.reshape(len(arr), space.n, space.s))

@@ -216,7 +216,8 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     array shifted one rank along every axis the open count x < c.
     Integer arithmetic only, in int64 while N q^(sn) < 2^63 and in Python
     integers above; grids of more than DISCREPANCY_CELL_BOUND cells are
-    refused before allocating.
+    refused before allocating, as soon as the grid sizes of the axes
+    ranked so far, times 2 for each axis still to rank, exceed it.
     """
     import numpy as np
 
@@ -236,10 +237,11 @@ def star_discrepancy(dist: Distribution) -> Fraction:
         powers = q ** np.arange(s - 1, -1, -1).astype(dtype)
         nums = rows.astype(dtype) @ powers  # over q^s
         grids.append(np.append(nums, q ** s))  # then 1
+        # an axis not ranked yet holds at least a value and 1
+        if math.prod(map(len, grids)) * 2 ** (n - 1 - j) > DISCREPANCY_CELL_BOUND:
+            raise ValueError("point set too large for the exact grid sweep; "
+                             "sampled estimation is out of scope")
     shape = tuple(len(g) for g in grids)
-    if math.prod(shape) > DISCREPANCY_CELL_BOUND:
-        raise ValueError("point set too large for the exact grid sweep; "
-                         "sampled estimation is out of scope")
     # closed and open counts times q^(sn) against count * volume * q^(sn)
     closed = _cumulative_counts(ranks, shape).astype(dtype, copy=False)
     closed *= unit

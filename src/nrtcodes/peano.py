@@ -96,9 +96,8 @@ def merged_space(space: Space, g: int) -> Space:
 
 
 def merge_code(code: LinearCode, g: int) -> LinearCode:
-    small = merged_space(code.space, g)
-    words = [merge_rows(code.space.unflatten(r), g) for r in code.basis]
-    return LinearCode.from_words(small, words)
+    # a word and its merge share one row-major flat layout, as in merge_rows
+    return LinearCode(merged_space(code.space, g), code.basis)
 
 
 def merge_distribution(dist: Distribution, g: int) -> Distribution:

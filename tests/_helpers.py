@@ -6,7 +6,9 @@ import math
 import numpy as np
 
 from nrtcodes.codes import LinearCode
-from nrtcodes.gf import DIGIT_CHARS
+from nrtcodes.construct import _check_nodes
+from nrtcodes.gf import DIGIT_CHARS, GF
+from nrtcodes.poly import INF, binom_mod
 from nrtcodes.words import (PointFileError, _content_lines, _read_header,
                             hamming_weight, nrt_weight)
 
@@ -103,6 +105,28 @@ def span_array_by_passes(gf, rows, width):
         scaled = gf.mul_table[np.asarray(row, dtype=np.intp)[None, :], c[:, None]]
         out = gf.add_table[out, scaled]
     return out
+
+
+def evaluation_matrix(gf: GF, nodes, s: int, k: int):
+    """The (n*s) x k matrix of the coefficient-vector-to-word map: column m
+    is the flattened word of the monomial z^m.  Row order matches the
+    flattened word layout.  The closed-form oracle of
+    `construct.evaluation_word`."""
+    nodes = _check_nodes(gf, nodes)
+    rows = []
+    for beta in nodes:
+        for i in range(s):
+            d = s - 1 - i  # derivative order at this digit position
+            row = []
+            for m in range(k):
+                if beta == INF:
+                    row.append(1 if m == k - 1 - d else 0)
+                else:
+                    c = binom_mod(m, d, gf.p)
+                    # 0^0 = 1 so constants survive at beta = 0
+                    row.append(gf.mul(c, gf.pow(beta, m - d)) if m >= d else 0)
+            rows.append(row)
+    return rows
 
 
 def lattice_discrepancy(dist):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,13 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import nrtcodes
-from nrtcodes.cli import main
+from nrtcodes.cli import build_parser, main
 from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
@@ -491,3 +493,135 @@ def test_spectrum_enumerators_iff_the_input_is_its_own_span(data):
         assert payload["weight_enumerator"] == weight_enumerator(dist)
         assert payload["box_enumerator"] == {
             ",".join(map(str, a)): c for a, c in corner_box_counts(dist).items()}
+
+
+# the options each command's handler reads, and so the only ones it accepts
+ACCEPTED = {
+    "generate": {"--p", "--e", "--q", "--n", "--s", "--k", "--g", "--t", "--nodes",
+                 "--out", "--format"},
+    "verify": {"--in", "--kind", "--k", "--delta", "--format"},
+    "spectrum": {"--in", "--format"},
+    "dual": {"--in", "--out", "--format"},
+    "peano": {"--in", "--g", "--type", "--out", "--format"},
+    "basechange": {"--in", "--out", "--format"},
+    "discrepancy": {"--in", "--format"},
+    "field-info": {"--p", "--e", "--q", "--format"},
+}
+# every command once accepted these, and the file commands --in as well
+FORMERLY_SHARED = ("--p", "--e", "--q", "--n", "--s", "--k", "--g", "--t", "--delta",
+                   "--nodes", "--format", "--out")
+FORMERLY_IGNORED = [(command, option) for command, accepted in ACCEPTED.items()
+                    for option in FORMERLY_SHARED + ("--in",) * ("--in" in accepted)
+                    if option not in accepted]
+REQUIRED = {"verify": ["--kind", "mds"]}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for command, p in sub.choices.items()}
+    assert accepted == ACCEPTED
+    assert sum(map(len, accepted.values())) == 35
+    assert len(FORMERLY_IGNORED) == 104 - 35
+
+
+@pytest.mark.parametrize("command,option", FORMERLY_IGNORED)
+def test_formerly_ignored_options_are_usage_errors(command, option, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    args = [command] + REQUIRED.get(command, []) + ["--in", "x"] * ("--in" in ACCEPTED[command])
+    args += [option, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: nrtcodes")
+    message = captured.err.splitlines()[-1].split(": error: ", 1)[1]
+    if (command, option) == ("peano", "--t"):
+        # argparse reads an unambiguous prefix as the option: --t is --type
+        assert message.startswith("argument --type: invalid choice: '1'")
+    else:
+        assert message == f"unrecognized arguments: {option} 1"
+    code, out, err = run(args + ["--format", "json"], capsys)
+    assert code == 2 and err == "" and json.loads(out) == {"schema": 1, "error": message}
+    assert not list(tmp_path.iterdir())
+
+
+SEED_FILES = {name: (Path(__file__).parent / "golden" / "in" / name).read_text()
+              for name in ("opt.points", "moved.points", "f4.points", "n1.points",
+                           "opt.code", "tall.code")}
+# (argv, the kind of file it reads)
+FILE_COMMANDS = (
+    (["verify", "--kind", "optimum"], "points"),
+    (["verify", "--kind", "net"], "points"),
+    (["verify", "--kind", "mds"], "code"),
+    (["spectrum"], "points"),
+    (["dual"], "code"),
+    (["peano", "--type", "code"], "code"),
+    (["peano", "--type", "points"], "points"),
+    (["basechange"], "points"),
+    (["discrepancy"], "points"),
+)
+
+
+@st.composite
+def malformed_text(draw, kind):
+    seeds = sorted(name for name in SEED_FILES if name.endswith(kind))
+    text = SEED_FILES[draw(st.sampled_from(seeds))]
+    pieces = st.text(alphabet="0123456789abz -#\n\t", max_size=8)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        text = text[:at] + draw(pieces) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_file_commands_keep_the_exit_contract_on_malformed_input(data):
+    argv, kind = data.draw(st.sampled_from(FILE_COMMANDS))
+    command = argv[0]
+    text = data.draw(malformed_text(kind))
+    args = argv + ["--in", "in.file"]
+    for option, values in (("--k", st.integers(-1, 6)), ("--delta", st.integers(-1, 4)),
+                           ("--g", st.integers(-1, 3))):
+        if option in ACCEPTED[command] and data.draw(st.booleans()):
+            args += [option, str(data.draw(values))]
+    if "--out" in ACCEPTED[command] and data.draw(st.booleans()):
+        args += ["--out", "out.file"]
+    ignored = [option for c, option in FORMERLY_IGNORED if c == command]
+    extra = data.draw(st.sampled_from([None] * 2 * len(ignored) + ignored))
+    if extra:
+        args += [extra, "1"]
+    fmt = data.draw(st.sampled_from(["text", "json"]))
+    args += ["--format", fmt]
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "in.file"), "w") as fh:
+            fh.write(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        left = set(os.listdir(tmp))
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (args, text)
+    # a malformed file is refused by a check, never by a fault of the program
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert "internal:" not in out.getvalue() + err.getvalue()
+    if extra:
+        assert code == 2
+    if code == 2:
+        assert left == {"in.file"}, (args, text)
+        if fmt == "json":
+            assert "error" in json.loads(out.getvalue())
+    else:
+        assert left == {"in.file"} | {"out.file"} & set(args)

@@ -190,25 +190,59 @@ def test_parity_weight_edge_shapes():
     assert seen == {True, False}  # both MDS and non-MDS codes came up
 
 
+# the sweep's certificate shapes (q, n, s, k), all beyond the enumeration bound
+CERT_SHAPES = ((16, 5, 3, 8), (8, 4, 5, 10), (7, 4, 6, 12), (9, 4, 4, 8))
+
+
+def _planted_code(space, k, rng):
+    """A random k-dimensional code holding a word of weight ns - k, so
+    not MDS."""
+    n, s, q = space.n, space.s, space.q
+    depths = [s] * ((space.dim - k) // s) + [(space.dim - k) % s]
+    depths += [0] * (n - len(depths))
+    planted = [[rng.randrange(1, q) if i == d - 1 else rng.randrange(q) if i < d else 0
+                for i in range(s)] for d in depths[:n]]
+    assert nrt_weight(planted) == space.dim - k
+    while True:
+        rows = [space.flatten(space.random_word(rng)) for _ in range(k - 1)]
+        code = LinearCode(space, rows + [space.flatten(planted)])
+        if code.k == k:
+            return code
+
+
 def test_parity_weight_of_the_benchmark_certificate_shapes():
     # codes beyond the enumeration bound: the construction's MDS code, and
     # random codes holding a planted word of weight ns - k, which are not
     rng = random.Random(6)
-    for q, n, s, k in ((16, 5, 3, 8), (8, 4, 5, 10), (7, 4, 6, 12), (9, 4, 4, 8)):
+    for q, n, s, k in CERT_SHAPES:
         space = Space(FIELDS[q], n, s)
         mds = build_mds_code(space, k).parity_check()
         assert _check_parity_weight(mds, 0) == space.dim - k + 1
-        depths = [s] * ((space.dim - k) // s) + [(space.dim - k) % s]
-        depths += [0] * (n - len(depths))
-        planted = [[rng.randrange(1, q) if i == d - 1 else rng.randrange(q) if i < d else 0
-                    for i in range(s)] for d in depths[:n]]
-        assert nrt_weight(planted) == space.dim - k
-        while True:
-            rows = [space.flatten(space.random_word(rng)) for _ in range(k - 1)]
-            code = LinearCode(space, rows + [space.flatten(planted)])
-            if code.k == k:
-                break
+        code = _planted_code(space, k, rng)
         assert _check_parity_weight(code.parity_check(), 0) <= space.dim - k
+
+
+def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
+    from nrtcodes import codes
+
+    walks = []
+    walk = codes._dependent_profile
+
+    def counted(check, total):
+        walks.append(total)
+        return walk(check, total)
+
+    monkeypatch.setattr(codes, "_dependent_profile", counted)
+    rng = random.Random(7)
+    for q, n, s, k in CERT_SHAPES:
+        space = Space(FIELDS[q], n, s)
+        for code, want in ((build_mds_code(space, k), True),
+                           (_planted_code(space, k, rng), False)):
+            walks.clear()
+            assert is_mds(code) is want
+            assert walks == [space.dim - k]  # one walk, at total k' = rank(H)
+            weight = parity_weight_by_composition(code.parity_check())
+            assert (weight == space.dim - k + 1) is want
 
 
 def test_nrt_weights_match_the_per_word_weight():

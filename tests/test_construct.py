@@ -4,14 +4,13 @@ import pytest
 
 from nrtcodes.codes import LinearCode, is_mds, rank
 from nrtcodes.construct import (build_mds_code, build_optimum_distribution,
-                                default_nodes, evaluation_matrix,
-                                evaluation_word)
+                                default_nodes, evaluation_word)
 from nrtcodes.geometry import is_optimum
 from nrtcodes.gf import GF
 from nrtcodes.poly import INF, normalize
 from nrtcodes.words import Space, nrt_weight
 
-from _helpers import same_multiset
+from _helpers import evaluation_matrix, same_multiset
 
 
 def test_default_nodes():

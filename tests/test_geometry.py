@@ -347,6 +347,39 @@ def test_star_discrepancy_cell_bound(monkeypatch):
         star_discrepancy(_points_with_ranks(15, 65535))
 
 
+def test_star_discrepancy_refuses_before_ranking_every_coordinate(monkeypatch):
+    from nrtcodes import geometry
+
+    ranked = []
+    unique = np.unique
+
+    def counted(values, *args, **kwargs):
+        ranked.append(values.shape)
+        return unique(values, *args, **kwargs)
+
+    def no_histogram(*args):
+        raise AssertionError("the histogram was allocated")
+
+    monkeypatch.setattr(np, "unique", counted)
+    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    # 1024 points on the diagonal of n = 5: an axis has 1025 grid entries, so
+    # two ranked axes and three to come make 1025^2 * 2^3 > 2^20 cells
+    digits = (np.arange(1024)[:, None, None] >> np.arange(10)) & 1
+    diagonal = Distribution(Space(GF(2), 5, 10), array=np.repeat(digits, 5, axis=1))
+    with pytest.raises(ValueError, match="too large for the exact grid sweep"):
+        star_discrepancy(diagonal)
+    assert len(ranked) == 2
+    # one point has 2^n cells: n = 21 is refused after one axis, and n = 20
+    # reaches the histogram with every axis ranked
+    for n, ranks, error in ((21, 1, "too large for the exact grid sweep"),
+                            (20, 20, "histogram was allocated")):
+        ranked.clear()
+        space = Space(GF(2), n, 1)
+        with pytest.raises((ValueError, AssertionError), match=error):
+            star_discrepancy(Distribution(space, words=[space.zero()]))
+        assert len(ranked) == ranks
+
+
 def test_discrepancy_of_generated_net():
     sp = Space(GF(2), 2, 3)
     net = build_optimum_distribution(sp, 3)
