@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
-                    read_code, write_code)
+                    read_code, span_is_mds, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
 from .gf import GF, TABLE_BOUND, is_prime
@@ -274,8 +274,15 @@ def cmd_spectrum(args) -> int:
         "source": "bruteforce",
     }
     lines = [f"bruteforce spectrum: {spec}"]
-    # more than q^(ns) points (k > ns) repeat one, so cannot be optimum
-    if q ** k == len(dist) and k <= space.dim and optimum_report(dist, k).ok:
+    # the enumerators describe the input only when it is its own span, of
+    # q^rank words: it lies in it, so iff it has q^rank distinct points
+    basis = bulk.row_basis(space.gf, flat)
+    own_span = q ** len(basis) == len(dist) == len(np.unique(flat, axis=0))
+    # more than q^(ns) points (k > ns) repeat one, so cannot be optimum; a
+    # set that is its own span is optimum iff its basis passes the rank
+    # certificate
+    if q ** k == len(dist) and k <= space.dim and (
+            span_is_mds(space, basis) if own_span else optimum_report(dist, k).ok):
         formula = mds_spectrum(space.n, space.s, k, q)
         payload["formula"] = formula
         payload["formula_matches"] = formula == spec
@@ -284,10 +291,7 @@ def cmd_spectrum(args) -> int:
     else:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
-    # the enumerators describe the input only when it is its own span, of
-    # q^rank words: it lies in it, so iff it has q^rank distinct points
-    code = LinearCode(space, bulk.row_basis(space.gf, flat))
-    if len(code) == len(dist) == len(np.unique(flat, axis=0)):
+    if own_span:
         # a linear set holds zero, the anchor of its spectrum
         payload["weight_enumerator"] = spec
         payload["box_enumerator"] = {
@@ -295,7 +299,8 @@ def cmd_spectrum(args) -> int:
             for a, c in sorted(corner_box_counts(dist).items())
         }
         if space.n == 1:
-            ok = macwilliams_n1_ok(dist, code.dual().distribution())
+            dual = LinearCode(space, basis).dual()
+            ok = macwilliams_n1_ok(dist, dual.distribution())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)

@@ -138,8 +138,11 @@ class LinearCode:
                 for row in self.words_array()]
 
     def distribution(self) -> Distribution:
-        arr = self.words_array().reshape(len(self), self.space.n, self.space.s)
-        return Distribution(self.space, array=arr)
+        """The codewords as a point set, in `words_array` order, with the
+        basis as its generator (see `Distribution.span`)."""
+        if len(self) > ENUMERATION_BOUND:
+            raise ValueError("code too large to enumerate")
+        return Distribution.span(self.space, self.basis)
 
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
@@ -184,13 +187,31 @@ class LinearCode:
 
 
 def is_mds(code: LinearCode) -> bool:
-    """Weight meets the Singleton-type bound ns - k + 1.  Beyond the
-    enumeration bound one walk decides it: the code is MDS iff no prefix
-    profile of total k' = rank(H) = ns - k is dependent."""
+    """Weight meets the Singleton-type bound ns - k + 1.  For 0 < k < ns
+    one walk over the basis decides it, `span_is_mds`, at every size;
+    the zero code has no weight (ValueError) and the whole space is MDS."""
     space = code.space
-    if len(code) <= ENUMERATION_BOUND or code.k == space.dim:
+    if code.k in (0, space.dim):
         return code.min_weight("nrt") == space.dim - code.k + 1
-    return not _dependent_profile(code.parity_check(), space.dim - code.k)
+    return span_is_mds(space, code.basis)
+
+
+def span_is_mds(space: Space, rows) -> bool:
+    """Whether the k flat `rows` span an MDS code of dimension k, which
+    by the paper's equivalence makes their q^k combinations an optimum
+    distribution: every k x k minor on the top a_j digits of each
+    coordinate, for a_1 + ... + a_n = k and a_j <= s, is invertible
+    (Niederreiter's linear-independence criterion).  Reversing each
+    block puts the top digits first, so these minors are the prefix
+    profiles of total k, and one `_dependent_profile` walk decides them
+    all.  No minor exists for k > ns, and k = 0 is trivially optimum."""
+    rows = [[int(v) for v in r] for r in rows]
+    if any(len(r) != space.dim for r in rows):
+        raise ValueError("row length mismatch")
+    if len(rows) > space.dim:
+        return False
+    top_first = [_block_reverse(r, space.n, space.s) for r in rows]
+    return not rows or not _dependent_profile(space, top_first, len(rows))
 
 
 def code_from_parity_check(check: "ParityCheck") -> LinearCode:
@@ -209,23 +230,38 @@ class ParityCheck:
             raise ValueError("need rank >= 1")
         if any(len(r) != space.dim for r in self.rows):
             raise ValueError("check row length mismatch")
-        if rank(space.gf, self.rows) != len(self.rows):
+        # rows in echelon form, as `nullspace` returns them, are
+        # independent; any other input pays one reduction
+        if not _is_echelon(self.rows) and rank(space.gf, self.rows) != len(self.rows):
             raise ValueError("check rows are dependent")
 
 
-def _dependent_profile(check: ParityCheck, total: int) -> bool:
+def _is_echelon(rows) -> bool:
+    """Whether every row is nonzero and its first nonzero entry lies
+    strictly right of that of the row before it."""
+    last = -1
+    for row in rows:
+        lead = next((col for col, v in enumerate(row) if v), None)
+        if lead is None or lead <= last:
+            return False
+        last = lead
+    return True
+
+
+def _dependent_profile(space: Space, rows, total: int) -> bool:
     """Whether some prefix profile (d_1, ..., d_n), 0 <= d_j <= s, of total
-    at most `total` has linearly dependent columns, the first d_j of each
-    block H_j.  The walk goes depth first through the profile tree: a node
-    adds one column, the next of its last block or the first of a later
-    block, so every profile is visited once; it reduces that column
+    1 <= d_1 + ... + d_n <= `total` has linearly dependent columns, the
+    first d_j of each block of the flat `rows`.  The rows are a check
+    matrix H for `parity_nrt_weight`, and a block-reversed generator for
+    `span_is_mds`.  The walk goes depth first through the profile tree: a
+    node adds one column, the next of its last block or the first of a
+    later block, so every profile is visited once; it reduces that column
     against the echelon rows of its ancestors' columns, and the walk ends
     at a column that reduces to 0."""
-    space = check.space
     s = space.s
     add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
                           space.gf.neg_lookup, space.gf.inv_lookup)
-    columns = list(zip(*check.rows))
+    columns = list(zip(*rows))
     blocks = [columns[j * s:(j + 1) * s] for j in range(space.n)]
     echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
 
@@ -273,12 +309,12 @@ def parity_nrt_weight(check: ParityCheck) -> int:
     rank_h = len(check.rows)
     if rank_h >= check.space.dim:
         raise ValueError("zero code has no nonzero word")
-    if not _dependent_profile(check, rank_h):
+    if not _dependent_profile(check.space, check.rows, rank_h):
         return rank_h + 1
     low, high = 1, rank_h  # some profile of total `high` is dependent
     while low < high:
         mid = (low + high) // 2
-        if _dependent_profile(check, mid):
+        if _dependent_profile(check.space, check.rows, mid):
             high = mid
         else:
             low = mid + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .codes import ENUMERATION_BOUND, LinearCode
 from .gf import GF
-from .poly import INF, hyper_eval
+from .poly import INF, binom_mod, hyper_eval
 from .words import Distribution, Space, Word
 
 
@@ -59,17 +59,35 @@ def evaluation_word(space: Space, f, nodes, ambient: int | None = None) -> Word:
 
 def _monomial_rows(space: Space, k: int, nodes) -> list:
     """Flat evaluation words of 1, z, ..., z^(k-1) at the nodes (by
-    default `default_nodes`), once k and the nodes are checked."""
+    default `default_nodes`), once k and the nodes are checked.  The r-th
+    hyperderivative of z^m at beta is C(m, r) beta^(m-r) (0^0 = 1), and
+    at INF it is 1 iff m = k - 1 - r, so each entry is one table lookup."""
+    gf = space.gf
     if not 1 <= k <= space.dim:
         raise ValueError("k out of range")
     if nodes is None:
-        nodes = default_nodes(space.gf, space.n)
+        nodes = default_nodes(gf, space.n)
     else:
-        nodes = _check_nodes(space.gf, nodes)
+        nodes = _check_nodes(gf, nodes)
         if len(nodes) != space.n:
             raise ValueError("node count must equal n")
-    return [space.flatten(evaluation_word(space, [0] * m + [1], nodes, ambient=k))
-            for m in range(k)]
+    mul = gf.mul_lookup
+    # entry i of a row holds the derivative of order s - 1 - i
+    orders = range(space.s - 1, -1, -1)
+    binom = [[binom_mod(m, r, gf.p) for r in orders] for m in range(k)]
+    rows = [[] for _ in range(k)]
+    for beta in nodes:
+        if beta == INF:
+            for m, row in enumerate(rows):
+                row += [int(m == k - 1 - r) for r in orders]
+            continue
+        powers = [1]
+        for _ in range(k - 1):
+            powers.append(mul[powers[-1]][beta])
+        for m, row in enumerate(rows):
+            row += [mul[c][powers[m - r]] if m >= r else 0
+                    for c, r in zip(binom[m], orders)]
+    return rows
 
 
 def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
@@ -83,13 +101,11 @@ def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
 
 def build_optimum_distribution(space: Space, k: int, nodes=None) -> Distribution:
     """The q^k points whose digit words are exactly the codewords of
-    build_mds_code, in coefficient colex order.  More than
+    build_mds_code, in coefficient colex order, with the monomial rows as
+    their generator (see `Distribution.span`).  More than
     ENUMERATION_BOUND points are refused before any is built."""
-    from . import bulk
-
     basis = _monomial_rows(space, k, nodes)
     if space.q ** k > ENUMERATION_BOUND:
         raise ValueError(f"q^k = {space.q ** k} points exceed the bound of "
                          f"{ENUMERATION_BOUND} (2^21)")
-    arr = bulk.span_array(space.gf, basis, space.dim)
-    return Distribution(space, array=arr.reshape(len(arr), space.n, space.s))
+    return Distribution.span(space, basis)

@@ -102,9 +102,12 @@ def merge_code(code: LinearCode, g: int) -> LinearCode:
 
 def merge_distribution(dist: Distribution, g: int) -> Distribution:
     small = merged_space(dist.space, g)
-    # row-major reshape concatenates each g consecutive rows, matching merge_rows
+    # row-major reshape concatenates each g consecutive rows, matching
+    # merge_rows; so the flat generator rows stay those of the merged set
     arr = dist.array().reshape(len(dist), small.n, small.s)
-    return Distribution(small, array=arr)
+    merged = Distribution(small, array=arr)
+    merged._generator = dist._generator
+    return merged
 
 
 def block_reverse_code(code: LinearCode, g: int) -> LinearCode:

@@ -193,6 +193,7 @@ class Distribution:
         import numpy as np
 
         self.space = space
+        self._generator = None  # flat rows whose span this is, see `span`
         if array is not None:
             array = np.asarray(array, dtype=np.int16)
             if array.ndim != 3 or array.shape[1:] != (space.n, space.s):
@@ -202,6 +203,23 @@ class Distribution:
             rows = [space.check_word(w) for w in words]
             self._array = np.array(rows, dtype=np.int16).reshape(
                 len(rows), space.n, space.s)
+
+    @classmethod
+    def span(cls, space: Space, rows) -> "Distribution":
+        """The q^k combinations of k flat rows, in `bulk.span_array` order.
+        The array is read-only and the rows are kept as the set's
+        generator, so `geometry.optimum_report` can decide the set by a
+        rank certificate on the rows instead of counting boxes."""
+        from . import bulk
+
+        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        if any(len(r) != space.dim for r in rows):
+            raise ValueError("row length mismatch")
+        arr = bulk.span_array(space.gf, rows, space.dim)
+        arr.setflags(write=False)
+        dist = cls(space, array=arr.reshape(len(arr), space.n, space.s))
+        dist._generator = rows
+        return dist
 
     @classmethod
     def from_points(cls, space: Space, points) -> "Distribution":

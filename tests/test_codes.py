@@ -228,9 +228,9 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
     walks = []
     walk = codes._dependent_profile
 
-    def counted(check, total):
+    def counted(space, rows, total):
         walks.append(total)
-        return walk(check, total)
+        return walk(space, rows, total)
 
     monkeypatch.setattr(codes, "_dependent_profile", counted)
     rng = random.Random(7)
@@ -240,7 +240,7 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
                            (_planted_code(space, k, rng), False)):
             walks.clear()
             assert is_mds(code) is want
-            assert walks == [space.dim - k]  # one walk, at total k' = rank(H)
+            assert walks == [k]  # one walk over the generator, at total k
             weight = parity_weight_by_composition(code.parity_check())
             assert (weight == space.dim - k + 1) is want
 

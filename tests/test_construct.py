@@ -3,8 +3,9 @@ import random
 import pytest
 
 from nrtcodes.codes import LinearCode, is_mds, rank
-from nrtcodes.construct import (build_mds_code, build_optimum_distribution,
-                                default_nodes, evaluation_word)
+from nrtcodes.construct import (_monomial_rows, build_mds_code,
+                                build_optimum_distribution, default_nodes,
+                                evaluation_word)
 from nrtcodes.geometry import is_optimum
 from nrtcodes.gf import GF
 from nrtcodes.poly import INF, normalize
@@ -127,3 +128,22 @@ def test_infinity_node_sweep():
         sp = Space(gf, n, s)
         for k in range(1, n * s + 1):
             assert is_mds(build_mds_code(sp, k)), (gf.q, n, s, k)
+
+
+def test_monomial_rows_match_evaluation_word_and_the_matrix():
+    # the closed form C(m, r) beta^(m-r) against the generic Hasse
+    # derivative and Horner of `evaluation_word`, and the test oracle
+    rng = random.Random(1)
+    for gf, n, s in ((GF(2), 3, 3), (GF(3), 4, 2), (GF(2, 2), 5, 2), (GF(5), 4, 3),
+                     (GF(7), 3, 4), (GF(3, 2), 4, 3), (GF(2, 3), 2, 5)):
+        sp = Space(gf, n, s)
+        node_sets = [default_nodes(gf, n)]
+        node_sets.append(tuple(rng.sample(list(range(gf.q)) + [INF], n)))
+        for nodes in node_sets:
+            for k in range(1, sp.dim + 1):
+                rows = _monomial_rows(sp, k, nodes)
+                assert rows == [list(sp.flatten(evaluation_word(sp, [0] * m + [1], nodes,
+                                                                ambient=k)))
+                                for m in range(k)]
+                matrix = evaluation_matrix(gf, nodes, s, k)
+                assert rows == [list(col) for col in zip(*matrix)]
