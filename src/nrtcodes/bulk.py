@@ -12,22 +12,76 @@ import numpy as np
 from .gf import GF
 
 
+# words of the span of the low rows; the rest of a span is visited as
+# translates of that block, so no pass holds more than this many words
+_BLOCK = 1 << 14
+
+
+def _index_dtype(q: int):
+    """Smallest dtype that holds a flat add-table index a*q + b < q^2."""
+    return np.int16 if q * q <= 1 << 15 else np.int32
+
+
+def _span_blocks(gf: GF, rows, width: int, out=None):
+    """Yield the span of the flat rows in `span_array` order, one block of
+    q^L words at a time, L the most low rows whose span fits in _BLOCK.
+    Block j is the low span plus word j of the span of the other rows,
+    by one flat gather add_table[a, b] = add_table.ravel()[a*q + b].  The
+    blocks are slices of `out` when given, else one reused buffer."""
+    q, k = gf.q, len(rows)
+    low_k = 0
+    while low_k < k and q ** (low_k + 1) <= _BLOCK:
+        low_k += 1
+    size = q ** low_k
+    flat = gf.add_table.ravel()
+    low = np.empty((size, width), dtype=np.int16) if out is None else out[:size]
+    low[0] = 0
+    # a*q is summed in the small dtype; `take` reads intp indices without
+    # a converted copy of them
+    scaled = np.empty((size, width), dtype=_index_dtype(q))
+    idx = np.empty((size, width), dtype=np.intp)
+    part = 1
+    for row in rows[:low_k]:
+        # combination c*q^m + j is combination j plus c times row m
+        mult = gf.mul_table[1:, np.asarray(row, dtype=np.intp)]
+        np.multiply(low[:part], q, out=scaled[:part], dtype=scaled.dtype)
+        np.add(scaled[None, :part], mult[:, None, :],
+               out=idx[part:q * part].reshape(q - 1, part, width))
+        # "clip" (the indices are in range anyway) lets take write to `out`
+        # directly; the default "raise" buffers it
+        np.take(flat, idx[part:q * part], out=low[part:q * part], mode="clip")
+        part *= q
+    yield low
+    if low_k == k:
+        return
+    np.multiply(low, q, out=scaled, dtype=scaled.dtype)
+    block = low  # the low span itself is not needed again
+    for j, word in enumerate(span_array(gf, rows[low_k:], width)[1:], start=1):
+        if out is not None:
+            block = out[j * size:(j + 1) * size]
+        np.add(scaled, word, out=idx)
+        np.take(flat, idx, out=block, mode="clip")
+        yield block
+
+
 def span_array(gf: GF, rows, width: int) -> np.ndarray:
     """All q^k combinations of the given flat rows, coefficient index m of
     combination i being digit m of i in base q (so prefixes of the output
     enumerate the spans of basis prefixes)."""
-    q = gf.q
-    add_t = gf.add_table
-    mul_t = gf.mul_table
-    out = np.zeros((q ** len(rows), width), dtype=np.int16)
-    size = 1
-    for row in rows:
-        # combination c*q^m + j is combination j plus c times row m
-        row = np.asarray(row, dtype=np.intp)
-        for c in range(1, q):
-            out[c * size:(c + 1) * size] = add_t[out[:size], mul_t[c, row]]
-        size *= q
+    out = np.empty((gf.q ** len(rows), width), dtype=np.int16)
+    for _ in _span_blocks(gf, rows, width, out):
+        pass
     return out
+
+
+def span_weight_histogram(gf: GF, rows, n: int, s: int,
+                          metric: str = "nrt") -> np.ndarray:
+    """Counts (w_0, ..., w_ns) of the weights of all q^k combinations of
+    the flat rows, summed block by block: no q^k-word array is built."""
+    hist = np.zeros(n * s + 1, dtype=np.int64)
+    for block in _span_blocks(gf, rows, n * s):
+        hist += np.bincount(weights(block, n, s, metric), minlength=n * s + 1)
+    return hist
 
 
 def row_basis(gf: GF, arr: np.ndarray) -> np.ndarray:
@@ -62,7 +116,11 @@ def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
     for i in range(s):
         # positions grow with i, so a row keeps that of its last nonzero digit
         np.maximum(rw, (a[:, :, i] != 0) * rw.dtype.type(i + 1), out=rw)
-    return rw.sum(axis=1, dtype=np.int64)
+    # n column adds; a sum over the short row axis is about twice as slow
+    out = rw[:, 0].astype(np.int64)
+    for j in range(1, n):
+        out += rw[:, j]
+    return out
 
 
 def hamming_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:

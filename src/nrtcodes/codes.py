@@ -147,11 +147,14 @@ class LinearCode:
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
 
-        Enumerates the code when feasible.  Beyond the enumeration bound
-        the NRT weight comes from the check matrix: `parity_nrt_weight`
-        walks the tree of prefix profiles at total k' = rank(H) first,
-        then binary-searches [1, k'] for the smallest dependent total.
+        Enumerates the code when feasible, as a weight histogram counted
+        in blocks (`bulk.span_weight_histogram`).  Beyond the enumeration
+        bound the NRT weight comes from the check matrix:
+        `parity_nrt_weight` walks the tree of prefix profiles at total
+        k' = rank(H) first, then binary-searches [1, k'] for the smallest
+        dependent total.
         """
+        import numpy as np
         from . import bulk
 
         if self.k == 0:
@@ -161,9 +164,13 @@ class LinearCode:
         if method == "auto":
             method = "enumerate" if len(self) <= ENUMERATION_BOUND else "parity"
         if method == "enumerate":
-            arr = self.words_array()
-            w = bulk.weights(arr, self.space.n, self.space.s, metric)
-            return int(w[1:].min())
+            if len(self) > ENUMERATION_BOUND:
+                raise ValueError("code too large to enumerate")
+            space = self.space
+            hist = bulk.span_weight_histogram(space.gf, self.basis, space.n,
+                                              space.s, metric)
+            # the basis is independent, so w_0 = 1 counts the zero word only
+            return int(np.flatnonzero(hist[1:])[0]) + 1
         if method == "parity":
             if metric != "nrt":
                 raise ValueError("parity-check method only computes the NRT weight")

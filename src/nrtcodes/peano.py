@@ -104,10 +104,9 @@ def merge_distribution(dist: Distribution, g: int) -> Distribution:
     small = merged_space(dist.space, g)
     # row-major reshape concatenates each g consecutive rows, matching
     # merge_rows; so the flat generator rows stay those of the merged set
-    arr = dist.array().reshape(len(dist), small.n, small.s)
-    merged = Distribution(small, array=arr)
-    merged._generator = dist._generator
-    return merged
+    if dist._generator is not None:
+        return Distribution.span(small, dist._generator)
+    return Distribution(small, array=dist.array().reshape(len(dist), small.n, small.s))
 
 
 def block_reverse_code(code: LinearCode, g: int) -> LinearCode:

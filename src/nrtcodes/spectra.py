@@ -48,14 +48,20 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
-    must itself belong to the distribution."""
+    must itself belong to the distribution.  From the zero word, a set
+    built as a span (`Distribution.span`) is counted in blocks from its
+    generator, without its array."""
     import numpy as np
     from . import bulk
 
     space = dist.space
     anchor = space.check_word(anchor)
+    flat_anchor = space.flatten(anchor)
+    if dist._generator is not None and not any(flat_anchor):
+        return bulk.span_weight_histogram(space.gf, dist._generator,
+                                          space.n, space.s).tolist()
     arr = dist.array().reshape(len(dist), space.dim)
-    diffs = bulk.sub_anchor(space.gf, arr, space.flatten(anchor))
+    diffs = bulk.sub_anchor(space.gf, arr, flat_anchor)
     rho = bulk.nrt_weights(diffs, space.n, space.s)
     out = np.bincount(rho, minlength=space.dim + 1).tolist()
     if out[0] == 0:

@@ -207,18 +207,17 @@ class Distribution:
     @classmethod
     def span(cls, space: Space, rows) -> "Distribution":
         """The q^k combinations of k flat rows, in `bulk.span_array` order.
-        The array is read-only and the rows are kept as the set's
-        generator, so `geometry.optimum_report` can decide the set by a
-        rank certificate on the rows instead of counting boxes."""
-        from . import bulk
-
+        The rows are kept as the set's generator: `geometry.optimum_report`
+        decides the set by a rank certificate on them, and
+        `spectra.distance_spectrum` counts its weights in blocks.  The
+        read-only array is built on the first call of `array`."""
         rows = tuple(tuple(int(v) for v in r) for r in rows)
         if any(len(r) != space.dim for r in rows):
             raise ValueError("row length mismatch")
-        arr = bulk.span_array(space.gf, rows, space.dim)
-        arr.setflags(write=False)
-        dist = cls(space, array=arr.reshape(len(arr), space.n, space.s))
+        dist = cls.__new__(cls)
+        dist.space = space
         dist._generator = rows
+        dist._array = None
         return dist
 
     @classmethod
@@ -226,6 +225,8 @@ class Distribution:
         return cls(space, words=[space.point_to_word(p) for p in points])
 
     def __len__(self):
+        if self._array is None:
+            return self.space.q ** len(self._generator)
         return self._array.shape[0]
 
     def __iter__(self):
@@ -233,18 +234,25 @@ class Distribution:
 
     def array(self):
         """(N, n, s) int array of digit labels, least significant first."""
+        if self._array is None:
+            from . import bulk
+
+            space = self.space
+            arr = bulk.span_array(space.gf, self._generator, space.dim)
+            arr.setflags(write=False)
+            self._array = arr.reshape(len(arr), space.n, space.s)
         return self._array
 
     def eta_array(self):
         """(N, n, s) digits in radix order, most significant first."""
-        return self._array[:, :, ::-1]
+        return self.array()[:, :, ::-1]
 
     def words(self):
         return [tuple(tuple(int(v) for v in row) for row in w)
-                for w in self._array]
+                for w in self.array()]
 
     def word(self, i: int) -> Word:
-        return tuple(tuple(int(v) for v in row) for row in self._array[i])
+        return tuple(tuple(int(v) for v in row) for row in self.array()[i])
 
     def points(self):
         return [self.space.word_to_point(w) for w in self.words()]
@@ -254,7 +262,7 @@ class Distribution:
         if s > self.space.s:
             raise ValueError("projection depth exceeds stored digits")
         sub = Space(self.space.gf, self.space.n, s)
-        return Distribution(sub, array=self._array[:, :, self.space.s - s:])
+        return Distribution(sub, array=self.array()[:, :, self.space.s - s:])
 
     def to_base_p(self) -> "Distribution":
         space_p = self.space.base_p_space()
@@ -263,7 +271,7 @@ class Distribution:
         import numpy as np
 
         coeff = self.space.gf.coeff_table  # (q, e) low digit first
-        expanded = coeff[self._array]      # (N, n, s, e)
+        expanded = coeff[self.array()]     # (N, n, s, e)
         return Distribution(space_p, array=expanded.reshape(
             len(self), self.space.n, space_p.s).astype(np.int16))
 
