@@ -147,35 +147,40 @@ class LinearCode:
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
 
-        Enumerates the code when feasible, as a weight histogram counted
-        in blocks (`bulk.span_weight_histogram`).  Beyond the enumeration
-        bound the NRT weight comes from the check matrix:
-        `parity_nrt_weight` walks the tree of prefix profiles at total
-        k' = rank(H) first, then binary-searches [1, k'] for the smallest
-        dependent total.
+        Within the enumeration bound it is the first nonzero entry after
+        w_0 of the code's weight histogram (`bulk.span_weight_histogram`):
+        for the NRT weight, read from the ranks of the basis's prefix
+        profiles when the (s+1)^n profiles are no more than the q^k
+        codewords, and otherwise, as for the Hamming weight, counted
+        over the codewords in blocks.  Beyond the enumeration bound the
+        NRT weight comes from the check matrix: `parity_nrt_weight` walks
+        the tree of prefix profiles at total k' = rank(H) first, then
+        binary-searches [1, k'] for the smallest dependent total.
         """
         import numpy as np
         from . import bulk
 
+        if metric not in ("nrt", "hamming"):
+            raise ValueError(f"unknown metric {metric!r}")
+        if method not in ("auto", "enumerate", "parity"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "parity" and metric != "nrt":
+            raise ValueError("parity-check method only computes the NRT weight")
         if self.k == 0:
             raise ValueError("zero code has no nonzero word")
         if self.k == self.space.dim:
             return 1
         if method == "auto":
             method = "enumerate" if len(self) <= ENUMERATION_BOUND else "parity"
-        if method == "enumerate":
-            if len(self) > ENUMERATION_BOUND:
-                raise ValueError("code too large to enumerate")
-            space = self.space
-            hist = bulk.span_weight_histogram(space.gf, self.basis, space.n,
-                                              space.s, metric)
-            # the basis is independent, so w_0 = 1 counts the zero word only
-            return int(np.flatnonzero(hist[1:])[0]) + 1
         if method == "parity":
-            if metric != "nrt":
-                raise ValueError("parity-check method only computes the NRT weight")
             return parity_nrt_weight(self.parity_check())
-        raise ValueError(f"unknown method {method!r}")
+        if len(self) > ENUMERATION_BOUND:
+            raise ValueError("code too large to enumerate")
+        space = self.space
+        hist = bulk.span_weight_histogram(space.gf, self.basis, space.n,
+                                          space.s, metric)
+        # the basis is independent, so w_0 = 1 counts the zero word only
+        return int(np.flatnonzero(hist[1:])[0]) + 1
 
     def dual(self) -> "LinearCode":
         """Orthogonal complement under the reversed inner product."""
@@ -302,6 +307,100 @@ def _dependent_profile(space: Space, rows, total: int) -> bool:
     return dependent(0, 0, total)
 
 
+def _profile_ranks(space: Space, rows) -> list[int]:
+    """Rank of the columns of every prefix profile (d_1, ..., d_n),
+    0 <= d_j <= s, of the block-reversed flat `rows`, as a flat list in
+    C order over the (s+1)^n profiles.  The walk goes over the profile
+    tree of `_dependent_profile`, where a node adds the next column of
+    its last block or the first of a later block, and reduces that
+    column against the echelon rows of its ancestors' columns.  Once the
+    rank reaches k = len(rows), every profile that extends the node in
+    its last block and the later ones has rank k; they form one
+    contiguous run of the table, filled by one slice assignment, and the
+    walk does not descend into them."""
+    n, s, k = space.n, space.s, len(rows)
+    add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
+                          space.gf.neg_lookup, space.gf.inv_lookup)
+    columns = list(zip(*(_block_reverse(r, n, s) for r in rows)))
+    blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
+    stride = [(s + 1) ** (n - 1 - j) for j in range(n)]
+    ranks = [0] * (s + 1) ** n
+    echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
+
+    def walk(first: int, at: int) -> None:
+        # the profiles that extend the one at flat index `at`, whose
+        # depths are 0 from block `first` on and whose rank is below k,
+        # in blocks first, first + 1, ...  The loop over i goes down the
+        # columns of block j and the recursion adds later blocks, so it
+        # is at most n deep however long the blocks are.
+        for j in range(first, n):
+            entry_rank = len(echelon)
+            for i in range(s):
+                vec = blocks[j][i]
+                for pivot, row in echelon:
+                    c = vec[pivot]
+                    if c:
+                        times = mul[neg[c]]
+                        vec = [add[a][times[b]] for a, b in zip(vec, row)]
+                for pivot, v in enumerate(vec):
+                    if v:
+                        scale = mul[inv[v]]
+                        echelon.append((pivot, [scale[x] for x in vec]))
+                        break
+                node = at + stride[j] * (i + 1)
+                if len(echelon) == k:
+                    # the profiles with this prefix and d_j > i
+                    end = at + stride[j] * (s + 1)
+                    ranks[node:end] = [k] * (end - node)
+                    break
+                ranks[node] = len(echelon)
+                if j + 1 < n:
+                    walk(j + 1, node)
+            del echelon[entry_rank:]
+
+    if k:
+        walk(0, 0)
+    return ranks
+
+
+def span_corner_counts(space: Space, rows):
+    """(s+1)^n int table whose entry a is the number of combinations of
+    the flat `rows` (all q^k, with multiplicity, as `Distribution.span`
+    counts them) that lie in the corner box of side exponents a: those
+    whose row weights are at most s - a_j.  They are the combinations
+    orthogonal to the columns of prefix profile a of the block-reversed
+    rows, q^(k - rank) of them.  int64 while q^k < 2^63, else Python
+    ints."""
+    import numpy as np
+
+    q, k = space.q, len(rows)
+    powers = np.array([q ** e for e in range(k + 1)],
+                      dtype=np.int64 if q ** k < 1 << 63 else object)
+    ranks = np.array(_profile_ranks(space, rows), dtype=np.intp)
+    return powers[k - ranks].reshape((space.s + 1,) * space.n)
+
+
+def span_nrt_histogram(space: Space, rows):
+    """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
+    of the flat `rows`, from their corner counts: read with every axis
+    reversed, the corner table counts the combinations with row weights
+    at most b; its difference along each axis counts those with row
+    weights exactly b, and these summed by b_1 + ... + b_n give w."""
+    import numpy as np
+
+    n, s = space.n, space.s
+    exact = span_corner_counts(space, rows)[(slice(None, None, -1),) * n]
+    totals = np.zeros(1, dtype=np.intp)
+    for axis in range(n):
+        # np.diff(exact, axis=axis, prepend=0), in place
+        lead = (slice(None),) * axis
+        exact[lead + (slice(1, None),)] -= exact[lead + (slice(None, -1),)]
+        totals = np.add.outer(totals, np.arange(s + 1)).ravel()
+    hist = np.zeros(n * s + 1, dtype=exact.dtype)
+    np.add.at(hist, totals, exact.ravel())
+    return hist
+
+
 def parity_nrt_weight(check: ParityCheck) -> int:
     """NRT weight of the code of `check`: the smallest total
     d_1 + ... + d_n over prefix profiles (0 <= d_j <= s) whose columns,
@@ -333,7 +432,10 @@ def parity_nrt_weight(check: ParityCheck) -> int:
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
     i.e. the coefficient table of the box enumerator phi(D).  There are
-    (s+1)^n of them, at most ENUMERATION_BOUND."""
+    (s+1)^n of them, at most ENUMERATION_BOUND.  A set built as a span
+    (`Distribution.span`) with no more boxes than points reads them from
+    the ranks of its generator (`span_corner_counts`), without its
+    array; any other set counts its points."""
     import numpy as np
     from itertools import product
 
@@ -344,6 +446,9 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     if (s + 1) ** n > ENUMERATION_BOUND:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
+    if dist._generator is not None and (s + 1) ** n <= len(dist):
+        counts = span_corner_counts(space, dist._generator).ravel().tolist()
+        return dict(zip(product(range(s + 1), repeat=n), counts))
     rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)
     # points with row weights <= b lie in the corner box with a_j = s - b_j
     cum = _cumulative_counts(rw.T, (s + 1,) * n)

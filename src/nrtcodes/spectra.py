@@ -1,5 +1,8 @@
-"""Sphere and ball combinatorics of the NRT metric, brute-force distance
-spectra, and the closed-form spectra of MDS codes and zero-deficiency nets.
+"""Sphere and ball combinatorics of the NRT metric, exact distance spectra
+of point sets, and the closed-form spectra of MDS codes and zero-deficiency
+nets.  A spectrum is counted word by word, except that of a set built as a
+span, from the origin, which comes from its generator: from the ranks of
+its prefix profiles, or by counting its words in blocks.
 
 All counting is done in unbounded Python integers; the closed forms can
 legitimately go negative outside the existence range (that negativity is
@@ -49,8 +52,11 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
     must itself belong to the distribution.  From the zero word, a set
-    built as a span (`Distribution.span`) is counted in blocks from its
-    generator, without its array."""
+    built as a span (`Distribution.span`) is counted from its generator,
+    without its array, by `bulk.span_weight_histogram`: from the ranks of
+    the generator's (s+1)^n prefix profiles when they are no more than the
+    q^k words, else word by word in blocks.  Any other set or anchor
+    reads the array."""
     import numpy as np
     from . import bulk
 

@@ -209,8 +209,11 @@ class Distribution:
         """The q^k combinations of k flat rows, in `bulk.span_array` order.
         The rows are kept as the set's generator: `geometry.optimum_report`
         decides the set by a rank certificate on them, and
-        `spectra.distance_spectrum` counts its weights in blocks.  The
-        read-only array is built on the first call of `array`."""
+        `spectra.distance_spectrum` from the origin and
+        `codes.corner_box_counts` read the ranks of their prefix profiles
+        when there are no more profiles than points (the spectrum is
+        otherwise counted in blocks).  The read-only array is built on the
+        first call of `array`."""
         rows = tuple(tuple(int(v) for v in r) for r in rows)
         if any(len(r) != space.dim for r in rows):
             raise ValueError("row length mismatch")

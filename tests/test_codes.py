@@ -60,6 +60,23 @@ def test_min_weight_examples():
         LinearCode.zero(sp).min_weight()
 
 
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_min_weight_validates_its_arguments_at_every_size(k):
+    sp = Space(GF(3), 2, 2)
+    code = {0: LinearCode.zero(sp), 2: build_mds_code(sp, 2),
+            4: LinearCode.whole_space(sp)}[k]
+    for args, message in ((("bogus",), "unknown metric"),
+                          (("nrt", "bogus"), "unknown method"),
+                          (("hamming", "parity"), "only computes the NRT weight")):
+        with pytest.raises(ValueError, match=message):
+            code.min_weight(*args)
+    if k == 4:
+        for metric in ("nrt", "hamming"):
+            for method in ("auto", "enumerate"):
+                assert code.min_weight(metric, method) == 1
+        assert code.min_weight("nrt", "parity") == 1
+
+
 def test_singleton_bound():
     rng = random.Random(1)
     for gf, n, s in ((GF(2), 2, 2), (GF(3), 2, 2), (GF(2, 2), 1, 3)):

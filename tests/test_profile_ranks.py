@@ -1,0 +1,160 @@
+"""NRT weight spectra and corner box counts of spans from the ranks of
+their prefix profiles (`codes.span_nrt_histogram`,
+`codes.span_corner_counts`), against the k-pass enumeration and against
+one rank per profile, and the rule (s+1)^n <= q^k by which
+`bulk.span_weight_histogram` and `codes.corner_box_counts` take that
+route instead of counting words."""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nrtcodes import bulk, codes
+from nrtcodes.codes import LinearCode, corner_box_counts, rank
+from nrtcodes.construct import build_mds_code, build_optimum_distribution
+from nrtcodes.gf import GF
+from nrtcodes.spectra import distance_spectrum, mds_spectrum
+from nrtcodes.words import Distribution, Space
+
+from _helpers import span_array_by_passes
+
+FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
+
+
+def profile_ranks_one_by_one(space, rows):
+    """The rank of the columns of each prefix profile, one fresh rank per
+    profile: the top d_j digits of coordinate j, over all rows."""
+    n, s = space.n, space.s
+    out = []
+    for depths in product(range(s + 1), repeat=n):
+        cols = [[row[j * s + s - 1 - i] for row in rows]
+                for j, d in enumerate(depths) for i in range(d)]
+        out.append(rank(space.gf, cols) if rows else 0)
+    return out
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        pytest.fail(f"{name} called")
+    return call
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rank_histogram_matches_the_k_pass_enumeration(data):
+    gf = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 5))
+    s = data.draw(st.integers(1, 4))
+    # k <= 6, and q^k <= 2^15 so that the oracle's array stays small
+    k = data.draw(st.integers(0, max(e for e in range(7) if gf.q ** e <= 1 << 15)))
+    width = n * s
+    entry = st.integers(0, gf.q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                              min_size=k, max_size=k))
+    # a zero row, and a row that repeats a multiple of another
+    if k and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, k - 1))] = [0] * width
+    if k > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                  unique=True))
+        c = data.draw(st.integers(1, gf.q - 1))
+        rows[j] = [int(gf.mul_table[c, v]) for v in rows[i]]
+    space = Space(gf, n, s)
+    hist = codes.span_nrt_histogram(space, rows)
+    eager = span_array_by_passes(gf, rows, width)
+    expected = np.bincount(bulk.nrt_weights(eager, n, s), minlength=width + 1)
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, expected)
+
+
+def test_profile_ranks_saturate_in_the_middle_of_a_block():
+    # the top two digits of coordinate 0 are independent, so the rank
+    # reaches k = 2 at depth 2 of 3 in block 0: the profiles (2, *) and
+    # (3, *) are one slice, and (1, 1) reaches it in block 1
+    space = Space(GF(3), 2, 3)
+    rows = [[2, 0, 1, 1, 2, 0], [1, 1, 0, 0, 1, 2]]
+    ranks = codes._profile_ranks(space, rows)
+    assert ranks == profile_ranks_one_by_one(space, rows)
+    assert ranks[2 * 4:] == [2] * 8 and ranks[1 * 4 + 1] == 2
+    expected = np.bincount(bulk.nrt_weights(span_array_by_passes(space.gf, rows, 6),
+                                            2, 3), minlength=7)
+    assert np.array_equal(codes.span_nrt_histogram(space, rows), expected)
+
+
+@pytest.mark.parametrize("q, n, s, k", [(2, 3, 2, 3), (3, 2, 4, 5), (4, 4, 2, 4),
+                                        (5, 1, 8, 3), (3, 4, 1, 3)])
+def test_profile_ranks_match_one_rank_per_profile(q, n, s, k):
+    space = Space({2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}[q], n, s)
+    rows = build_optimum_distribution(space, k)._generator
+    # an optimum set: every profile of total t has rank min(t, k)
+    ranks = codes._profile_ranks(space, rows)
+    assert ranks == [min(sum(d), k) for d in product(range(s + 1), repeat=n)]
+    dependent = list(rows[:-1]) + [rows[0]]
+    assert codes._profile_ranks(space, dependent) == \
+        profile_ranks_one_by_one(space, dependent)
+
+
+def test_built_spectra_and_minimum_weights_are_counted_without_words(monkeypatch):
+    monkeypatch.setattr(bulk, "_span_blocks", refuse("_span_blocks"))
+    for n, s in ((2, 4), (4, 2), (1, 8)):
+        space = Space(GF(5), n, s)
+        dist = build_optimum_distribution(space, 8)
+        assert distance_spectrum(dist, space.zero()) == mds_spectrum(n, s, 8, 5)
+        assert dist._array is None
+    assert build_mds_code(Space(GF(5), 4, 2), 4).min_weight("nrt", "enumerate") == 5
+    code = LinearCode(Space(GF(3), 2, 2), [[1, 0, 0, 0], [0, 0, 1, 0]])
+    assert code.min_weight("nrt", "enumerate") == 1
+
+
+def test_a_table_wider_than_the_span_is_not_built(monkeypatch):
+    # 2^20 profiles and 4 words: both rows on coordinate 0
+    gf, n, s = GF(2), 20, 1
+    rows = [[1] + [0] * (n - 1)] * 2
+    expected = np.bincount(bulk.nrt_weights(span_array_by_passes(gf, rows, n), n, s),
+                           minlength=n + 1)
+    assert expected[:2].tolist() == [2, 2]
+    monkeypatch.setattr(codes, "_profile_ranks", refuse("_profile_ranks"))
+    bulk.span_weight_histogram(gf, rows[:1], n, s)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        hist = bulk.span_weight_histogram(gf, rows, n, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(hist, expected)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("q, n, s, k", [(5, 3, 2, 3), (3, 2, 3, 4), (3, 4, 1, 2),
+                                        (4, 1, 4, 2)])
+def test_built_corner_counts_read_the_ranks(q, n, s, k, monkeypatch):
+    space = Space({2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}[q], n, s)
+    plain = Distribution(space, array=build_optimum_distribution(space, k).array().copy())
+    expected = corner_box_counts(plain)
+    dist = build_optimum_distribution(space, k)
+    if (s + 1) ** n <= q ** k:
+        monkeypatch.setattr(bulk, "span_array", refuse("span_array"))
+    assert corner_box_counts(dist) == expected
+    assert list(expected) == list(product(range(s + 1), repeat=n))
+
+
+def test_spans_beyond_int64_are_counted_in_python_integers():
+    # 16^16 = 2^64 words: no enumeration reaches them, and int64 would wrap
+    space = Space(GF(2, 4), 5, 4)
+    dist = Distribution.span(space, build_mds_code(space, 16).basis)
+    spectrum = distance_spectrum(dist, space.zero())
+    assert spectrum == mds_spectrum(5, 4, 16, 16)
+    assert sum(spectrum) == 2 ** 64 and all(type(w) is int for w in spectrum)
+
+
+def test_a_long_block_is_walked_without_deep_recursion():
+    # 1100 digits, and the rows are unit words on the lowest 11 of them:
+    # the rank stays 0 for the first 1089 top-first columns
+    gf, n, s, k = GF(2), 1, 1100, 11
+    rows = [[int(i == m) for i in range(s)] for m in range(k)]
+    hist = bulk.span_weight_histogram(gf, rows, n, s)
+    # the word of combination c has the weight of c's highest nonzero digit
+    assert hist.tolist() == [1] + [2 ** (t - 1) for t in range(1, k + 1)] + [0] * (s - k)
