@@ -89,7 +89,16 @@ def _parse_nodes(gf: GF, text: str):
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        out.append(INF if tok == "inf" else gf.check(int(tok)))
+        if tok == "inf":
+            out.append(INF)
+            continue
+        try:
+            label = int(tok)
+        except ValueError:
+            label = -1
+        if not 0 <= label < gf.q:
+            raise UsageError(f"node {tok!r} is not a label 0..{gf.q - 1} or inf")
+        out.append(label)
     return tuple(out)
 
 

@@ -147,19 +147,19 @@ class LinearCode:
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
 
-        Within the enumeration bound it is the first nonzero entry after
-        w_0 of the code's weight histogram (`bulk.span_weight_histogram`):
-        for the NRT weight, read from the ranks of the basis's prefix
-        profiles when the (s+1)^n profiles are no more than the q^k
-        codewords, and otherwise, as for the Hamming weight, counted
-        over the codewords in blocks.  Beyond the enumeration bound the
+        Within the enumeration bound the NRT weight, when the (s+1)^n
+        prefix profiles are no more than the q^k codewords, is read from
+        their ranks (`_profile_ranks`): the corner box of side exponents
+        a holds the q^(k - rank(a)) codewords with row weights at most
+        s - a_j, so it holds a nonzero one iff rank(a) < k, and the
+        weight is ns - max{a_1 + ... + a_n : rank(a) < k}.  Otherwise,
+        and for the Hamming weight, it is the first nonzero entry after
+        w_0 of the weight histogram counted over the codewords in blocks
+        (`bulk.span_weight_histogram`).  Beyond the enumeration bound the
         NRT weight comes from the check matrix: `parity_nrt_weight` walks
         the tree of prefix profiles at total k' = rank(H) first, then
         binary-searches [1, k'] for the smallest dependent total.
         """
-        import numpy as np
-        from . import bulk
-
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
         if method not in ("auto", "enumerate", "parity"):
@@ -177,6 +177,15 @@ class LinearCode:
         if len(self) > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
         space = self.space
+        if metric == "nrt" and (space.s + 1) ** space.n <= len(self):
+            totals = [0]  # a_1 + ... + a_n, in the C order of the ranks
+            for _ in range(space.n):
+                totals = [t + a for t in totals for a in range(space.s + 1)]
+            ranks = _profile_ranks(space, self.basis)
+            return space.dim - max(t for t, r in zip(totals, ranks) if r < self.k)
+        import numpy as np
+        from . import bulk
+
         hist = bulk.span_weight_histogram(space.gf, self.basis, space.n,
                                           space.s, metric)
         # the basis is independent, so w_0 = 1 counts the zero word only

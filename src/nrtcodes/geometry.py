@@ -239,14 +239,19 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     unit = q ** (s * n)
     # every scaled count and volume below is at most count * unit
     dtype = np.int64 if count * unit < 1 << 63 else object
+    eta = dist.eta_array()
     ranks, grids = [], []
     for j in range(n):
-        # distinct digit rows in value order (digits most significant first)
-        rows, inverse = np.unique(dist.eta_array()[:, j], axis=0, return_inverse=True)
+        # each point's coordinate j over q^s, by Horner's rule over its
+        # digits (most significant first): int64 while q^s < 2^63, else
+        # Python ints; its rank among the distinct values, in value order
+        keys = np.zeros(count, dtype=np.int64 if q ** s < 1 << 63 else object)
+        for i in range(s):
+            keys *= q
+            keys += eta[:, j, i]
+        nums, inverse = np.unique(keys, return_inverse=True)
         ranks.append(inverse.reshape(-1))
-        powers = q ** np.arange(s - 1, -1, -1).astype(dtype)
-        nums = rows.astype(dtype) @ powers  # over q^s
-        grids.append(np.append(nums, q ** s))  # then 1
+        grids.append(np.append(nums.astype(dtype, copy=False), q ** s))  # then 1
         # an axis not ranked yet holds at least a value and 1
         if math.prod(map(len, grids)) * 2 ** (n - 1 - j) > DISCREPANCY_CELL_BOUND:
             raise ValueError("point set too large for the exact grid sweep; "

@@ -7,28 +7,36 @@ of the prime subfield keep their residue as label, hence small integer
 constants can be used directly.
 
 All arithmetic is table lookup.  The tables are built once per field, on
-first use, and shared by equal fields.  They come from the digit vectors:
-addition and negation digitwise mod p, multiplication by folding
-a_i * (z^i b) over the digits a_i of a, where the multiples z^i b come
-from the multiply-by-z map, and inverses and traces read off those.
-Fields are limited to q <= TABLE_BOUND, which keeps each q x q table
-small.
+first use, and shared by equal fields.  The `*_lookup` tuples are the one
+table set, built in pure Python: addition and negation digitwise mod p,
+one base-p digit at a time from rotations of range(p); multiplication
+from the exp and log tables of a primitive element, found with the
+multiply-by-z map; inverses from the logs and traces from Frobenius
+powers.  The `*_table` numpy arrays for bulk work are derived from the
+lookups, on first access to one of them, so scalar work never imports
+numpy.  Fields are limited to q <= TABLE_BOUND, which keeps each q x q
+table small.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
+from operator import itemgetter
 
 TABLE_BOUND = 1 << 10
 
 DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
-# fetched together on first access; `*_table` are read-only int16 numpy
-# arrays for bulk work, `*_lookup` tuples of the same entries for scalar work
+# each set is fetched together on first access to one of its names:
+# `*_lookup` tuples for scalar work, built without numpy, and `*_table`
+# read-only int16 numpy arrays of the same entries for bulk work, derived
+# from the lookups (`coeff_table` holds the base-p digits of each label)
+_LOOKUP_NAMES = frozenset(
+    ("add_lookup", "mul_lookup", "neg_lookup", "inv_lookup", "trace_lookup"))
 _TABLE_NAMES = frozenset(
-    ("add_table", "mul_table", "neg_table", "trace_table", "coeff_table",
-     "add_lookup", "mul_lookup", "neg_lookup", "inv_lookup", "trace_lookup"))
+    ("add_table", "mul_table", "neg_table", "trace_table", "coeff_table"))
 
 
 def is_prime(m: int) -> bool:
@@ -219,57 +227,100 @@ class GF:
     # --- tables ---
 
     def __getattr__(self, name):
-        # reached only while the tables are missing, so they are fetched once
-        if name not in _TABLE_NAMES:
+        # reached only while a table set is missing, so each is fetched once
+        if name in _LOOKUP_NAMES:
+            build = _field_lookups
+        elif name in _TABLE_NAMES:
+            build = _field_arrays
+        else:
             raise AttributeError(name)
-        self.__dict__.update(_field_tables(self.p, self.e, self.modulus))
+        self.__dict__.update(build(self.p, self.e, self.modulus))
         return self.__dict__[name]
 
 
-# Equal fields share one read-only set of tables, so a program that builds
-# GF(q) afresh for each task builds its tables once.  The cache is bounded
-# because tables at q = 1024 take about 21 MB.
+# Equal fields share one read-only set of lookups, and one of arrays, so a
+# program that builds GF(q) afresh for each task builds its tables once.
+# The caches are bounded because the tables at q = 1024 take about 21 MB.
 @functools.lru_cache(maxsize=16)
-def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> dict:
-    import numpy as np
-
+def _field_lookups(p: int, e: int, modulus: tuple[int, ...]) -> dict:
     q = p ** e
-    labels = np.arange(q, dtype=np.int32)  # int32 halves the q x q temporaries
-    place = p ** np.arange(e, dtype=np.int32)
-    coeff = labels[:, None] // place % p  # (q, e), low digit first
-    add = sum((coeff[:, None, j] + coeff[None, :, j]) % p * place[j] for j in range(e))
-    # z * b: digits move up one place and z^e = -(m_0 + ... + m_(e-1) z^(e-1))
-    shifted = np.concatenate([np.zeros((q, 1), dtype=coeff.dtype), coeff[:, :-1]], axis=1)
-    times_z = (shifted - coeff[:, -1:] * np.array(modulus[:e])) % p @ place
-    z_multiples = [labels]  # z^i * b for every b
-    for _ in range(e - 1):
-        z_multiples.append(times_z[z_multiples[-1]])
-    z_digits = coeff[np.array(z_multiples)]  # (i, b, j): digit j of z^i b
-    # digit j of a*b = sum_i a_i * (digit j of z^i b) mod p
-    mul = sum(coeff @ z_digits[:, :, j] % p * place[j] for j in range(e))
-    frobenius = labels  # a -> a^p
-    for _ in range(p - 1):
-        frobenius = mul[frobenius, labels]
-    trace = np.zeros(q, dtype=labels.dtype)
+    labels = tuple(range(q))  # one int object per label, shared by all rows
+    digit = labels[:p]
+    add = tuple(digit[h:] + digit[:h] for h in range(p))
+    neg = tuple(digit[-h] for h in range(p))
+    for d in range(1, e):
+        # a label a + size h, h its new top digit, adds as a in the table
+        # so far with size (h + h') mod p on top
+        size = p ** d
+        lifted = [[itemgetter(*row)(labels[size * top:]) for row in add]
+                  for top in range(p)]
+        add = tuple(sum((lifted[(h + t) % p][a] for t in range(p)), ())
+                    for h in range(p) for a in range(size))
+        neg = tuple(labels[v + size * (-h % p)] for h in range(p) for v in neg)
+
+    def linear(images):
+        # the F_p-linear map sending label p^j to images[j], on every label
+        out = [0]
+        for image in images:
+            shift = add[image]
+            prev = out
+            for _ in range(p - 1):
+                prev = [shift[v] for v in prev]
+                out += prev
+        return out
+
+    # z * z^j = z^(j+1), and z^e = -(m_0 + ... + m_(e-1) z^(e-1))
+    top = sum(-c % p * p ** i for i, c in enumerate(modulus[:e]))
+    times_z = linear([p ** (j + 1) for j in range(e - 1)] + [top])
+    # z need not be primitive (GF(3, 2) has z^2 = -1), so try each label g,
+    # multiplying by it through its images g z^j of the basis
+    for g in range(1, q):
+        images = [g]
+        for _ in range(e - 1):
+            images.append(times_z[images[-1]])
+        times_g = linear(images)
+        exp = [1]
+        x = times_g[1]
+        while x != 1:
+            exp.append(x)
+            x = times_g[x]
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = tuple(exp + exp)
+    # row a gathers exp[log a + log b] for b = 1..q-1; itemgetter of one
+    # index returns the item itself, so q = 2 takes a slice
+    gather = itemgetter(*log[1:]) if q > 2 else (lambda seq: seq[:1])
+    mul = ((0,) * q,) + tuple((0,) + gather(exp2[log[a]:]) for a in range(1, q))
+    inv = (0,) + tuple(exp2[q - 1 - log[a]] for a in range(1, q))
+    frobenius = (0,) + tuple(exp2[p * log[a] % (q - 1)] for a in range(1, q))
+    trace = [0] * q
     conj = labels
     for _ in range(e):
-        trace = add[trace, conj]
-        conj = frobenius[conj]
-    if (trace >= p).any():
-        raise AssertionError("trace left the prime subfield")
-    # a*b = 1 has one solution b per a != 0; row 0 gives 0
-    inv = np.argmax(mul == 1, axis=1)
-    neg = -coeff % p @ place
+        trace = [add[t][c] for t, c in zip(trace, conj)]
+        conj = [frobenius[c] for c in conj]
+    return {"add_lookup": add, "mul_lookup": mul, "neg_lookup": neg,
+            "inv_lookup": inv, "trace_lookup": tuple(trace)}
 
+
+@functools.lru_cache(maxsize=16)
+def _field_arrays(p: int, e: int, modulus: tuple[int, ...]) -> dict:
+    import numpy as np
+
+    lookups = _field_lookups(p, e, modulus)
+    q = p ** e
+    coeff = (label // p ** j % p for label in range(q) for j in range(e))
     tables = {}
-    for name, tab in (("add", add), ("mul", mul), ("neg", neg), ("trace", trace),
-                      ("coeff", coeff)):
-        tables[f"{name}_table"] = tab.astype(np.int16)
-        tables[f"{name}_table"].setflags(write=False)
-    shared = labels.tolist()  # one int object per label, shared by all rows
-    for name, tab in (("add", add), ("mul", mul)):
-        tables[f"{name}_lookup"] = tuple(tuple(map(shared.__getitem__, row.tolist()))
-                                         for row in tab)
-    for name, tab in (("neg", neg), ("inv", inv), ("trace", trace)):
-        tables[f"{name}_lookup"] = tuple(tab.tolist())
+    for name, values, shape in (
+            ("add", chain.from_iterable(lookups["add_lookup"]), (q, q)),
+            ("mul", chain.from_iterable(lookups["mul_lookup"]), (q, q)),
+            ("neg", lookups["neg_lookup"], (q,)),
+            ("trace", lookups["trace_lookup"], (q,)),
+            ("coeff", coeff, (q, e))):
+        table = np.fromiter(values, dtype=np.int16, count=math.prod(shape))
+        table = table.reshape(shape)
+        table.setflags(write=False)
+        tables[f"{name}_table"] = table
     return tables

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random codes, and the slow oracles
 that the fast paths of the package are checked against."""
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +61,55 @@ def schoolbook_mul(gf, a, b):
         for i, m in enumerate(modulus):
             prod[top - e + i] = (prod[top - e + i] - c * m) % p
     return gf.from_coeffs(prod[:e])
+
+
+# The numpy builder of the field tables that the package used before its
+# lookups were built in pure Python: the oracle of `gf._field_lookups` and
+# `gf._field_arrays`, entry by entry.
+@functools.lru_cache(maxsize=16)
+def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> dict:
+    import numpy as np
+
+    q = p ** e
+    labels = np.arange(q, dtype=np.int32)  # int32 halves the q x q temporaries
+    place = p ** np.arange(e, dtype=np.int32)
+    coeff = labels[:, None] // place % p  # (q, e), low digit first
+    add = sum((coeff[:, None, j] + coeff[None, :, j]) % p * place[j] for j in range(e))
+    # z * b: digits move up one place and z^e = -(m_0 + ... + m_(e-1) z^(e-1))
+    shifted = np.concatenate([np.zeros((q, 1), dtype=coeff.dtype), coeff[:, :-1]], axis=1)
+    times_z = (shifted - coeff[:, -1:] * np.array(modulus[:e])) % p @ place
+    z_multiples = [labels]  # z^i * b for every b
+    for _ in range(e - 1):
+        z_multiples.append(times_z[z_multiples[-1]])
+    z_digits = coeff[np.array(z_multiples)]  # (i, b, j): digit j of z^i b
+    # digit j of a*b = sum_i a_i * (digit j of z^i b) mod p
+    mul = sum(coeff @ z_digits[:, :, j] % p * place[j] for j in range(e))
+    frobenius = labels  # a -> a^p
+    for _ in range(p - 1):
+        frobenius = mul[frobenius, labels]
+    trace = np.zeros(q, dtype=labels.dtype)
+    conj = labels
+    for _ in range(e):
+        trace = add[trace, conj]
+        conj = frobenius[conj]
+    if (trace >= p).any():
+        raise AssertionError("trace left the prime subfield")
+    # a*b = 1 has one solution b per a != 0; row 0 gives 0
+    inv = np.argmax(mul == 1, axis=1)
+    neg = -coeff % p @ place
+
+    tables = {}
+    for name, tab in (("add", add), ("mul", mul), ("neg", neg), ("trace", trace),
+                      ("coeff", coeff)):
+        tables[f"{name}_table"] = tab.astype(np.int16)
+        tables[f"{name}_table"].setflags(write=False)
+    shared = labels.tolist()  # one int object per label, shared by all rows
+    for name, tab in (("add", add), ("mul", mul)):
+        tables[f"{name}_lookup"] = tuple(tuple(map(shared.__getitem__, row.tolist()))
+                                         for row in tab)
+    for name, tab in (("neg", neg), ("inv", inv), ("trace", trace)):
+        tables[f"{name}_lookup"] = tuple(tab.tolist())
+    return tables
 
 
 def _parse_row(q, s, token, line):

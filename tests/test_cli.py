@@ -14,7 +14,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import nrtcodes
 from nrtcodes.cli import build_parser, main
-from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
+from nrtcodes.codes import (LinearCode, corner_box_counts, read_code,
+                            weight_enumerator, write_code)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
@@ -250,6 +251,20 @@ def test_nodes_override(tmp_path, capsys):
         assert "nodes 0,1,inf" in fh.read()
 
 
+@pytest.mark.parametrize("nodes, token", [("0,x", "x"), ("0,,1", ""), ("0,3", "3"),
+                                          ("0,1.5", "1.5")])
+def test_bad_nodes_are_usage_errors(tmp_path, capsys, nodes, token):
+    argv = ["generate", "--q", "3", "--n", "2", "--s", "1", "--k", "1",
+            "--nodes", nodes, "--out", str(tmp_path / "g")]
+    message = f"node {token!r} is not a label 0..2 or inf"
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"schema": 1, "error": message}
+    assert not list(tmp_path.iterdir())
+
+
 def test_spectrum_enumerators_only_for_linear_sets(tmp_path, capsys):
     # four points whose span also has four words, but not the same ones
     pts = tmp_path / "multi.points"
@@ -313,20 +328,56 @@ def test_degree_and_block_size_below_one_are_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("g*"))
 
 
-def test_field_info_builds_no_tables():
-    # a command that needs no arithmetic starts without numpy
+def run_without_numpy(script, cwd=None):
+    """Run `script` in a fresh interpreter whose `nrtcodes.gf` refuses to
+    build the numpy field arrays, and check that it imported no numpy."""
     script = ("import sys\n"
               "from nrtcodes import cli, gf\n"
+              "assert 'numpy' not in sys.modules\n"
               "def refuse(*field):\n"
-              "    raise AssertionError('field tables built')\n"
-              "gf._field_tables = refuse\n"
-              "assert cli.main(['field-info', '--q', '16']) == 0\n"
+              "    raise AssertionError('field arrays built')\n"
+              "gf._field_arrays = refuse\n"
+              + script +
               "assert 'numpy' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
+                            cwd=cwd, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
-    assert "q = 16 = 2^4" in result.stdout
+    return result.stdout
+
+
+def test_field_info_builds_no_tables():
+    # a command that needs no arithmetic builds neither table set
+    out = run_without_numpy("def refuse_lookups(*field):\n"
+                            "    raise AssertionError('field lookups built')\n"
+                            "gf._field_lookups = refuse_lookups\n"
+                            "assert cli.main(['field-info', '--q', '16']) == 0\n")
+    assert "q = 16 = 2^4" in out
+
+
+def test_code_commands_start_without_numpy(tmp_path):
+    # codes and duals with (s+1)^n <= q^k take their weights from the
+    # profile ranks, so these commands need the scalar lookups only
+    for gf, name in ((GF(5), "prime"), (GF(2, 2), "extension")):
+        space = Space(gf, 2, 2)
+        code = LinearCode(space, [[1, 2, 0, 1], [0, 1, 1, 3]])
+        assert code.k == 2 and (space.s + 1) ** space.n <= len(code)
+        with open(tmp_path / f"{name}.code", "w") as fh:
+            write_code(fh, code)
+    commands = [[f"dual --in {name}.code",
+                 f"dual --in {name}.code --out {name}.dual",
+                 f"verify --kind mds --in {name}.code",
+                 f"peano --type code --g 2 --in {name}.code"]
+                for name in ("prime", "extension")]
+    script = "".join(f"assert cli.main({argv.split()!r}) in (0, 1)\n"
+                     for group in commands for argv in group)
+    out = run_without_numpy(script, cwd=tmp_path)
+    assert out.count("dual [4,2]") == 4 and out.count("MDS:") == 2
+    assert out.count("merged to [4,2]_4") == 2
+    for name in ("prime", "extension"):
+        with open(tmp_path / f"{name}.dual") as fh:
+            dual = read_code(fh)
+        assert dual.k == 2
 
 
 def test_removed_flags_are_usage_errors(capsys):

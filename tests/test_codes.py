@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nrtcodes import bulk
-from nrtcodes.codes import (LinearCode, ParityCheck, box_duality_ok,
+from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, ParityCheck, box_duality_ok,
                             character_sum_report, code_from_parity_check,
                             corner_box_counts, is_mds, macwilliams_n1_ok,
                             nullspace, parity_nrt_weight, rank, read_code,
@@ -237,6 +237,67 @@ def test_parity_weight_of_the_benchmark_certificate_shapes():
         assert _check_parity_weight(mds, 0) == space.dim - k + 1
         code = _planted_code(space, k, rng)
         assert _check_parity_weight(code.parity_check(), 0) <= space.dim - k
+
+
+def _blocked_nrt_weight(code):
+    """The smallest nonzero weight of the NRT histogram counted over the
+    codewords block by block."""
+    space = code.space
+    hist = np.zeros(space.dim + 1, dtype=np.int64)
+    for block in bulk._span_blocks(space.gf, code.basis, space.dim):
+        hist += np.bincount(bulk.nrt_weights(block, space.n, space.s),
+                            minlength=space.dim + 1)
+    return int(np.flatnonzero(hist[1:])[0]) + 1
+
+
+def _check_rank_route_weight(code):
+    """The weight read off the profile ranks agrees with the blocked count
+    and with the check-matrix walk."""
+    space = code.space
+    assert (space.s + 1) ** space.n <= len(code) <= ENUMERATION_BOUND
+    weight = code.min_weight("nrt")
+    assert weight == _blocked_nrt_weight(code) == parity_nrt_weight(code.parity_check())
+    return weight
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rank_route_weight_matches_enumeration_and_the_check_matrix(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, s)
+    # 0 < k < ns on the rank route, with at most 2^14 words to count
+    ks = [k for k in range(1, space.dim) if (s + 1) ** n <= q ** k <= 1 << 14]
+    assume(ks)
+    k = data.draw(st.sampled_from(ks))
+    # a planted word of row weights b with b_1 + ... + b_n <= ns - k, so
+    # the code is not MDS
+    depths = data.draw(st.lists(st.integers(0, s), min_size=n, max_size=n))
+    while sum(depths) > space.dim - k:
+        depths[depths.index(max(depths))] -= 1
+    depths[0] = max(depths[0], 1)
+    entry = st.integers(0, q - 1)
+    planted = [[data.draw(st.integers(1, q - 1)) if i == d - 1
+                else data.draw(entry) if i < d else 0 for i in range(s)]
+               for d in depths]
+    rows = data.draw(st.lists(st.lists(entry, min_size=space.dim, max_size=space.dim),
+                              min_size=k - 1, max_size=k - 1))
+    code = LinearCode(space, rows + [space.flatten(planted)])
+    assume(code.k == k)
+    assert _check_rank_route_weight(code) <= sum(depths)
+
+
+# k = 1, k = ns - 1, and (s+1)^n = q^k
+@pytest.mark.parametrize("q, n, s, k", [(8, 2, 1, 1), (9, 1, 3, 1), (3, 2, 2, 3),
+                                        (5, 2, 3, 5), (4, 2, 3, 2), (3, 2, 2, 2),
+                                        (2, 1, 3, 2)])
+def test_rank_route_weight_at_the_edges(q, n, s, k):
+    space = Space(FIELDS[q], n, s)
+    rng = random.Random(q * 1000 + n * 100 + s * 10 + k)
+    for _ in range(5):
+        assert _check_rank_route_weight(_planted_code(space, k, rng)) <= space.dim - k
+    assert _check_rank_route_weight(build_mds_code(space, k)) == space.dim - k + 1
 
 
 def test_is_mds_beyond_the_bound_walks_once(monkeypatch):

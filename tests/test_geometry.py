@@ -321,6 +321,20 @@ def test_star_discrepancy_in_int64_and_in_python_integers():
     assert star_discrepancy(Distribution(edge, words=[edge.zero()] * 2)) == 1
 
 
+def test_star_discrepancy_keys_at_the_int64_edge():
+    # a coordinate is ranked by its value times q^s, in int64 while
+    # q^s < 2^63 (3^39 < 2^63) and in Python integers above (3^40 > 2^63)
+    rng = random.Random(13)
+    sp = Space(GF(3), 2, 3)
+    for _ in range(10):
+        d = Distribution(sp, words=[sp.random_word(rng) for _ in range(rng.randrange(1, 12))])
+        expected = lattice_discrepancy(d)
+        for depth in (39, 40):
+            deep = Distribution(Space(GF(3), 2, depth), array=np.concatenate(
+                [np.zeros((len(d), 2, depth - 3), dtype=np.int16), d.array()], axis=2))
+            assert star_discrepancy(deep) == expected
+
+
 def _points_with_ranks(distinct_x, distinct_y):
     """A set over GF(2), n = 2, s = 16 whose coordinates take distinct_x
     and distinct_y values, so its grid has (distinct_x + 1)(distinct_y + 1)

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from nrtcodes.gf import GF, TABLE_BOUND, default_modulus, is_prime
 
-from _helpers import schoolbook_add, schoolbook_mul
+from _helpers import _field_tables, schoolbook_add, schoolbook_mul
 
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
                 GF(11), GF(13), GF(2, 4)]
@@ -203,3 +204,29 @@ def test_large_field_tables_match_schoolbook(p, e):
 
 def test_is_prime():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+LOOKUPS = ("add_lookup", "mul_lookup", "neg_lookup", "inv_lookup", "trace_lookup")
+TABLES = ("add_table", "mul_table", "neg_table", "trace_table", "coeff_table")
+
+
+# every field with q <= 64 (in GF(3, 2) z has order 4); three other
+# moduli, one whose root z is not primitive either (z^4 + z^3 + z^2 + z + 1
+# over F_2 divides z^5 - 1); and the largest fields
+@pytest.mark.parametrize("gf", SMALL_PRIME_POWERS + [
+    GF(2, 3, (1, 0, 1, 1)), GF(3, 2, (2, 1, 1)), GF(2, 4, (1, 1, 1, 1, 1)),
+    GF(2, 10), GF(3, 5), GF(3, 6), GF(31, 2), GF(1021)], ids=repr)
+def test_lookups_and_arrays_match_the_numpy_builder(gf):
+    oracle = _field_tables(gf.p, gf.e, gf.modulus)
+    for name in LOOKUPS:
+        assert getattr(gf, name) == oracle[name], name
+    for name in TABLES:
+        table = getattr(gf, name)
+        assert table.dtype == np.int16 and not table.flags.writeable
+        assert np.array_equal(table, oracle[name]), name
+    # the arrays hold the entries of the lookups
+    assert gf.add_table.tolist() == [list(row) for row in gf.add_lookup]
+    assert gf.mul_table.tolist() == [list(row) for row in gf.mul_lookup]
+    assert gf.neg_table.tolist() == list(gf.neg_lookup)
+    assert gf.trace_table.tolist() == list(gf.trace_lookup)
+
