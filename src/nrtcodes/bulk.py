@@ -93,29 +93,6 @@ def span_weight_histogram(gf: GF, rows, n: int, s: int,
     return hist
 
 
-def row_basis(gf: GF, arr: np.ndarray) -> np.ndarray:
-    """Echelon basis of the row space of an (N, width) label array: at
-    most width rows, each with a unit pivot that is zero in the rows after
-    it.  Each pivot is eliminated from all remaining rows at once, and
-    the rows that become zero are dropped."""
-    add_t, mul_t, neg_t = gf.add_table, gf.mul_table, gf.neg_table
-    rows = arr[arr.any(axis=1)]
-    basis = []
-    for col in range(arr.shape[1]):
-        if not len(rows):
-            break
-        hit = np.flatnonzero(rows[:, col])
-        if not hit.size:
-            continue
-        pivot = mul_t[gf.inv(int(rows[hit[0], col])), rows[hit[0]]]
-        basis.append(pivot)
-        # row - c * pivot for every row with c = row[col] != 0; the pivot
-        # row itself becomes zero
-        rows[hit] = add_t[rows[hit], mul_t[neg_t[rows[hit, col]][:, None], pivot]]
-        rows = rows[rows.any(axis=1)]
-    return np.array(basis, dtype=np.int16).reshape(len(basis), arr.shape[1])
-
-
 def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
     """NRT weight of every word in an (N, n*s) or (N, n, s) label array,
     in one pass over the digits with (N, n) row weights (int8 up to

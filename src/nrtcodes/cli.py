@@ -18,14 +18,14 @@ import sys
 from contextlib import contextmanager
 
 from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
-                    read_code, span_is_mds, write_code)
+                    own_span, read_code, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
-from .gf import GF, TABLE_BOUND, is_prime
+from .gf import GF, TABLE_BOUND
 from .poly import INF
 from .spectra import distance_spectrum, mds_spectrum, nets_exist
-from .words import (Distribution, PointFileError, Space, read_point_set,
-                    write_point_set)
+from .words import (Distribution, PointFileError, Space, exponent,
+                    read_point_set, write_point_set)
 from . import peano
 
 SCHEMA = 1
@@ -71,18 +71,12 @@ def _field_from_args(args) -> GF:
     q = args.q
     if q > TABLE_BOUND:  # refused before the prime-power search
         raise UsageError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
-    for p in range(2, q + 1):
-        if is_prime(p):
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return GF(p, e)
-            if q % p == 0:
-                break
-    raise UsageError(f"q = {q} is not a prime power")
+    # the least divisor p >= 2 of q is prime; q is a power of it or of none
+    p = next((d for d in range(2, q + 1) if q % d == 0), q)
+    e = exponent(p, q)
+    if q < 2 or p ** e != q:
+        raise UsageError(f"q = {q} is not a prime power")
+    return GF(p, e)
 
 
 def _parse_nodes(gf: GF, text: str):
@@ -240,13 +234,10 @@ def cmd_verify(args) -> int:
         delta = args.delta if args.delta is not None else 0
         report = net_report(dist, delta)
     else:
-        space = dist.space
-        k = args.k
-        if k is None:
-            k = 0
-            while space.q ** k < len(dist):
-                k += 1
-        report = optimum_report(dist, k)
+        k = args.k if args.k is not None else exponent(dist.space.q, len(dist))
+        # a file that is its own span takes the rank certificate
+        span = own_span(dist)
+        report = optimum_report(dist if span is None else span, k)
     payload = {"kind": kind, "ok": report.ok}
     lines = [f"{kind}: {report.ok}"]
     if not report.ok:
@@ -261,21 +252,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
-    from . import bulk
-
     dist = _read_points(getattr(args, "in"))
     if not len(dist):
         raise ValueError("point set is empty")
     space = dist.space
-    flat = dist.array().reshape(len(dist), -1)
-    anchor = space.zero() if (~flat.any(axis=1)).any() else dist.word(0)
+    # the enumerators describe the input only when it is its own span; the
+    # proven set carries its basis, so the routes of built sets answer
+    span = own_span(dist)
+    if span is not None:
+        dist = span
+    anchor = dist.word(0) if dist.array().any(axis=(1, 2)).all() else space.zero()
     spec = distance_spectrum(dist, anchor)
     q = space.q
-    k = 0
-    while q ** k < len(dist):
-        k += 1
+    k = exponent(q, len(dist))
     payload = {
         "params": {"q": q, "n": space.n, "s": space.s},
         "anchor": [list(r) for r in anchor],
@@ -283,15 +272,8 @@ def cmd_spectrum(args) -> int:
         "source": "bruteforce",
     }
     lines = [f"bruteforce spectrum: {spec}"]
-    # the enumerators describe the input only when it is its own span, of
-    # q^rank words: it lies in it, so iff it has q^rank distinct points
-    basis = bulk.row_basis(space.gf, flat)
-    own_span = q ** len(basis) == len(dist) == len(np.unique(flat, axis=0))
-    # more than q^(ns) points (k > ns) repeat one, so cannot be optimum; a
-    # set that is its own span is optimum iff its basis passes the rank
-    # certificate
-    if q ** k == len(dist) and k <= space.dim and (
-            span_is_mds(space, basis) if own_span else optimum_report(dist, k).ok):
+    # more than q^(ns) points (k > ns) repeat one, so cannot be optimum
+    if q ** k == len(dist) and k <= space.dim and optimum_report(dist, k).ok:
         formula = mds_spectrum(space.n, space.s, k, q)
         payload["formula"] = formula
         payload["formula_matches"] = formula == spec
@@ -300,7 +282,7 @@ def cmd_spectrum(args) -> int:
     else:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
-    if own_span:
+    if span is not None:
         # a linear set holds zero, the anchor of its spectrum
         payload["weight_enumerator"] = spec
         payload["box_enumerator"] = {
@@ -308,7 +290,7 @@ def cmd_spectrum(args) -> int:
             for a, c in sorted(corner_box_counts(dist).items())
         }
         if space.n == 1:
-            dual = LinearCode(space, basis).dual()
+            dual = LinearCode(space, dist._generator).dual()
             ok = macwilliams_n1_ok(dist, dual.distribution())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")

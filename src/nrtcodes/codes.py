@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF
-from .words import Distribution, Space
+from .words import Distribution, Space, exponent
 
 ENUMERATION_BOUND = 1 << 21
 
@@ -54,12 +54,7 @@ def nullspace(gf: GF, rows, width: int) -> list[list[int]]:
     """Canonical (RREF) basis of {x : rows . x = 0} under the plain dot
     product."""
     reduced = rref(gf, rows)
-    pivots = []
-    for row in reduced:
-        for col in range(width):
-            if row[col]:
-                pivots.append(col)
-                break
+    pivots = [row.index(1) for row in reduced]  # a row's first 1 is its pivot
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
@@ -233,6 +228,43 @@ def span_is_mds(space: Space, rows) -> bool:
         return False
     top_first = [_block_reverse(r, space.n, space.s) for r in rows]
     return not rows or not _dependent_profile(space, top_first, len(rows))
+
+
+def own_span(dist: Distribution) -> Distribution | None:
+    """The points, keeping their array, as the `Distribution.span` of an
+    RREF basis B if they are the q^r words of span(B) once each, else
+    None.  The pivot columns of B are an information set: a point lies in
+    span(B) iff it is word `key` of `bulk.span_array(B)`, key the Horner
+    value of its pivot digits, and the points are span(B) once each iff
+    moreover the keys are a permutation.  B starts from the rows
+    j * 1000003 mod N, distinct as that prime is prime to N = q^r; a
+    point outside span(B) joins B, at most r + 1 times, so the sample
+    sets the speed only."""
+    import numpy as np
+    from . import bulk
+
+    space, count = dist.space, len(dist)
+    r = exponent(space.q, count)
+    if space.q ** r != count or r > space.dim:
+        return None
+    flat = dist.array().reshape(count, space.dim)
+    sample = np.arange(min(count, 4 * r + 16)) * 1000003 % count
+    basis = rref(space.gf, flat[sample].tolist())
+    while len(basis) <= r:
+        keys = np.zeros(count, dtype=np.int64)
+        for row in reversed(basis):
+            keys *= space.q
+            keys += flat[:, row.index(1)]  # the pivot is a row's first 1
+        outside = (bulk.span_array(space.gf, basis, space.dim)[keys] != flat).any(axis=1)
+        if not outside.any():
+            # N keys below q^rank <= N are a permutation iff none is missed
+            if not np.bincount(keys, minlength=count).all():
+                return None
+            proven = Distribution.span(space, basis)
+            proven._array = dist.array()
+            return proven
+        basis = rref(space.gf, basis + [flat[outside.argmax()].tolist()])
+    return None
 
 
 def code_from_parity_check(check: "ParityCheck") -> LinearCode:

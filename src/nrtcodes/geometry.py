@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import span_is_mds
-from .words import Distribution
+from .words import Distribution, exponent
 
 DISCREPANCY_CELL_BOUND = 1 << 20
 
@@ -126,11 +126,8 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
     The net parameter s is read off from the cardinality q^s."""
     space = dist.space
     q = space.q
-    count = len(dist)
-    s_net = 0
-    while q ** s_net < count:
-        s_net += 1
-    if q ** s_net != count:
+    s_net = exponent(q, len(dist))
+    if q ** s_net != len(dist):
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
@@ -147,10 +144,10 @@ def optimum_report(dist: Distribution, k: int, depth: int | None = None) -> BoxR
     (each at most `depth`, default the stored digit depth) holds exactly
     one of the q^k points.
 
-    A set built as the span of k rows (`Distribution.span`) is first
-    decided by the rank certificate `codes.span_is_mds` on those rows,
-    when `depth` is the stored one.  Its "no", and every set read from a
-    file, goes to the box-by-box enumeration, which finds the witness."""
+    A span of k rows (`Distribution.span`, or a file `codes.own_span`
+    proved one) is first decided by the rank certificate
+    `codes.span_is_mds` on those rows, when `depth` is the stored one.
+    Its "no", and any other set, goes to the box-by-box enumeration."""
     space = dist.space
     q = space.q
     if len(dist) != q ** k:

@@ -117,6 +117,10 @@ class GF:
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
+        # before the primality test and p^e, whose costs grow with p and e
+        if p > TABLE_BOUND or e > TABLE_BOUND:
+            q = p if e == 1 else f"{p}^{e}"
+            raise FieldBoundError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:

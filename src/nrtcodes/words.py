@@ -34,6 +34,14 @@ def hamming_weight(word: Word) -> int:
     return sum(1 for row in word for v in row if v)
 
 
+def exponent(q: int, count: int) -> int:
+    """The least r >= 0 with q^r >= count."""
+    r = 0
+    while q ** r < count:
+        r += 1
+    return r
+
+
 def truncate_digits(x: Fraction, q: int, s: int) -> Fraction:
     """Projection onto Q(q^s): keep the first s base-q digits of x."""
     if not 0 <= x < 1:

@@ -241,6 +241,19 @@ def test_field_info(capsys):
         assert code == 2 and err == f"error: q = {q} exceeds the field bound 1024\n"
 
 
+def test_field_info_refuses_a_huge_p_or_e_at_once(capsys):
+    # neither a primality test of p nor p^e is computed first
+    import time
+
+    for args, q in ((["--p", "10000000000000061"], "10000000000000061"),
+                    (["--p", "2", "--e", "100000"], "2^100000")):
+        start = time.perf_counter()
+        code, out, err = run(["field-info", *args], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: q = {q} exceeds the field bound 1024\n"
+
+
 def test_nodes_override(tmp_path, capsys):
     prefix = str(tmp_path / "inf")
     code, out, _ = run(["generate", "--q", "2", "--n", "3", "--s", "1",

@@ -404,24 +404,6 @@ def test_span_array_matches_k_pass_enumeration():
             assert np.array_equal(arr, span_array_by_passes(gf, rows, width))
 
 
-def test_row_basis_spans_the_rows():
-    rng = random.Random(10)
-    for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(2, 2), 1, 4), (GF(5), 3, 1),
-                     (GF(3, 2), 2, 2)):
-        sp = Space(gf, n, s)
-        for k in range(sp.dim + 1):
-            code = random_code(sp, k, rng) if k else LinearCode.zero(sp)
-            flat = code.distribution().array().reshape(len(code), -1)
-            shifted = gf.add_table[flat, flat[rng.randrange(len(flat))]]
-            sample = flat[[rng.randrange(len(flat)) for _ in range(5)]]
-            for arr in (flat, flat[::-1], shifted, sample):
-                basis = bulk.row_basis(gf, arr)
-                assert basis.shape[1] == sp.dim and len(basis) <= sp.dim
-                assert LinearCode(sp, basis) == LinearCode(sp, arr.tolist())
-                assert len(basis) == len(LinearCode(sp, basis).basis)
-    assert bulk.row_basis(GF(2), np.zeros((0, 3), dtype=np.int16)).shape == (0, 3)
-
-
 def test_box_duality():
     sp = Space(GF(3), 2, 2)
     code = build_mds_code(sp, 2)
