@@ -290,8 +290,9 @@ def cmd_spectrum(args) -> int:
             for a, c in sorted(corner_box_counts(dist).items())
         }
         if space.n == 1:
+            # a span, not `distribution()`: the enumerator needs no words
             dual = LinearCode(space, dist._generator).dual()
-            ok = macwilliams_n1_ok(dist, dual.distribution())
+            ok = macwilliams_n1_ok(dist, Distribution.span(space, dual.basis))
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)
@@ -351,8 +352,8 @@ def cmd_peano(args) -> int:
 
 def cmd_basechange(args) -> int:
     dist = _read_points(getattr(args, "in"))
-    rep = peano.distribution_base_change_weights(dist)
     reduced = dist.to_base_p()
+    rep = peano.distribution_base_change_weights(dist, reduced)
     if args.out:
         with _output(args.out) as fh:
             write_point_set(fh, reduced)

@@ -124,7 +124,7 @@ class LinearCode:
         """(q^k, n*s) label array of every codeword (coefficient colex)."""
         from . import bulk
 
-        if len(self) > ENUMERATION_BOUND:
+        if self.space.q ** self.k > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
         return bulk.span_array(self.space.gf, self.basis, self.space.dim)
 
@@ -135,7 +135,7 @@ class LinearCode:
     def distribution(self) -> Distribution:
         """The codewords as a point set, in `words_array` order, with the
         basis as its generator (see `Distribution.span`)."""
-        if len(self) > ENUMERATION_BOUND:
+        if self.space.q ** self.k > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
         return Distribution.span(self.space, self.basis)
 
@@ -165,14 +165,14 @@ class LinearCode:
             raise ValueError("zero code has no nonzero word")
         if self.k == self.space.dim:
             return 1
+        space, size = self.space, self.space.q ** self.k  # len() stops at 2^63
         if method == "auto":
-            method = "enumerate" if len(self) <= ENUMERATION_BOUND else "parity"
+            method = "enumerate" if size <= ENUMERATION_BOUND else "parity"
         if method == "parity":
             return parity_nrt_weight(self.parity_check())
-        if len(self) > ENUMERATION_BOUND:
+        if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        space = self.space
-        if metric == "nrt" and (space.s + 1) ** space.n <= len(self):
+        if metric == "nrt" and (space.s + 1) ** space.n <= size:
             totals = [0]  # a_1 + ... + a_n, in the C order of the ranks
             for _ in range(space.n):
                 totals = [t + a for t in totals for a in range(space.s + 1)]
@@ -310,42 +310,44 @@ def _dependent_profile(space: Space, rows, total: int) -> bool:
     node adds one column, the next of its last block or the first of a
     later block, so every profile is visited once; it reduces that column
     against the echelon rows of its ancestors' columns, and the walk ends
-    at a column that reduces to 0."""
-    s = space.s
+    at a column that reduces to 0.  It recurses only across blocks."""
+    n, s = space.n, space.s
     add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
                           space.gf.neg_lookup, space.gf.inv_lookup)
     columns = list(zip(*rows))
-    blocks = [columns[j * s:(j + 1) * s] for j in range(space.n)]
+    blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
     echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
 
-    def dependent(last: int, depth: int, left: int) -> bool:
-        # whether adding at most `left` columns to the current profile,
-        # which ends `depth` columns into block `last`, makes it dependent
-        for j in range(last, space.n):
-            i = depth if j == last else 0
-            if i == s:
-                continue
-            vec = blocks[j][i]
-            for pivot, row in echelon:
-                c = vec[pivot]
-                if c:
-                    times = mul[neg[c]]
-                    vec = [add[a][times[b]] for a, b in zip(vec, row)]
-            for pivot, v in enumerate(vec):
-                if v:
+    def dependent(first: int, left: int) -> bool:
+        # whether adding at most `left` columns of blocks first, ... makes
+        # the current profile dependent: block j's prefixes grow to the
+        # deepest, then later blocks extend them from there back up
+        for j in range(first, n):
+            depth = 0  # the columns of block j on the echelon stack
+            while depth < s:
+                vec = blocks[j][depth]
+                for pivot, row in echelon:
+                    c = vec[pivot]
+                    if c:
+                        times = mul[neg[c]]
+                        vec = [add[a][times[b]] for a, b in zip(vec, row)]
+                for pivot, v in enumerate(vec):
+                    if v:
+                        break
+                else:
+                    return True
+                if depth + 1 == left:
                     break
-            else:
-                return True
-            if left > 1:
                 scale = mul[inv[vec[pivot]]]
                 echelon.append((pivot, [scale[v] for v in vec]))
-                found = dependent(j, i + 1, left - 1)
-                echelon.pop()
-                if found:
+                depth += 1
+            for d in range(depth, 0, -1):
+                if dependent(j + 1, left - d):
                     return True
+                echelon.pop()
         return False
 
-    return dependent(0, 0, total)
+    return dependent(0, total)
 
 
 def _profile_ranks(space: Space, rows) -> list[int]:
@@ -601,7 +603,7 @@ def character_sum_report(code: LinearCode) -> CharacterReport:
     p, q = gf.p, gf.q
     if q ** space.dim > 4096:
         raise ValueError("character sums need q^(ns) <= 4096")
-    count = len(code)
+    count = q ** code.k
     arr = code.words_array()
     dual = code.dual()
     dual_keys = set(int(v) for v in bulk.encode(dual.words_array(), q))

@@ -3,9 +3,11 @@ star discrepancy.
 
 Box membership is decided purely on digits: a point lies in the box with
 side exponents A and positions M iff its leading a_j radix digits agree
-with those of m_j / q^(a_j) in every coordinate.  Verification sweeps
-enumerate side-exponent vectors A in colex order and positions M in
-mixed-radix order, so failure reports are deterministic.
+with those of m_j / q^(a_j) in every coordinate.  The net, optimum and
+full-count checks share one box count, `_box_report`: side-exponent
+vectors A in colex order, positions M in mixed-radix order, so failure
+reports are deterministic.  A span's optimum check takes the rank
+certificate `codes.span_is_mds` first.
 """
 
 from __future__ import annotations
@@ -63,28 +65,6 @@ class BoxReport:
         return self.ok
 
 
-def _box_keys(dist: Distribution, a_vec):
-    """Per point, the colex index m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)) of
-    the box of family a_vec that holds it, so the first coordinate's
-    position varies fastest."""
-    import numpy as np
-
-    q, s = dist.space.q, dist.space.s
-    if q ** sum(a_vec) > 1 << 63:
-        raise ValueError("box family too large for 64-bit box indices")
-    eta = dist.eta_array()
-    keys = np.zeros(len(dist), dtype=np.int64)
-    # Horner's rule in place, so no temporary of N keys is made
-    for j in reversed(range(len(a_vec))):
-        a = a_vec[j]
-        depth = min(a, s)
-        for i in range(depth):
-            keys *= q
-            keys += eta[:, j, i]
-        keys *= q ** (a - depth)  # digits past the stored depth are zero
-    return keys
-
-
 def _cumulative_counts(index, shape):
     """For every cell of an array of `shape`, the number of points whose
     cell (one index array per axis in `index`) is at or below it in every
@@ -98,73 +78,90 @@ def _cumulative_counts(index, shape):
     return counts
 
 
-def _family_report(dist: Distribution, families) -> BoxReport:
-    """Check, family by family, that every box of each (a_vec, per_box)
-    family holds exactly `per_box` points; the witness is the first
-    failing box, in colex order, of the first failing family.  Needs
-    q^sum(a_vec) <= len(dist), so the counts fit in memory."""
+def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
+    """Check that every elementary box whose side exponents sum to `total`,
+    each at most `bound`, holds len(dist) / q^total points; the witness is
+    the first failing box, in key order, of the first failing family in
+    `bounded_compositions` order, the order of the walk: it fixes the last
+    coordinate's exponent outermost.  A point's key in family a is
+    m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)); one more unit of a_j takes the
+    key times q plus the next digit column of coordinate j (zero past the
+    stored digits).  The walk loops down a coordinate and recurses only
+    across coordinates, so it holds at most n key arrays.  Each family is
+    one bincount of q^total <= len(dist) cells."""
     import numpy as np
 
-    q = dist.space.q
-    for a_vec, per_box in families:
-        counts = np.bincount(_box_keys(dist, a_vec), minlength=q ** sum(a_vec))
-        bad = np.flatnonzero(counts != per_box)
-        if bad.size:
-            key = int(bad[0])
-            m_vec = []
-            for a in a_vec:
-                key, m = divmod(key, q ** a)
-                m_vec.append(m)
-            return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)),
-                             int(counts[bad[0]]), per_box)
-    return BoxReport(True)
+    q, n, s = dist.space.q, dist.space.n, dist.space.s
+    if q ** total > 1 << 63:
+        raise ValueError("box family too large for 64-bit box indices")
+    eta = dist.eta_array()
+    per_box = len(dist) // q ** total
+    a_vec = [0] * n
+
+    def walk(j: int, keys, left: int) -> BoxReport:
+        # the families with a_vec[j + 1:] fixed and sum(a_vec[:j + 1]) =
+        # left; `keys` are the points' keys over coordinates j + 1, ...
+        keys = keys.copy()
+        for a in range(min(left, bound) + 1):
+            if a:
+                keys *= q
+                if a <= s:
+                    keys += eta[:, j, a - 1]
+            a_vec[j] = a
+            if j and left - a <= j * bound:
+                report = walk(j - 1, keys, left - a)
+                if not report:
+                    return report
+            elif not j and a == left:
+                counts = np.bincount(keys, minlength=q ** total)
+                bad = np.flatnonzero(counts != per_box)
+                if bad.size:
+                    m_vec = np.unravel_index(bad[0], [q ** a_j for a_j in reversed(a_vec)])
+                    return BoxReport(False, ElementaryBox(
+                        tuple(a_vec), tuple(int(m) for m in reversed(m_vec))),
+                        int(counts[bad[0]]), per_box)
+        return BoxReport(True)
+
+    return walk(n - 1, np.zeros(len(dist), dtype=np.int64), total)
 
 
 def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
     The net parameter s is read off from the cardinality q^s."""
-    space = dist.space
-    q = space.q
+    q = dist.space.q
     s_net = exponent(q, len(dist))
     if q ** s_net != len(dist):
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
-    families = bounded_compositions(s_net - delta, space.n, s_net - delta)
-    return _family_report(dist, ((a_vec, q ** delta) for a_vec in families))
+    return _box_report(dist, s_net - delta, s_net - delta)
 
 
 def is_net(dist: Distribution, delta: int) -> bool:
     return net_report(dist, delta).ok
 
 
-def optimum_report(dist: Distribution, k: int, depth: int | None = None) -> BoxReport:
+def optimum_report(dist: Distribution, k: int) -> BoxReport:
     """Check that every elementary box with side exponents summing to k
-    (each at most `depth`, default the stored digit depth) holds exactly
-    one of the q^k points.
-
-    A span of k rows (`Distribution.span`, or a file `codes.own_span`
-    proved one) is first decided by the rank certificate
-    `codes.span_is_mds` on those rows, when `depth` is the stored one.
-    Its "no", and any other set, goes to the box-by-box enumeration."""
+    holds exactly one of the q^k points; at a coarser digit depth d, check
+    `dist.project(d)`.  A span of k rows (`Distribution.span`, or a file
+    `codes.own_span` proved one) is first decided by the rank certificate
+    `codes.span_is_mds` on those rows.  Its "no", and any other set, goes
+    to the box count `_box_report`."""
     space = dist.space
-    q = space.q
-    if len(dist) != q ** k:
+    if len(dist) != space.q ** k:
         raise ValueError("not q^k points")
-    depth = space.s if depth is None else depth
-    if not 0 <= k <= space.n * depth:
+    if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
     rows = dist._generator
-    if (rows is not None and len(rows) == k and depth == space.s
-            and span_is_mds(space, rows)):
+    if rows is not None and len(rows) == k and span_is_mds(space, rows):
         return BoxReport(True)
-    families = bounded_compositions(k, space.n, depth)
-    return _family_report(dist, ((a_vec, 1) for a_vec in families))
+    return _box_report(dist, k, space.s)
 
 
-def is_optimum(dist: Distribution, k: int, depth: int | None = None) -> bool:
-    return optimum_report(dist, k, depth).ok
+def is_optimum(dist: Distribution, k: int) -> bool:
+    return optimum_report(dist, k).ok
 
 
 def check_counts(dist: Distribution, k: int) -> BoxReport:
@@ -176,13 +173,13 @@ def check_counts(dist: Distribution, k: int) -> BoxReport:
     a_j <= s) lies inside a box with sum exactly k, which holds one
     point, so the at-most-one families cannot fail once these pass."""
     space = dist.space
-    q = space.q
-    if len(dist) != q ** k:
+    if len(dist) != space.q ** k:
         raise ValueError("not q^k points")
-    return _family_report(dist, (
-        (a_vec, q ** (k - total))
-        for total in range(min(k, space.n * space.s) + 1)
-        for a_vec in bounded_compositions(total, space.n, space.s)))
+    for total in range(min(k, space.dim) + 1):
+        report = _box_report(dist, total, space.s)
+        if not report:
+            return report
+    return BoxReport(True)
 
 
 def net_from_optimum(dist: Distribution, k: int) -> tuple[int, int, int]:

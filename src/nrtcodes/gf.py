@@ -118,7 +118,7 @@ class GF:
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         # before the primality test and p^e, whose costs grow with p and e
-        if p > TABLE_BOUND or e > TABLE_BOUND:
+        if p > TABLE_BOUND or e > TABLE_BOUND or e * math.log10(max(p, 1)) > 20:
             q = p if e == 1 else f"{p}^{e}"
             raise FieldBoundError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
         if not is_prime(p):

@@ -204,12 +204,12 @@ def _min_weights(dist: Distribution) -> tuple[int, int]:
     return int(rho[nz].min()), int(kap[nz].min())
 
 
-def distribution_base_change_weights(dist: Distribution) -> BaseChangeWeights:
-    """Weights of a linear distribution in base q = p^e and re-expressed in
-    base p, with the expansion bounds ready to check."""
+def distribution_base_change_weights(dist: Distribution, reduced=None) -> BaseChangeWeights:
+    """Weights of a linear distribution in base q = p^e and in base p, the
+    latter of `reduced` = `dist.to_base_p()` unless given, bounds ready."""
     space = dist.space
     rho_q, kap_q = _min_weights(dist)
-    rho_p, kap_p = _min_weights(dist.to_base_p())
+    rho_p, kap_p = _min_weights(dist.to_base_p() if reduced is None else reduced)
     return BaseChangeWeights(rho_q, rho_p, kap_q, kap_p, space.gf.e, space.n)
 
 

@@ -301,6 +301,34 @@ def box_count(dist, box):
                if box_contains(box, w, space.q, space.s))
 
 
+def family_report(dist, families):
+    """Box counts family by family, the oracle of `geometry._box_report`:
+    for each (a_vec, per_box) in turn, every point's key
+    m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)) from scratch by Horner's rule
+    (digits past the stored depth are 0) and one bincount; the witness is
+    the first box, in key order, of the first family whose count is not
+    per_box."""
+    from nrtcodes.geometry import BoxReport, ElementaryBox
+
+    q, s = dist.space.q, dist.space.s
+    eta = dist.eta_array()
+    for a_vec, per_box in families:
+        keys = np.zeros(len(dist), dtype=np.int64)
+        for j in reversed(range(len(a_vec))):
+            for i in range(a_vec[j]):
+                keys = keys * q + (eta[:, j, i] if i < s else 0)
+        counts = np.bincount(keys, minlength=q ** sum(a_vec))
+        bad = np.flatnonzero(counts != per_box)
+        if bad.size:
+            key, m_vec = int(bad[0]), []
+            for a in a_vec:
+                key, m = divmod(key, q ** a)
+                m_vec.append(m)
+            return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(m_vec)),
+                             int(counts[bad[0]]), per_box)
+    return BoxReport(True)
+
+
 def same_multiset(dist, other):
     """Whether two distributions hold the same points with multiplicity."""
     if dist.space != other.space or len(dist) != len(other):

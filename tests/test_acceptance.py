@@ -15,8 +15,7 @@ from nrtcodes import bulk
 from nrtcodes.codes import (LinearCode, character_sum_report,
                             macwilliams_n1_ok, parity_nrt_weight)
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
-from nrtcodes.geometry import (_family_report, base_reduce_net,
-                               bounded_compositions, is_net, optimum_report,
+from nrtcodes.geometry import (_box_report, base_reduce_net, is_net, optimum_report,
                                star_discrepancy)
 from nrtcodes.gf import GF
 from nrtcodes.peano import (build_composite, distribution_base_change_weights,
@@ -166,8 +165,8 @@ def test_criterion_08_box_regularity_iff_dual_weight():
             dual = code.dual()
             dual_w = dual.min_weight("nrt") if dual.k else space.dim + 1
             for delta in range(d + 1):
-                families = bounded_compositions(d - delta, n, s)
-                regular = _family_report(dist, ((a, 2 ** delta) for a in families)).ok
+                # every box of volume 2^(delta - d) holds 2^delta points
+                regular = _box_report(dist, d - delta, s).ok
                 assert regular == (dual_w >= d - delta + 1), (code.basis, delta)
                 cases += 1
             # net characterization at dimension s

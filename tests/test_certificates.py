@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from nrtcodes import bulk, codes, geometry
 from nrtcodes.codes import LinearCode, ParityCheck, is_mds, span_is_mds
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
-from nrtcodes.geometry import _family_report, bounded_compositions, optimum_report
+from nrtcodes.geometry import _box_report, bounded_compositions, optimum_report
 from nrtcodes.gf import GF
 from nrtcodes.peano import build_composite, merge_distribution
 from nrtcodes.words import Distribution, Space
 
-from _helpers import random_code
+from _helpers import family_report, random_code
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2)}
@@ -43,7 +43,7 @@ def enumerated(space, rows):
     k = len(rows)
     arr = bulk.span_array(space.gf, rows, space.dim)
     dist = Distribution(space, array=arr.reshape(len(arr), space.n, space.s))
-    return _family_report(dist, ((a, 1) for a in bounded_compositions(k, space.n, space.s)))
+    return _box_report(dist, k, space.s)
 
 
 def assert_three_agree(space, rows):
@@ -125,13 +125,15 @@ def test_sets_of_dependent_rows_are_not_optimum():
 
 
 def test_other_depths_count_boxes():
-    # deeper families than the stored digits are not the certificate's
+    # the check at a coarser digit depth is that of the projection, which
+    # keeps no generator and so counts boxes
     space = Space(FIELDS[4], 3, 2)
     dist = build_optimum_distribution(space, 3)
-    for depth in (1, 2, 3):
-        report = optimum_report(dist, 3, depth=depth)
-        assert report == optimum_report(plain_copy(dist), 3, depth=depth)
-        assert report.ok == (depth <= space.s)
+    for depth in (1, 2):
+        report = optimum_report(dist.project(depth), 3)
+        assert report == optimum_report(plain_copy(dist).project(depth), 3)
+        assert report.ok and report == family_report(
+            dist.project(depth), [(a, 1) for a in bounded_compositions(3, 3, depth)])
 
 
 def test_arrays_of_built_sets_refuse_assignment():
@@ -208,14 +210,13 @@ def test_built_sets_are_decided_without_enumeration(monkeypatch):
         return call
 
     monkeypatch.setattr(bulk, "span_array", refuse("span_array"))
-    monkeypatch.setattr(geometry, "_family_report", refuse("_family_report"))
+    monkeypatch.setattr(geometry, "_box_report", refuse("_box_report"))
     for code, dist, k in cases:
         assert is_mds(code)
         if dist is not None:
             assert optimum_report(dist, k).ok
-            assert optimum_report(dist, k, depth=dist.space.s).ok
     assert reached == []
-    with pytest.raises(AssertionError, match="_family_report reached"):
+    with pytest.raises(AssertionError, match="_box_report reached"):
         optimum_report(plain, cases[0][2])
 
 

@@ -208,6 +208,55 @@ def test_basechange_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_basechange_converts_to_base_p_once(tmp_path, capsys, monkeypatch):
+    prefix = str(tmp_path / "f4")
+    run(["generate", "--p", "2", "--e", "2", "--n", "2", "--s", "2",
+         "--k", "2", "--out", prefix], capsys)
+    args = ["basechange", "--in", f"{prefix}.points", "--out", str(tmp_path / "b.points")]
+    code, before, _ = run(args, capsys)
+    written = (tmp_path / "b.points").read_bytes()
+    calls = []
+    to_base_p = Distribution.to_base_p
+    monkeypatch.setattr(Distribution, "to_base_p",
+                        lambda self: calls.append(1) or to_base_p(self))
+    assert run(args, capsys) == (code, before, "")
+    assert calls == [1] and (tmp_path / "b.points").read_bytes() == written
+
+
+def test_code_commands_above_2_to_the_63_codewords(tmp_path, capsys):
+    # the dual of a [20,2] code over F_32 has 32^18 = 2^90 codewords,
+    # beyond what len() can return; the size is compared as q^k instead
+    prefix, dual = str(tmp_path / "b32"), str(tmp_path / "d.code")
+    assert run(["generate", "--q", "32", "--n", "5", "--s", "4", "--k", "2",
+                "--out", prefix], capsys)[0] == 0
+    assert run(["dual", "--in", f"{prefix}.code", "--out", dual], capsys) == (
+        0, "code [20,2] weight 19\ndual [20,18] weight 3\n", "")
+    assert run(["verify", "--kind", "mds", "--in", dual], capsys) == (
+        0, "MDS: True (weight 3, bound 3)\n", "")
+    code, out, err = run(["peano", "--type", "code", "--g", "5", "--in", dual], capsys)
+    assert code == 0 and err == "" and "NRT weight 3 -> 3\n" in out
+
+
+def test_spectrum_of_a_set_whose_n1_dual_passes_2_to_the_63(tmp_path, capsys):
+    # the zero word and the word with only its top digit set: a [70,1]
+    # span whose dual has 2^69 words, read from its profile ranks
+    pts = tmp_path / "two.points"
+    pts.write_text("2 1 70 2\n" + "0" * 70 + "\n1" + "0" * 69 + "\n")
+    code, out, err = run(["spectrum", "--in", str(pts)], capsys)
+    assert code == 0 and err == ""
+    assert out.endswith("n=1 MacWilliams identity: True\n")
+
+
+def test_verify_mds_of_a_deep_code_walks_without_recursing_per_column(tmp_path, capsys):
+    # q = 2, n = 1, s = 1200, k = 100: the check matrix has 1100 rows, and
+    # its profile walk goes 1100 columns down one block
+    rows = ["0 " * r + "1" + " 0" * (1199 - r) for r in range(100)]
+    deep = tmp_path / "deep.code"
+    deep.write_text("2 1 1200 100\n" + "\n".join(rows) + "\n")
+    assert run(["verify", "--kind", "mds", "--in", str(deep)], capsys) == (
+        0, "MDS: True (weight 1101, bound 1101)\n", "")
+
+
 def test_generate_composite(tmp_path, capsys):
     prefix = str(tmp_path / "comp")
     code, out, _ = run(["generate", "--q", "3", "--n", "2", "--s", "1",
@@ -252,6 +301,16 @@ def test_field_info_refuses_a_huge_p_or_e_at_once(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == f"error: q = {q} exceeds the field bound 1024\n"
+
+
+def test_field_info_names_a_long_q_as_a_power(capsys):
+    # 1021^1024 has 3083 digits: the line names it p^e and never forms it
+    code, out, err = run(["field-info", "--p", "1021", "--e", "1024"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: q = 1021^1024 exceeds the field bound 1024\n"
+    # a q of at most 20 digits is still written out
+    code, _, err = run(["field-info", "--p", "2", "--e", "64"], capsys)
+    assert code == 2 and err == f"error: q = {2 ** 64} exceeds the field bound 1024\n"
 
 
 def test_nodes_override(tmp_path, capsys):

@@ -10,8 +10,8 @@ from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, ParityCheck, box_dual
                             character_sum_report, code_from_parity_check,
                             corner_box_counts, is_mds, macwilliams_n1_ok,
                             nullspace, parity_nrt_weight, rank, read_code,
-                            rref, weight_enum_identity_n1, weight_enumerator,
-                            write_code)
+                            rref, span_is_mds, weight_enum_identity_n1,
+                            weight_enumerator, write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
@@ -323,6 +323,16 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
             assert (weight == space.dim - k + 1) is want
 
 
+def test_profile_walks_of_a_thousand_columns_stay_shallow():
+    # one block of 1200 columns: the walk loops down it rather than
+    # recursing once per column
+    space = Space(GF(2), 1, 1200)
+    # unit rows at the 1100 top digits, stored least significant first
+    rows = [[int(c == 1199 - r) for c in range(1200)] for r in range(1100)]
+    assert span_is_mds(space, rows)
+    assert not span_is_mds(space, rows[:-2] + [rows[0], rows[-1]])
+
+
 def test_nrt_weights_match_the_per_word_weight():
     rng = np.random.default_rng(7)
     for q, n, s in ((2, 1, 1), (3, 4, 1), (5, 3, 4), (4, 2, 127), (2, 2, 128), (3, 1, 200)):
@@ -482,7 +492,7 @@ def test_v0_subspace_duality():
 
 def test_prop_41_small():
     # box regularity of a linear distribution matches the dual weight bound
-    from nrtcodes.geometry import bounded_compositions, _family_report
+    from nrtcodes.geometry import _box_report
 
     sp = Space(GF(2), 2, 2)
     for code in all_subspaces(sp):
@@ -491,8 +501,8 @@ def test_prop_41_small():
         dual = code.dual()
         dual_weight = dual.min_weight("nrt") if dual.k else sp.dim + 1
         for delta in range(d + 1):
-            families = bounded_compositions(d - delta, sp.n, sp.s)
-            regular = _family_report(dist, ((a, 2 ** delta) for a in families)).ok
+            # every box of volume 2^(delta - d) holds 2^delta points
+            regular = _box_report(dist, d - delta, sp.s).ok
             assert regular == (dual_weight >= d - delta + 1), (code.basis, delta)
 
 

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrtcodes.construct import build_optimum_distribution
-from nrtcodes.geometry import (ElementaryBox, base_reduce_net,
+from nrtcodes.geometry import (ElementaryBox, _box_report, base_reduce_net,
                                bounded_compositions, check_counts, is_net,
                                is_optimum, net_from_optimum, net_report, optimum_report, star_discrepancy)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (box_contains, box_count, lattice_discrepancy, min_distance,
-                      same_multiset)
+from _helpers import (box_contains, box_count, family_report, lattice_discrepancy,
+                      min_distance, same_multiset)
 
 
 def frac_points(sp, pts):
@@ -153,6 +154,58 @@ def test_witness_is_first_failing_box_of_the_oracle():
     assert checked == 36
 
 
+FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
+          9: GF(3, 2)}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_box_report_matches_the_per_family_recount(data):
+    # the one walk against the family-by-family oracle, in witness, count
+    # and expected count, for every check that calls it
+    q = data.draw(st.sampled_from(sorted(FIELDS)))
+    n = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, s)
+    k = data.draw(st.integers(1, max(k for k in range(1, space.dim + 1)
+                                     if q ** k <= 1024 or k == 1)))
+    digit = st.integers(0, q - 1)
+    word = st.lists(digit, min_size=space.dim, max_size=space.dim)
+    kind = data.draw(st.sampled_from(["span", "shift", "moved", "doubled", "multiset"]))
+    if kind == "multiset":
+        # q^k words drawn from a small pool, so boxes overfill and empty
+        pool = data.draw(st.lists(word, min_size=1, max_size=8))
+        pick = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                  min_size=q ** k, max_size=q ** k))
+        arr = np.array([pool[i] for i in pick]).reshape(q ** k, n, s)
+    else:
+        # an optimum set (built for n <= q + 1), or the span of any rows
+        if n <= q + 1 and data.draw(st.booleans()):
+            arr = build_optimum_distribution(space, k).array().copy()
+        else:
+            rows = data.draw(st.lists(word, min_size=k, max_size=k))
+            arr = Distribution.span(space, rows).array().copy()
+        if kind == "shift":
+            shift = np.array(data.draw(word)).reshape(n, s)
+            arr = space.gf.add_table[arr, shift[None]]
+        elif kind == "moved":
+            i, j = data.draw(st.lists(st.integers(0, len(arr) - 1), min_size=2, max_size=2))
+            arr[i] = arr[j]
+        elif kind == "doubled":
+            # the first q^(k-1) words, a sub-span, each taken q times
+            arr = np.repeat(arr[:q ** (k - 1)], q, axis=0)
+    dist = Distribution(space, array=arr)
+    assert _box_report(dist, k, s) == family_report(
+        dist, [(a, 1) for a in bounded_compositions(k, n, s)])
+    for delta in range(k + 1):
+        side = k - delta  # sides above s read zero digits
+        assert _box_report(dist, side, side) == family_report(
+            dist, [(a, q ** delta) for a in bounded_compositions(side, n, side)])
+    for total in range(min(k, space.dim) + 1):
+        assert _box_report(dist, total, s) == family_report(
+            dist, [(a, q ** (k - total)) for a in bounded_compositions(total, n, s)])
+
+
 def test_net_from_optimum():
     sp = Space(GF(3), 2, 2)
     d2 = build_optimum_distribution(sp, 2)
@@ -235,7 +288,7 @@ def test_projection_stability():
             deep_words.append(tuple(
                 (rng.randrange(2), rng.randrange(2)) + row for row in w))
         extended = Distribution(deep, words=deep_words)
-        assert is_optimum(extended, k, depth=2) == is_optimum(base, k)
+        assert is_optimum(extended.project(2), k) == is_optimum(base, k)
         assert same_multiset(extended.project(2), base)
 
 

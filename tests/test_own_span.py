@@ -121,9 +121,9 @@ def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     def refuse(*args):
-        raise AssertionError("_family_report reached")
+        raise AssertionError("_box_report reached")
 
-    monkeypatch.setattr(geometry, "_family_report", refuse)
+    monkeypatch.setattr(geometry, "_box_report", refuse)
     assert main(["spectrum", "--in", f"{prefix}.points"]) == 0
     out = capsys.readouterr().out
     assert "formula matches: True" in out
