@@ -1,6 +1,7 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
-the reversed inner product, minimum weights, parity-check matrices, box and
-weight enumerators, and character-sum verification.
+the reversed inner product, minimum weights, check matrices (the codes
+their rows span), box and weight enumerators, and character-sum
+verification.
 
 Codes are stored as RREF bases over the flattened n*s coordinates (row
 major), which makes canonical comparisons and double duals bit-exact.
@@ -51,8 +52,9 @@ def rank(gf: GF, rows) -> int:
 
 
 def nullspace(gf: GF, rows, width: int) -> list[list[int]]:
-    """Canonical (RREF) basis of {x : rows . x = 0} under the plain dot
-    product."""
+    """A basis of {x : rows . x = 0} under the plain dot product: one row
+    per free column of rref(rows), 1 there and 0 at the other free
+    columns, so independent but not reduced (`LinearCode` reduces it)."""
     reduced = rref(gf, rows)
     pivots = [row.index(1) for row in reduced]  # a row's first 1 is its pivot
     free = [c for c in range(width) if c not in pivots]
@@ -63,7 +65,7 @@ def nullspace(gf: GF, rows, width: int) -> list[list[int]]:
         for prow, pcol in zip(reduced, pivots):
             vec[pcol] = gf.neg(prow[fc])
         basis.append(vec)
-    return rref(gf, basis)
+    return basis
 
 
 def _block_reverse(flat, n: int, s: int):
@@ -79,11 +81,10 @@ class LinearCode:
 
     def __init__(self, space: Space, basis_rows):
         self.space = space
-        rows = rref(space.gf, [[int(v) for v in r] for r in basis_rows])
-        for r in rows:
-            if len(r) != space.dim:
-                raise ValueError("basis row length mismatch")
-        self.basis = tuple(tuple(r) for r in rows)
+        rows = [[int(v) for v in r] for r in basis_rows]
+        if any(len(r) != space.dim for r in rows):
+            raise ValueError("basis row length mismatch")
+        self.basis = tuple(tuple(r) for r in rref(space.gf, rows))
 
     @classmethod
     def from_words(cls, space: Space, words) -> "LinearCode":
@@ -193,13 +194,13 @@ class LinearCode:
         rows = [_block_reverse(r, space.n, space.s) for r in plain_null]
         return LinearCode(space, rows)
 
-    def parity_check(self) -> "ParityCheck":
-        """Check matrix H with C = {w : sum_j H_j row_j(w)^T = 0}."""
+    def parity_check(self) -> "LinearCode":
+        """The code H whose basis rows, as the block row (H_1, ..., H_n) of
+        k' x s matrices, cut out C = {w : sum_j H_j row_j(w)^T = 0}: the
+        complement of C under the plain dot product, so that
+        C = H.parity_check()."""
         space = self.space
-        rows = nullspace(space.gf, self.basis, space.dim)
-        if not rows:
-            raise ValueError("whole space has an empty check matrix")
-        return ParityCheck(space, rows)
+        return LinearCode(space, nullspace(space.gf, self.basis, space.dim))
 
 
 def is_mds(code: LinearCode) -> bool:
@@ -265,40 +266,6 @@ def own_span(dist: Distribution) -> Distribution | None:
             return proven
         basis = rref(space.gf, basis + [flat[outside.argmax()].tolist()])
     return None
-
-
-def code_from_parity_check(check: "ParityCheck") -> LinearCode:
-    space = check.space
-    return LinearCode(space, nullspace(space.gf, check.rows, space.dim))
-
-
-class ParityCheck:
-    """Block row (H_1, ..., H_n) of k' x s matrices over F_q, of rank k',
-    cutting out the code of words w with sum_j H_j row_j(w)^T = 0."""
-
-    def __init__(self, space: Space, rows):
-        self.space = space
-        self.rows = tuple(tuple(r) for r in rows)
-        if not self.rows:
-            raise ValueError("need rank >= 1")
-        if any(len(r) != space.dim for r in self.rows):
-            raise ValueError("check row length mismatch")
-        # rows in echelon form, as `nullspace` returns them, are
-        # independent; any other input pays one reduction
-        if not _is_echelon(self.rows) and rank(space.gf, self.rows) != len(self.rows):
-            raise ValueError("check rows are dependent")
-
-
-def _is_echelon(rows) -> bool:
-    """Whether every row is nonzero and its first nonzero entry lies
-    strictly right of that of the row before it."""
-    last = -1
-    for row in rows:
-        lead = next((col for col, v in enumerate(row) if v), None)
-        if lead is None or lead <= last:
-            return False
-        last = lead
-    return True
 
 
 def _dependent_profile(space: Space, rows, total: int) -> bool:
@@ -444,26 +411,29 @@ def span_nrt_histogram(space: Space, rows):
     return hist
 
 
-def parity_nrt_weight(check: ParityCheck) -> int:
-    """NRT weight of the code of `check`: the smallest total
-    d_1 + ... + d_n over prefix profiles (0 <= d_j <= s) whose columns,
-    the first d_j of each block H_j, are linearly dependent.
+def parity_nrt_weight(check: LinearCode) -> int:
+    """NRT weight of the code that the basis rows H of `check` cut out
+    (`LinearCode.parity_check`): the smallest total d_1 + ... + d_n over
+    prefix profiles (0 <= d_j <= s) whose columns, the first d_j of each
+    block H_j, are linearly dependent.
 
     A dependent profile of total t extends to one of total t + 1, and any
     k' + 1 columns are dependent (the Singleton bound).  So total
-    k' = rank(H) is checked first: if every profile of it is independent,
+    k' = check.k is checked first: if every profile of it is independent,
     the weight is k' + 1, the MDS case.  Otherwise a binary search over
     [1, k'] finds the smallest dependent total, one `_dependent_profile`
     walk per step."""
-    rank_h = len(check.rows)
-    if rank_h >= check.space.dim:
+    space, rows, rank_h = check.space, check.basis, check.k
+    if rank_h == 0:
+        raise ValueError("need a check matrix of rank >= 1")
+    if rank_h == space.dim:
         raise ValueError("zero code has no nonzero word")
-    if not _dependent_profile(check.space, check.rows, rank_h):
+    if not _dependent_profile(space, rows, rank_h):
         return rank_h + 1
     low, high = 1, rank_h  # some profile of total `high` is dependent
     while low < high:
         mid = (low + high) // 2
-        if _dependent_profile(check.space, check.rows, mid):
+        if _dependent_profile(space, rows, mid):
             high = mid
         else:
             low = mid + 1
@@ -476,9 +446,9 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
     i.e. the coefficient table of the box enumerator phi(D).  There are
     (s+1)^n of them, at most ENUMERATION_BOUND.  A set built as a span
-    (`Distribution.span`) with no more boxes than points reads them from
-    the ranks of its generator (`span_corner_counts`), without its
-    array; any other set counts its points."""
+    (`Distribution.span`) with no more boxes than its q^k points reads
+    them from the ranks of its k generator rows (`span_corner_counts`),
+    without its array; any other set counts its points."""
     import numpy as np
     from itertools import product
 
@@ -489,8 +459,9 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     if (s + 1) ** n > ENUMERATION_BOUND:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
-    if dist._generator is not None and (s + 1) ** n <= len(dist):
-        counts = span_corner_counts(space, dist._generator).ravel().tolist()
+    rows = dist._generator
+    if rows is not None and (s + 1) ** n <= space.q ** len(rows):
+        counts = span_corner_counts(space, rows).ravel().tolist()
         return dict(zip(product(range(s + 1), repeat=n), counts))
     rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)
     # points with row weights <= b lie in the corner box with a_j = s - b_j
@@ -651,9 +622,8 @@ def write_code(stream, code: LinearCode, comments=()) -> None:
         stream.write(space.gf.describe() + "\n")
     stream.write(f"{space.q} {space.n} {space.s} {code.k}\n")
     for row in code.basis:
-        word = space.unflatten(row)
-        labels = [str(v) for r in word for v in space.eta_row(r)]
-        stream.write(" ".join(labels) + "\n")
+        labels = _block_reverse(row, space.n, space.s)
+        stream.write(" ".join(map(str, labels)) + "\n")
 
 
 def read_code(stream) -> LinearCode:
@@ -677,8 +647,7 @@ def read_code(stream) -> LinearCode:
             raise PointFileError("labels must be integers", lineno) from None
         if any(not 0 <= v < space.q for v in vals):
             raise PointFileError("label out of range", lineno)
-        word = tuple(tuple(reversed(vals[j * s:(j + 1) * s])) for j in range(n))
-        rows.append(space.flatten(word))
+        rows.append(_block_reverse(vals, n, s))
     code = LinearCode(space, rows)
     if code.k != k:
         raise PointFileError("basis rows are linearly dependent", lineno)

@@ -146,16 +146,17 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     """Check that every elementary box with side exponents summing to k
     holds exactly one of the q^k points; at a coarser digit depth d, check
     `dist.project(d)`.  A span of k rows (`Distribution.span`, or a file
-    `codes.own_span` proved one) is first decided by the rank certificate
-    `codes.span_is_mds` on those rows.  Its "no", and any other set, goes
-    to the box count `_box_report`."""
-    space = dist.space
-    if len(dist) != space.q ** k:
+    `codes.own_span` proved one) holds q^len(rows) points, however many,
+    and is first decided by the rank certificate `codes.span_is_mds` on
+    those rows.  Its "no", and any other set, goes to the box count
+    `_box_report`."""
+    space, rows = dist.space, dist._generator
+    count = space.q ** len(rows) if rows is not None else len(dist)
+    if count != space.q ** k:
         raise ValueError("not q^k points")
     if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
-    rows = dist._generator
-    if rows is not None and len(rows) == k and span_is_mds(space, rows):
+    if rows is not None and span_is_mds(space, rows):
         return BoxReport(True)
     return _box_report(dist, k, space.s)
 

@@ -172,10 +172,6 @@ class Space:
             raise ValueError("point dimension mismatch")
         return tuple(self.row_from_coordinate(Fraction(x)) for x in point)
 
-    def eta_row(self, row) -> tuple[int, ...]:
-        """Digits in radix order, most significant first."""
-        return tuple(reversed(row))
-
     # --- base p^e -> base p digit re-expression (value preserving) ---
 
     def base_p_space(self) -> "Space":

@@ -226,7 +226,7 @@ def parity_weight_by_composition(check):
             cols = []
             for j, d in enumerate(d_vec):
                 for i in range(d):
-                    cols.append(tuple(row[j * s + i] for row in check.rows))
+                    cols.append(tuple(row[j * s + i] for row in check.basis))
             if rank(gf, cols) < len(cols):
                 return total
     raise ValueError("zero code has no nonzero word")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes import bulk, codes, geometry
-from nrtcodes.codes import LinearCode, ParityCheck, is_mds, span_is_mds
+from nrtcodes.codes import LinearCode, is_mds, span_is_mds
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import _box_report, bounded_compositions, optimum_report
 from nrtcodes.gf import GF
@@ -165,16 +165,21 @@ def test_merge_distribution_keeps_the_generator():
     assert optimum_report(plain_copy(build.dist), 4).ok
 
 
-def test_dependent_check_rows_still_raise():
-    space = Space(GF(3), 2, 2)
-    for rows in ([[0, 1, 2, 0], [0, 2, 1, 0]],   # dependent, not echelon
-                 [[1, 0, 1, 1], [1, 0, 1, 1]],   # equal leading columns
-                 [[0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 0]],
-                 [[1, 1, 0, 0], [0, 0, 0, 0]]):  # a zero row
-        with pytest.raises(ValueError, match="check rows are dependent"):
-            ParityCheck(space, rows)
-    # independent rows out of echelon order are still accepted
-    ParityCheck(space, [[0, 0, 1, 0], [1, 0, 0, 0]])
+def test_spans_beyond_int64_are_decided_from_their_rows():
+    # 2^65 points: len() of such a set overflows, its 65 rows do not
+    space = Space(GF(2), 1, 70)
+    top = Distribution.span(space, [[int(c == 69 - r) for c in range(70)]
+                                    for r in range(65)])
+    assert optimum_report(top, 65).ok
+    # the span is the words whose 5 low digits are 0
+    counts = codes.corner_box_counts(top)
+    assert counts == {(a,): 2 ** max(65 - a, 0) for a in range(71)}
+    assert all(type(c) is int for c in counts.values())
+    low = Distribution.span(space, [[int(c == r) for c in range(70)]
+                                    for r in range(65)])
+    with pytest.raises(ValueError, match="too large for 64-bit box indices"):
+        optimum_report(low, 65)
+    assert low._array is None  # refused before the points were built
 
 
 def test_echelon_check_rows_skip_the_reduction(monkeypatch):
@@ -186,8 +191,6 @@ def test_echelon_check_rows_skip_the_reduction(monkeypatch):
     check = code.parity_check()
     assert calls == []
     assert codes.parity_nrt_weight(check) == space.dim - 4 + 1
-    ParityCheck(space, [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
-    assert calls == [1]
 
 
 def test_built_sets_are_decided_without_enumeration(monkeypatch):

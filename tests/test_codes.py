@@ -1,17 +1,18 @@
 import io
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nrtcodes import bulk
-from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, ParityCheck, box_duality_ok,
-                            character_sum_report, code_from_parity_check,
-                            corner_box_counts, is_mds, macwilliams_n1_ok,
-                            nullspace, parity_nrt_weight, rank, read_code,
-                            rref, span_is_mds, weight_enum_identity_n1,
-                            weight_enumerator, write_code)
+from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, box_duality_ok,
+                            character_sum_report, corner_box_counts, is_mds,
+                            macwilliams_n1_ok, nullspace, parity_nrt_weight,
+                            rank, read_code, rref, span_is_mds,
+                            weight_enum_identity_n1, weight_enumerator,
+                            write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
@@ -121,15 +122,20 @@ def test_parity_check_roundtrip():
         for _ in range(15):
             code = random_code(sp, rng.randrange(1, sp.dim), rng)
             check = code.parity_check()
-            assert code_from_parity_check(check) == code
+            assert check.parity_check() == code
 
 
 def test_parity_weight_examples():
     gf = GF(2)
     sp = Space(gf, 2, 2)
     # first column of the first block is zero: weight 1
-    check = ParityCheck(sp, [[0, 1, 0, 1], [0, 0, 1, 1]])
+    check = LinearCode(sp, [[0, 1, 0, 1], [0, 0, 1, 1]])
     assert parity_nrt_weight(check) == 1
+    # the whole space has an empty check matrix, which the walk refuses
+    empty = LinearCode.whole_space(sp).parity_check()
+    assert empty == LinearCode.zero(sp)
+    with pytest.raises(ValueError, match="rank >= 1"):
+        parity_nrt_weight(empty)
     # the worked MDS code has weight 3 through its check matrix too
     sp3 = Space(GF(3), 2, 2)
     code = build_mds_code(sp3, 2)
@@ -149,18 +155,22 @@ def test_parity_weight_matches_bruteforce():
             code.min_weight("nrt", method="enumerate")
 
 
-def _check_parity_weight(check, enumerate_up_to=1 << 12):
-    """The tree walk agrees with the per-composition oracle, and with
-    enumeration when the code has at most `enumerate_up_to` words."""
+def _check_parity_weight(check, enumerate_up_to=1 << 12, rows=None):
+    """The tree walk agrees with the per-composition oracle, run on `rows`
+    (default the check's basis; any rows that span it have the same
+    dependent column sets), and with enumeration when the code has at
+    most `enumerate_up_to` words."""
     space = check.space
-    if len(check.rows) == space.dim:  # the zero code
-        for search in (parity_nrt_weight, parity_weight_by_composition):
+    oracle_check = check if rows is None else SimpleNamespace(space=space, basis=rows)
+    if check.k == space.dim:  # the zero code
+        for search, arg in ((parity_nrt_weight, check),
+                            (parity_weight_by_composition, oracle_check)):
             with pytest.raises(ValueError, match="zero code"):
-                search(check)
+                search(arg)
         return None
     weight = parity_nrt_weight(check)
-    assert weight == parity_weight_by_composition(check)
-    code = code_from_parity_check(check)
+    assert weight == parity_weight_by_composition(oracle_check)
+    code = check.parity_check()
     if len(code) <= enumerate_up_to:
         assert weight == code.min_weight("nrt", method="enumerate")
     return weight
@@ -180,10 +190,11 @@ def test_parity_weight_matches_the_oracle_and_enumeration(data):
     rows = data.draw(st.lists(st.lists(entry, min_size=space.dim, max_size=space.dim),
                               min_size=rank_h, max_size=rank_h))
     zero = data.draw(st.sets(st.integers(0, space.dim - 1), max_size=3))
-    rows = rref(space.gf, [[0 if c in zero else v for c, v in enumerate(row)]
-                           for row in rows])
-    if rows:
-        _check_parity_weight(ParityCheck(space, rows))
+    # as drawn: possibly dependent, with zero rows, out of echelon order
+    rows = [[0 if c in zero else v for c, v in enumerate(row)] for row in rows]
+    check = LinearCode(space, rows)
+    if check.k:
+        _check_parity_weight(check, rows=rows)
 
 
 def test_parity_weight_edge_shapes():
@@ -196,14 +207,14 @@ def test_parity_weight_edge_shapes():
             check = random_code(space, k, rng).parity_check()
             seen.add(_check_parity_weight(check) == space.dim - k + 1)
             # a zero first column in the last block is a word of weight 1
-            rows = [list(r) for r in check.rows]
+            rows = [list(r) for r in check.basis]
             for row in rows:
                 row[(n - 1) * s] = 0
-            rows = rref(space.gf, rows)
-            if rows and len(rows) < space.dim:
-                assert _check_parity_weight(ParityCheck(space, rows)) == 1
+            check = LinearCode(space, rows)
+            if 0 < check.k < space.dim:
+                assert _check_parity_weight(check) == 1
         # a full-rank square H cuts out the zero code, which both searches refuse
-        _check_parity_weight(ParityCheck(space, LinearCode.whole_space(space).basis))
+        _check_parity_weight(LinearCode.whole_space(space))
     assert seen == {True, False}  # both MDS and non-MDS codes came up
 
 
@@ -331,6 +342,13 @@ def test_profile_walks_of_a_thousand_columns_stay_shallow():
     rows = [[int(c == 1199 - r) for c in range(1200)] for r in range(1100)]
     assert span_is_mds(space, rows)
     assert not span_is_mds(space, rows[:-2] + [rows[0], rows[-1]])
+
+
+def test_short_rows_are_refused_before_the_reduction():
+    sp = Space(GF(2), 2, 2)
+    for rows in ([[0, 0, 0, 1], [1, 0]], [[1, 0, 0, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="basis row length mismatch"):
+            LinearCode(sp, rows)
 
 
 def test_nrt_weights_match_the_per_word_weight():

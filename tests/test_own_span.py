@@ -136,7 +136,7 @@ def test_a_moved_copy_keeps_its_witness(tmp_path, capsys):
     assert main(["generate", "--q", "4", "--n", "4", "--s", "2", "--k", "4",
                  "--out", prefix]) == 0
     capsys.readouterr()
-    lines = open(f"{prefix}.points").read().split("\n")
+    lines = (tmp_path / "g.points").read_text().split("\n")
     header = lines.index("4 4 2 256")
     point = lines[header + 10].split()  # the tenth point, one digit moved
     point[0] = ("1" if point[0][0] != "1" else "2") + point[0][1:]
