@@ -185,11 +185,6 @@ def _generate_composite(args, gf) -> int:
     nodes = _parse_nodes(gf, args.nodes) if args.nodes else default_nodes(gf, g * n)
     build = peano.build_composite(gf, g, n, s, t, nodes=nodes)
     out = args.out or "out"
-    comments = [f"nodes {_nodes_text(nodes)}", f"merged g={g} t={t}"]
-    with _output(f"{out}.points") as fh:
-        write_point_set(fh, build.dist, comments=comments)
-    with _output(f"{out}.code") as fh:
-        write_code(fh, build.code, comments=comments)
     k = s * t
     dual = build.code.dual()
     weights = {
@@ -203,6 +198,12 @@ def _generate_composite(args, gf) -> int:
                  and weights["dual_nrt"] == k * g + 1
                  and weights["dual_hamming"] >= t * g + 1)
     opt = optimum_report(build.dist, g * k).ok
+    # written only once every check has an answer, so a refusal leaves no file
+    comments = [f"nodes {_nodes_text(nodes)}", f"merged g={g} t={t}"]
+    with _output(f"{out}.points") as fh:
+        write_point_set(fh, build.dist, comments=comments)
+    with _output(f"{out}.code") as fh:
+        write_code(fh, build.code, comments=comments)
     payload = {
         "q": gf.q, "n": n, "s": s, "g": g, "t": t, "k": g * k,
         "field": gf.describe(), "nodes": _nodes_text(nodes),

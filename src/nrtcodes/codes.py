@@ -152,9 +152,9 @@ class LinearCode:
         and for the Hamming weight, it is the first nonzero entry after
         w_0 of the weight histogram counted over the codewords in blocks
         (`bulk.span_weight_histogram`).  Beyond the enumeration bound the
-        NRT weight comes from the check matrix: `parity_nrt_weight` walks
-        the tree of prefix profiles at total k' = rank(H) first, then
-        binary-searches [1, k'] for the smallest dependent total.
+        NRT weight comes from the check matrix H: `parity_nrt_weight`
+        walks the tree of its prefix profiles once for the least
+        dependent total, and the Hamming weight is refused.
         """
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
@@ -168,7 +168,8 @@ class LinearCode:
             return 1
         space, size = self.space, self.space.q ** self.k  # len() stops at 2^63
         if method == "auto":
-            method = "enumerate" if size <= ENUMERATION_BOUND else "parity"
+            method = ("parity" if metric == "nrt" and size > ENUMERATION_BOUND
+                      else "enumerate")
         if method == "parity":
             return parity_nrt_weight(self.parity_check())
         if size > ENUMERATION_BOUND:
@@ -221,14 +222,16 @@ def span_is_mds(space: Space, rows) -> bool:
     (Niederreiter's linear-independence criterion).  Reversing each
     block puts the top digits first, so these minors are the prefix
     profiles of total k, and one `_dependent_profile` walk decides them
-    all.  No minor exists for k > ns, and k = 0 is trivially optimum."""
+    all, ending at the first dependent one (`enough` = k).  No minor
+    exists for k > ns, and k = 0 is trivially optimum."""
     rows = [[int(v) for v in r] for r in rows]
     if any(len(r) != space.dim for r in rows):
         raise ValueError("row length mismatch")
     if len(rows) > space.dim:
         return False
+    k = len(rows)
     top_first = [_block_reverse(r, space.n, space.s) for r in rows]
-    return not rows or not _dependent_profile(space, top_first, len(rows))
+    return not rows or _dependent_profile(space, top_first, k, k) > k
 
 
 def own_span(dist: Distribution) -> Distribution | None:
@@ -268,28 +271,34 @@ def own_span(dist: Distribution) -> Distribution | None:
     return None
 
 
-def _dependent_profile(space: Space, rows, total: int) -> bool:
-    """Whether some prefix profile (d_1, ..., d_n), 0 <= d_j <= s, of total
-    1 <= d_1 + ... + d_n <= `total` has linearly dependent columns, the
-    first d_j of each block of the flat `rows`.  The rows are a check
-    matrix H for `parity_nrt_weight`, and a block-reversed generator for
-    `span_is_mds`.  The walk goes depth first through the profile tree: a
-    node adds one column, the next of its last block or the first of a
-    later block, so every profile is visited once; it reduces that column
-    against the echelon rows of its ancestors' columns, and the walk ends
-    at a column that reduces to 0.  It recurses only across blocks."""
+def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
+    """The least total d_1 + ... + d_n <= `total` of a prefix profile
+    (0 <= d_j <= s) whose columns, the first d_j of each block of the
+    flat `rows`, are linearly dependent, else `total` + 1; the walk ends
+    early at a dependent total <= `enough`.  The rows are a check matrix
+    H for `parity_nrt_weight`, and a block-reversed generator for
+    `span_is_mds`.  The walk goes depth first through the profile tree,
+    recursing only across blocks: a node adds one column, the next of its
+    last block or the first of a later block, and reduces it against the
+    echelon rows of its ancestors' columns.  A column that reduces to 0
+    sets the best total; only profiles below it are visited after."""
     n, s = space.n, space.s
     add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
                           space.gf.neg_lookup, space.gf.inv_lookup)
     columns = list(zip(*rows))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
     echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
+    best = total + 1
 
-    def dependent(first: int, left: int) -> bool:
-        # whether adding at most `left` columns of blocks first, ... makes
-        # the current profile dependent: block j's prefixes grow to the
+    def walk(first: int) -> None:
+        # extend the current profile, independent and on the echelon stack,
+        # in blocks first, first + 1, ...: block j's prefixes grow to the
         # deepest, then later blocks extend them from there back up
+        nonlocal best
+        base = len(echelon)
         for j in range(first, n):
+            if best <= base + 1 or best <= enough:
+                return  # no profile left here is below `best`, or it is enough
             depth = 0  # the columns of block j on the echelon stack
             while depth < s:
                 vec = blocks[j][depth]
@@ -302,19 +311,20 @@ def _dependent_profile(space: Space, rows, total: int) -> bool:
                     if v:
                         break
                 else:
-                    return True
-                if depth + 1 == left:
+                    best = base + depth + 1
+                    break
+                if base + depth + 2 == best:  # no extension is below it
                     break
                 scale = mul[inv[vec[pivot]]]
                 echelon.append((pivot, [scale[v] for v in vec]))
                 depth += 1
-            for d in range(depth, 0, -1):
-                if dependent(j + 1, left - d):
-                    return True
+            while depth and best > enough:
+                walk(j + 1)
                 echelon.pop()
-        return False
+                depth -= 1
 
-    return dependent(0, total)
+    walk(0)
+    return best
 
 
 def _profile_ranks(space: Space, rows) -> list[int]:
@@ -415,29 +425,15 @@ def parity_nrt_weight(check: LinearCode) -> int:
     """NRT weight of the code that the basis rows H of `check` cut out
     (`LinearCode.parity_check`): the smallest total d_1 + ... + d_n over
     prefix profiles (0 <= d_j <= s) whose columns, the first d_j of each
-    block H_j, are linearly dependent.
-
-    A dependent profile of total t extends to one of total t + 1, and any
-    k' + 1 columns are dependent (the Singleton bound).  So total
-    k' = check.k is checked first: if every profile of it is independent,
-    the weight is k' + 1, the MDS case.  Otherwise a binary search over
-    [1, k'] finds the smallest dependent total, one `_dependent_profile`
-    walk per step."""
-    space, rows, rank_h = check.space, check.basis, check.k
+    block H_j, are linearly dependent.  As any check.k + 1 columns are
+    dependent (the Singleton bound), one `_dependent_profile` walk up to
+    total check.k finds it, or answers check.k + 1: the MDS case."""
+    space, rank_h = check.space, check.k
     if rank_h == 0:
         raise ValueError("need a check matrix of rank >= 1")
     if rank_h == space.dim:
         raise ValueError("zero code has no nonzero word")
-    if not _dependent_profile(space, rows, rank_h):
-        return rank_h + 1
-    low, high = 1, rank_h  # some profile of total `high` is dependent
-    while low < high:
-        mid = (low + high) // 2
-        if _dependent_profile(space, rows, mid):
-            high = mid
-        else:
-            low = mid + 1
-    return high
+    return _dependent_profile(space, check.basis, rank_h, 0)
 
 
 # --- enumerators and duality identities ---

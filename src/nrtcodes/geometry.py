@@ -92,8 +92,8 @@ def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
     import numpy as np
 
     q, n, s = dist.space.q, dist.space.n, dist.space.s
-    if q ** total > 1 << 63:
-        raise ValueError("box family too large for 64-bit box indices")
+    if dist.size() >= 1 << 63 or q ** total > 1 << 63:
+        raise ValueError("point set or box family too large for 64-bit box indices")
     eta = dist.eta_array()
     per_box = len(dist) // q ** total
     a_vec = [0] * n
@@ -129,9 +129,9 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
     The net parameter s is read off from the cardinality q^s."""
-    q = dist.space.q
-    s_net = exponent(q, len(dist))
-    if q ** s_net != len(dist):
+    q, count = dist.space.q, dist.size()
+    s_net = exponent(q, count)
+    if q ** s_net != count:
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
@@ -151,8 +151,7 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     those rows.  Its "no", and any other set, goes to the box count
     `_box_report`."""
     space, rows = dist.space, dist._generator
-    count = space.q ** len(rows) if rows is not None else len(dist)
-    if count != space.q ** k:
+    if dist.size() != space.q ** k:
         raise ValueError("not q^k points")
     if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
@@ -174,7 +173,7 @@ def check_counts(dist: Distribution, k: int) -> BoxReport:
     a_j <= s) lies inside a box with sum exactly k, which holds one
     point, so the at-most-one families cannot fail once these pass."""
     space = dist.space
-    if len(dist) != space.q ** k:
+    if dist.size() != space.q ** k:
         raise ValueError("not q^k points")
     for total in range(min(k, space.dim) + 1):
         report = _box_report(dist, total, space.s)

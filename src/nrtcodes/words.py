@@ -231,10 +231,13 @@ class Distribution:
     def from_points(cls, space: Space, points) -> "Distribution":
         return cls(space, words=[space.point_to_word(p) for p in points])
 
-    def __len__(self):
-        if self._array is None:
+    def size(self) -> int:
+        """The number of points, q^len(rows) for a span (len() stops at 2^63)."""
+        if self._generator is not None:
             return self.space.q ** len(self._generator)
         return self._array.shape[0]
+
+    __len__ = size
 
     def __iter__(self):
         return iter(self.words())

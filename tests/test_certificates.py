@@ -165,8 +165,13 @@ def test_merge_distribution_keeps_the_generator():
     assert optimum_report(plain_copy(build.dist), 4).ok
 
 
-def test_spans_beyond_int64_are_decided_from_their_rows():
-    # 2^65 points: len() of such a set overflows, its 65 rows do not
+def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
+    # 2^65 points: len() of such a set overflows, its 65 rows do not;
+    # every answer and refusal comes before the points would be built
+    def unbuilt(self):
+        raise AssertionError("the points were built")
+
+    monkeypatch.setattr(Distribution, "array", unbuilt)
     space = Space(GF(2), 1, 70)
     top = Distribution.span(space, [[int(c == 69 - r) for c in range(70)]
                                     for r in range(65)])
@@ -177,9 +182,10 @@ def test_spans_beyond_int64_are_decided_from_their_rows():
     assert all(type(c) is int for c in counts.values())
     low = Distribution.span(space, [[int(c == r) for c in range(70)]
                                     for r in range(65)])
-    with pytest.raises(ValueError, match="too large for 64-bit box indices"):
-        optimum_report(low, 65)
-    assert low._array is None  # refused before the points were built
+    for check, args in ((optimum_report, (low, 65)), (geometry.check_counts, (top, 65)),
+                        (geometry.net_report, (top, 0)), (geometry.is_net, (top, 0))):
+        with pytest.raises(ValueError, match="too large for 64-bit box indices"):
+            check(*args)
 
 
 def test_echelon_check_rows_skip_the_reduction(monkeypatch):

@@ -279,6 +279,17 @@ def test_generate_composite(tmp_path, capsys):
     assert code == 2 and "g*n - 1" in err
 
 
+def test_generate_composite_refuses_a_dual_too_large_to_count(tmp_path, capsys):
+    # the [18, 12] dual over F_5 has 5^12 words: its Hamming weight is
+    # refused, not answered with the NRT weight, before any file is written
+    prefix = str(tmp_path / "comp")
+    code, out, err = run(["generate", "--q", "5", "--n", "3", "--s", "3", "--g", "2",
+                          "--t", "1", "--out", prefix, "--format", "json"], capsys)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"schema": 1, "error": "code too large to enumerate"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_field_info(capsys):
     code, out, _ = run(["field-info", "--q", "4"], capsys)
     assert code == 0

@@ -78,6 +78,16 @@ def test_min_weight_validates_its_arguments_at_every_size(k):
         assert code.min_weight("nrt", "parity") == 1
 
 
+def test_hamming_weight_beyond_the_bound_is_refused():
+    # 2^22 words: the NRT weight comes from the check matrix, the Hamming
+    # weight (1, a unit word of the low digits) has no such route
+    code = build_mds_code(Space(GF(2), 1, 30), 22)
+    for method in ("auto", "enumerate"):
+        with pytest.raises(ValueError, match="too large to enumerate"):
+            code.min_weight("hamming", method)
+    assert code.min_weight("nrt") == 9
+
+
 def test_singleton_bound():
     rng = random.Random(1)
     for gf, n, s in ((GF(2), 2, 2), (GF(3), 2, 2), (GF(2, 2), 1, 3)):
@@ -317,9 +327,9 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
     walks = []
     walk = codes._dependent_profile
 
-    def counted(space, rows, total):
+    def counted(space, rows, total, enough):
         walks.append(total)
-        return walk(space, rows, total)
+        return walk(space, rows, total, enough)
 
     monkeypatch.setattr(codes, "_dependent_profile", counted)
     rng = random.Random(7)
@@ -330,8 +340,37 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
             walks.clear()
             assert is_mds(code) is want
             assert walks == [k]  # one walk over the generator, at total k
-            weight = parity_weight_by_composition(code.parity_check())
+            check = code.parity_check()
+            weight = parity_weight_by_composition(check)
             assert (weight == space.dim - k + 1) is want
+            # and the weight is one walk over the check matrix, at total k'
+            walks.clear()
+            assert parity_nrt_weight(check) == weight
+            assert walks == [check.k]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_dependent_profile_answers_the_least_dependent_total(data):
+    from nrtcodes.codes import _dependent_profile
+
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    space = Space(FIELDS[q], data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    # raw rows: dependent, zero or out of echelon order, as they come
+    word = st.lists(st.integers(0, q - 1), min_size=space.dim, max_size=space.dim)
+    rows = data.draw(st.lists(word, min_size=1, max_size=space.dim))
+    total = data.draw(st.integers(0, space.dim))
+    enough = data.draw(st.integers(0, total + 1))
+    try:
+        least = parity_weight_by_composition(SimpleNamespace(space=space, basis=rows))
+    except ValueError:  # every prefix profile is independent
+        least = space.dim + 1
+    least = min(least, total + 1)
+    found = _dependent_profile(space, rows, total, enough)
+    if least > enough:
+        assert found == least
+    else:  # the walk may end at any dependent total up to `enough`
+        assert least <= found <= enough
 
 
 def test_profile_walks_of_a_thousand_columns_stay_shallow():
