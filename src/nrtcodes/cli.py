@@ -352,6 +352,8 @@ def cmd_peano(args) -> int:
 
 
 def cmd_basechange(args) -> int:
+    """Least weights of the file's nonzero points in base q and base p; they
+    are the minimum distances only when the file is linear."""
     dist = _read_points(getattr(args, "in"))
     reduced = dist.to_base_p()
     rep = peano.distribution_base_change_weights(dist, reduced)

@@ -104,9 +104,12 @@ def merge_distribution(dist: Distribution, g: int) -> Distribution:
     small = merged_space(dist.space, g)
     # row-major reshape concatenates each g consecutive rows, matching
     # merge_rows; so the flat generator rows stay those of the merged set
-    if dist._generator is not None:
-        return Distribution.span(small, dist._generator)
-    return Distribution(small, array=dist.array().reshape(len(dist), small.n, small.s))
+    if dist._generator is None:
+        return Distribution(small, array=dist.array().reshape(len(dist), small.n, small.s))
+    merged = Distribution.span(small, dist._generator)
+    if dist._array is not None:  # a proven file keeps its point order
+        merged._array = dist._array.reshape(len(dist), small.n, small.s)
+    return merged
 
 
 def block_reverse_code(code: LinearCode, g: int) -> LinearCode:
@@ -189,7 +192,7 @@ def word_base_change_weights(space: Space, word: Word) -> BaseChangeWeights:
 
 
 def _min_weights(dist: Distribution) -> tuple[int, int]:
-    """Minimum nonzero NRT and Hamming weight over a linear distribution."""
+    """Least NRT and Hamming weight of the nonzero points of a point set."""
     from . import bulk
 
     if not len(dist):
@@ -205,8 +208,8 @@ def _min_weights(dist: Distribution) -> tuple[int, int]:
 
 
 def distribution_base_change_weights(dist: Distribution, reduced=None) -> BaseChangeWeights:
-    """Weights of a linear distribution in base q = p^e and in base p, the
-    latter of `reduced` = `dist.to_base_p()` unless given, bounds ready."""
+    """Least weights of the nonzero points in base q = p^e and in base p (of
+    `reduced`, default `dist.to_base_p()`): minimum distances if linear."""
     space = dist.space
     rho_q, kap_q = _min_weights(dist)
     rho_p, kap_p = _min_weights(dist.to_base_p() if reduced is None else reduced)

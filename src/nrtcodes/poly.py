@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 
+from .codes import rref
 from .gf import GF
 
 
@@ -43,14 +44,6 @@ def poly_add(gf: GF, f, g):
     longer = f if len(f) > len(g) else g
     out.extend(longer[len(out):])
     return normalize(out)
-
-
-def poly_neg(gf: GF, f):
-    return [gf.neg(a) for a in f]
-
-
-def poly_sub(gf: GF, f, g):
-    return poly_add(gf, f, poly_neg(gf, g))
 
 
 def poly_scale(gf: GF, f, c: int):
@@ -85,28 +78,6 @@ def poly_divmod(gf: GF, f, g):
             rem[shift + i] = gf.sub(rem[shift + i], gf.mul(c, b))
         normalize(rem)
     return normalize(quot), rem
-
-
-def poly_mod(gf: GF, f, g):
-    return poly_divmod(gf, f, g)[1]
-
-
-def poly_xgcd(gf: GF, f, g):
-    """Extended Euclid: returns (d, u, v) with u*f + v*g = d, d monic."""
-    r0, r1 = list(f), list(g)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = poly_divmod(gf, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(gf, u0, poly_mul(gf, q, u1))
-        v0, v1 = v1, poly_sub(gf, v0, poly_mul(gf, q, v1))
-    if r0:
-        c = gf.inv(r0[-1])
-        r0 = poly_scale(gf, r0, c)
-        u0 = poly_scale(gf, u0, c)
-        v0 = poly_scale(gf, v0, c)
-    return r0, u0, v0
 
 
 def binom_mod(m: int, j: int, p: int) -> int:
@@ -184,16 +155,6 @@ def from_taylor(gf: GF, values, beta: int):
     return out
 
 
-def _crt_pair(gf, f, mod_f, r, mod_r):
-    # find h = f + mod_f * u with h = r (mod mod_r)
-    d, u, _ = poly_xgcd(gf, mod_f, mod_r)
-    if degree(d) != 0:
-        raise ValueError("moduli are not coprime")
-    delta = poly_mod(gf, poly_sub(gf, r, f), mod_r)
-    corr = poly_mod(gf, poly_mul(gf, delta, u), mod_r)
-    return poly_add(gf, f, poly_mul(gf, mod_f, corr))
-
-
 def hermite_interpolate(gf: GF, nodes, mults, targets):
     """Unique f of degree < t with prescribed hyperderivative values.
 
@@ -201,48 +162,38 @@ def hermite_interpolate(gf: GF, nodes, mults, targets):
     mults: per-node multiplicities t_i, sum t.
     targets: per node i, the t_i values d^j f(node_i) for j = 0..t_i-1.
 
-    Solved by chained CRT in F_q[z] on the moduli (z - beta_i)^(t_i); an
-    INF node is peeled off first by fixing the top coefficients.
+    One t x t linear solve in the coefficients of f: the row of d^j f(beta)
+    holds C(m, j) beta^(m-j) at z^m (0 for m < j), that of d^j f(INF) a 1
+    at z^(t-1-j); distinct nodes make `codes.rref` of [rows | targets] end
+    in [I | f].
     """
-    if not (len(nodes) == len(mults) == len(targets)):
+    if len(nodes) != len(mults) or [len(tg) for tg in targets] != list(mults):
         raise ValueError("inconsistent dimensions")
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be positive")
-    for i, tg in enumerate(targets):
-        if len(tg) != mults[i]:
-            raise ValueError("inconsistent dimensions")
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate nodes")
+    for beta, values in zip(nodes, targets):
+        for label in values if beta == INF else [beta, *values]:
+            gf.check(label)
     t = sum(mults)
 
-    if INF in nodes:
-        idx = nodes.index(INF)
-        t_inf = mults[idx]
-        top = [0] * t
-        for j, v in enumerate(targets[idx]):
-            top[t - 1 - j] = v
-        top = normalize(top)
-        rest_nodes = [b for i, b in enumerate(nodes) if i != idx]
-        rest_mults = [m for i, m in enumerate(mults) if i != idx]
-        rest_targets = [
-            [gf.sub(v, hyper_eval(gf, top, b, j))
-             for j, v in enumerate(targets[i])]
-            for i, b in enumerate(nodes) if i != idx
-        ]
-        g = hermite_interpolate(gf, rest_nodes, rest_mults, rest_targets)
-        f = poly_add(gf, g, top)
-    else:
-        f: list[int] = []
-        modulus = [1]
-        for beta, t_i, values in zip(nodes, mults, targets):
-            r_i = from_taylor(gf, values, beta)
-            m_i = linear_factor_power(gf, beta, t_i)
-            f = _crt_pair(gf, f, modulus, r_i, m_i)
-            modulus = poly_mul(gf, modulus, m_i)
+    rows = []
+    for beta, values in zip(nodes, targets):
+        for j, v in enumerate(values):
+            if beta == INF:
+                row = [int(m == t - 1 - j) for m in range(t)]
+            else:
+                row = [0] * j + [gf.mul(binom_mod(m, j, gf.p), gf.pow(beta, m - j))
+                                 for m in range(j, t)]
+            rows.append(row + [v])
+    reduced = rref(gf, rows)
+    # t rows in RREF are [I | f] iff each pivot sits on the diagonal
+    if len(reduced) != t or any(row[i] != 1 for i, row in enumerate(reduced)):
+        raise AssertionError("interpolation system is singular")
+    f = normalize([row[t] for row in reduced])
 
-    if degree(f) >= t:
-        raise AssertionError("interpolant degree out of range")
-    for beta, t_i, values in zip(nodes, mults, targets):
+    for beta, values in zip(nodes, targets):
         for j, v in enumerate(values):
             if hyper_eval(gf, f, beta, j, ambient=t) != v:
                 raise AssertionError("interpolation constraints not met")

@@ -210,7 +210,8 @@ class Distribution:
 
     @classmethod
     def span(cls, space: Space, rows) -> "Distribution":
-        """The q^k combinations of k flat rows, in `bulk.span_array` order.
+        """The q^k combinations of k flat rows, in `bulk.span_array` order
+        unless `codes.own_span` kept a file's array beside the rows.
         The rows are kept as the set's generator: `geometry.optimum_report`
         decides the set by a rank certificate on them, and
         `spectra.distance_spectrum` from the origin and

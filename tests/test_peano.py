@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nrtcodes.codes import LinearCode, is_mds
+from nrtcodes.codes import LinearCode, is_mds, own_span
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.geometry import is_optimum
 from nrtcodes.gf import GF
@@ -12,7 +12,7 @@ from nrtcodes.peano import (block_reverse_rows, build_composite,
                             merge_rows, merged_block_weight, optimum_base_p_bound,
                             split_rows, weight_transport,
                             word_base_change_weights)
-from nrtcodes.words import Space, nrt_weight
+from nrtcodes.words import Distribution, Space, nrt_weight
 
 
 def test_merge_rows():
@@ -121,6 +121,19 @@ def test_merge_distribution_matches_words():
     merged = merge_distribution(dist, 2)
     assert merged.space.n == 2 and merged.space.s == 2
     assert merged.words() == [merge_rows(w, 2) for w in dist.words()]
+
+
+def test_merge_distribution_keeps_a_proven_files_order():
+    sp = Space(GF(3), 2, 2)
+    built = build_optimum_distribution(sp, 2).array()
+    order = list(range(len(built)))
+    random.Random(7).shuffle(order)
+    shuffled = Distribution(sp, array=built[order])
+    proven = own_span(shuffled)
+    merged = merge_distribution(proven, 2)
+    assert merged._generator == proven._generator
+    assert merged.words() == merge_distribution(shuffled, 2).words() \
+        == [merge_rows(w, 2) for w in shuffled.words()]
 
 
 def test_composite_worked_instance():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrtcodes.gf import GF
 from nrtcodes.poly import (INF, binom_mod, eval_poly, from_taylor,
@@ -176,9 +177,11 @@ def node_patterns(gf, t):
                     yield list(nodes), list(mults)
 
 
-@pytest.mark.parametrize("q,t", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("q,t", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                 (4, 2), (4, 3), (9, 2)])
 def test_full_rank_systems_are_injective(q, t):
-    gf = GF(q)
+    # q = 4 and 9 are the extension fields GF(2^2) and GF(3^2)
+    gf = GF(*{4: (2, 2), 9: (3, 2)}.get(q, (q,)))
     for nodes, mults in node_patterns(gf, t):
         seen = {}
         for f in all_polys(gf, t):
@@ -213,6 +216,33 @@ def test_hermite_errors():
         hermite_interpolate(f3, [0, 1], [1], [[1], [2]])
     with pytest.raises(ValueError):
         hermite_interpolate(f3, [0], [0], [[]])
+
+
+@pytest.mark.parametrize("nodes,targets", [([-1], [[1]]), ([5], [[1]]),
+                                           ([0], [[7]]), ([0], [[-1]]),
+                                           ([INF, 3], [[0], [0]])])
+def test_hermite_refuses_labels_outside_the_field(nodes, targets):
+    # -1 would index the field tables as the label 2 of GF(3)
+    with pytest.raises(ValueError, match="out of range"):
+        hermite_interpolate(GF(3), nodes, [1] * len(nodes), targets)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_hermite_meets_every_prescribed_value(data):
+    gf = data.draw(st.sampled_from([GF(2, 2), GF(3, 2), GF(2, 4), GF(31)]))
+    nodes = data.draw(st.lists(st.sampled_from([*gf.elements(), INF]),
+                               min_size=1, max_size=4, unique=True))
+    mults = data.draw(st.lists(st.integers(1, 5), min_size=len(nodes),
+                               max_size=len(nodes)))
+    targets = [data.draw(st.lists(st.integers(0, gf.q - 1), min_size=m, max_size=m))
+               for m in mults]
+    t = sum(mults)
+    f = hermite_interpolate(gf, nodes, mults, targets)
+    assert len(f) <= t
+    # the definition of d^j f(beta) is the oracle
+    for beta, values in zip(nodes, targets):
+        assert [hyper_eval(gf, f, beta, j, ambient=t) for j in range(len(values))] == values
 
 
 def test_poly_divmod_roundtrip():
