@@ -108,14 +108,10 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _read_points(path: str) -> Distribution:
-    with open(path) as fh:
-        return read_point_set(fh)
-
-
-def _read_code(path: str) -> LinearCode:
-    with open(path) as fh:
-        return read_code(fh)
+def _read(args, reader):
+    """The --in file, parsed by `reader` from its bytes."""
+    with open(getattr(args, "in"), "rb") as fh:
+        return reader(fh)
 
 
 @contextmanager
@@ -124,7 +120,7 @@ def _output(path: str):
     it writes to a temporary file in the same directory meanwhile."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -223,14 +219,14 @@ def _generate_composite(args, gf) -> int:
 def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "mds":
-        code = _read_code(getattr(args, "in"))
+        code = _read(args, read_code)
         weight = code.min_weight("nrt")
         bound = code.space.dim - code.k + 1  # an MDS code meets it
         ok = weight == bound
         payload = {"kind": "mds", "ok": ok, "weight": weight, "bound": bound}
         _emit(args, payload, [f"MDS: {ok} (weight {weight}, bound {bound})"])
         return 0 if ok else 1
-    dist = _read_points(getattr(args, "in"))
+    dist = _read(args, read_point_set)
     if kind == "net":
         delta = args.delta if args.delta is not None else 0
         report = net_report(dist, delta)
@@ -253,7 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    dist = _read_points(getattr(args, "in"))
+    dist = _read(args, read_point_set)
     if not len(dist):
         raise ValueError("point set is empty")
     space = dist.space
@@ -301,7 +297,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    code = _read_code(getattr(args, "in"))
+    code = _read(args, read_code)
     dual = code.dual()
     if args.out:
         with _output(args.out) as fh:
@@ -321,7 +317,7 @@ def cmd_dual(args) -> int:
 def cmd_peano(args) -> int:
     g = args.g
     if args.type == "code":
-        code = _read_code(getattr(args, "in"))
+        code = _read(args, read_code)
         if code.space.n % g:
             raise UsageError("--g must divide n")
         merged = peano.merge_code(code, g)
@@ -337,7 +333,7 @@ def cmd_peano(args) -> int:
             f"NRT weight {w_before} -> {w_after}",
         ])
     else:
-        dist = _read_points(getattr(args, "in"))
+        dist = _read(args, read_point_set)
         if dist.space.n % g:
             raise UsageError("--g must divide n")
         merged = peano.merge_distribution(dist, g)
@@ -354,7 +350,7 @@ def cmd_peano(args) -> int:
 def cmd_basechange(args) -> int:
     """Least weights of the file's nonzero points in base q and base p; they
     are the minimum distances only when the file is linear."""
-    dist = _read_points(getattr(args, "in"))
+    dist = _read(args, read_point_set)
     reduced = dist.to_base_p()
     rep = peano.distribution_base_change_weights(dist, reduced)
     if args.out:
@@ -375,7 +371,7 @@ def cmd_basechange(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    dist = _read_points(getattr(args, "in"))
+    dist = _read(args, read_point_set)
     value = star_discrepancy(dist)
     payload = {"discrepancy": str(value),
                "numerator": value.numerator, "denominator": value.denominator}

@@ -611,29 +611,24 @@ def character_sum_report(code: LinearCode) -> CharacterReport:
 def write_code(stream, code: LinearCode, comments=()) -> None:
     """Header "q n s k" (field line first when e > 1), then k basis rows
     of n*s labels, each coordinate block most significant digit first."""
+    from .words import _write
+
     space = code.space
-    for c in comments:
-        stream.write(f"# {c}\n")
-    if space.gf.e > 1:
-        stream.write(space.gf.describe() + "\n")
-    stream.write(f"{space.q} {space.n} {space.s} {code.k}\n")
-    for row in code.basis:
-        labels = _block_reverse(row, space.n, space.s)
-        stream.write(" ".join(map(str, labels)) + "\n")
+    rows = (" ".join(map(str, _block_reverse(row, space.n, space.s))) for row in code.basis)
+    _write(stream, space, code.k, comments, "".join(f"{r}\n" for r in rows).encode())
 
 
 def read_code(stream) -> LinearCode:
-    from .words import PointFileError, _content_lines, _read_header
+    from .words import PointFileError, _byte_lines, _read_header
 
-    lines = _content_lines(stream)
+    lines = _byte_lines(stream.read(), [])
     field, n, s, k, lineno = _read_header(lines, "code")
     space = Space(field, n, s)
     rows = []
     for _ in range(k):
-        try:
-            lineno, text = next(lines)
-        except StopIteration:
-            raise PointFileError("fewer rows than the header promised", lineno) from None
+        lineno, text = next(lines, (lineno, None))
+        if text is None:
+            raise PointFileError("fewer rows than the header promised", lineno)
         labels = text.split()
         if len(labels) != space.dim:
             raise PointFileError(f"expected {space.dim} labels", lineno)

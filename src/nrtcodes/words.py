@@ -10,6 +10,8 @@ denominator dividing q^s; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import io
+import re
 from fractions import Fraction
 
 from .gf import DIGIT_CHARS, GF, TABLE_BOUND, FieldBoundError
@@ -295,6 +297,18 @@ class PointFileError(ValueError):
         self.line = line
 
 
+def _write(stream, space: Space, count: int, comments, body) -> None:
+    """The comment lines, the field line when e > 1 and the header
+    "q n s count" of a point or code file, then its ASCII `body`; a text
+    stream gets them as text."""
+    head = [f"# {c}\n" for c in comments]
+    if space.gf.e > 1:
+        head.append(space.gf.describe() + "\n")
+    head.append(f"{space.q} {space.n} {space.s} {count}\n")
+    for data in ("".join(head).encode(), body):
+        stream.write(bytes(data).decode() if isinstance(stream, io.TextIOBase) else data)
+
+
 def write_point_set(stream, dist: Distribution, comments=()) -> None:
     """Header "q n s N" preceded by the field line when e > 1, then one
     line per point: n digit strings, most significant digit first."""
@@ -303,32 +317,37 @@ def write_point_set(stream, dist: Distribution, comments=()) -> None:
     space = dist.space
     if space.q > len(DIGIT_CHARS):
         raise ValueError("text digit format supports q <= 36")
-    for c in comments:
-        stream.write(f"# {c}\n")
-    if space.gf.e > 1:
-        stream.write(space.gf.describe() + "\n")
-    stream.write(f"{space.q} {space.n} {space.s} {len(dist)}\n")
     # each coordinate is s digit bytes plus a space, the last one a newline
     text = np.full((len(dist), space.n, space.s + 1), ord(" "), dtype=np.uint8)
     text[:, :, :-1] = np.frombuffer(DIGIT_CHARS.encode(), dtype=np.uint8)[dist.eta_array()]
     text[:, -1, -1] = ord("\n")
-    stream.write(text.tobytes().decode("ascii"))
+    _write(stream, space, len(dist), comments, text)
 
 
-def _content_lines(stream):
-    for lineno, raw in enumerate(stream, start=1):
-        text = raw.strip()
+# a line ends at LF, CRLF or a lone CR, as in a file opened in text mode
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# the characters above ASCII at which str.split() also separates tokens
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# byte -> digit value for both letter cases; 255 marks a bad digit
+_DIGITS = bytes(DIGIT_CHARS.find(chr(b).lower()) % 256 for b in range(256))
+
+
+def _byte_lines(data, offsets: list):
+    """(line number, stripped text) of each line of the bytes or text
+    `data` that is neither blank nor a comment, whatever bytes a comment
+    holds; the offset past each line read is appended to `offsets`."""
+    for match in _LINE.finditer(data if isinstance(data, bytes) else data.encode()):
+        offsets.append(match.end())
+        text = match.group().decode("utf-8", "replace").strip()
         if text and not text.startswith("#"):
-            yield lineno, text
+            yield len(offsets), text
 
 
 def _read_header(lines, kind: str):
-    try:
-        lineno, text = next(lines)
-    except StopIteration:
-        raise PointFileError("empty file", 1) from None
-    parts = text.split()
-    field = None
+    lineno, text = next(lines, (1, None))
+    if text is None:
+        raise PointFileError("empty file", 1)
+    parts, field = text.split(), None
     if len(parts) != 4:
         try:
             field = GF.from_description(text)
@@ -336,10 +355,9 @@ def _read_header(lines, kind: str):
             raise PointFileError(str(exc), lineno) from None
         except ValueError:
             raise PointFileError("expected field line or 4-value header", lineno) from None
-        try:
-            lineno, text = next(lines)
-        except StopIteration:
-            raise PointFileError("missing header after field line", lineno) from None
+        lineno, text = next(lines, (lineno, None))
+        if text is None:
+            raise PointFileError("missing header after field line", lineno)
         parts = text.split()
         if len(parts) != 4:
             raise PointFileError("expected header 'q n s N'", lineno)
@@ -363,55 +381,67 @@ def _read_header(lines, kind: str):
     return field, n, s, count, lineno
 
 
-def _digit_table():
-    """Byte -> digit value for both letter cases; 255 marks a bad digit."""
-    import numpy as np
-
-    table = np.full(256, 255, dtype=np.uint8)
-    for d, ch in enumerate(DIGIT_CHARS):
-        table[ord(ch)] = table[ord(ch.upper())] = d
-    return table
-
-
 def read_point_set(stream) -> Distribution:
-    """Parse a point file; errors are `PointFileError`s naming the first
-    offending line, checked in file order (coordinate count, then per
-    digit string: length, bad digit, digit >= q)."""
+    """Parse a point file from a binary or text stream; errors are
+    `PointFileError`s naming the first offending line, checked in file
+    order (coordinate count, then per digit string: length, bad digit,
+    digit >= q)."""
     import numpy as np
-    from itertools import islice
 
-    lines = _content_lines(stream)
-    field, n, s, count, lineno = _read_header(lines, "point set")
-    space = Space(field, n, s)
-    # the lines are read before anything is sized by the header's count
-    linenos, tokens, short_line = [], [], None
-    for lineno, text in islice(lines, count):
-        row = text.split()
-        if len(row) != n:
-            short_line = lineno
-            break
-        linenos.append(lineno)
-        tokens += row
-    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-    wrong_length = np.flatnonzero(lengths != s)
-    # every token before the first one of a wrong length is s bytes long
-    good = int(wrong_length[0]) if wrong_length.size else len(tokens)
-    # non-ASCII characters become "?", a bad digit, one byte per character
-    raw = "".join(tokens).encode("ascii", "replace")[:good * s]
-    digits = _digit_table()[np.frombuffer(raw, dtype=np.uint8).reshape(good, s)]
-    # every digit is below 36, so this also flags the bad ones (255)
-    invalid = (digits >= min(space.q, len(DIGIT_CHARS))).any(axis=1)
-    if invalid.any():
-        bad = int(np.argmax(invalid))
-        token = tokens[bad]
-        what = "bad digit" if (digits[bad] == 255).any() else "digit out of range"
-        raise PointFileError(f"{what} in {token!r}", linenos[bad // n])
-    if good < len(tokens):
-        raise PointFileError(f"digit string {tokens[good]!r} is not {s} long",
-                             linenos[good // n])
-    if short_line is not None:
-        raise PointFileError(f"expected {n} coordinates", short_line)
-    if len(linenos) < count:
-        raise PointFileError("fewer points than the header promised", lineno)
-    eta = digits.reshape(count, n, s)[:, :, ::-1].astype(np.int16)
-    return Distribution(space, array=eta)
+    data = stream.read()
+    data = data if isinstance(data, bytes) else data.encode()
+    offsets = []
+    field, n, s, count, lineno = _read_header(_byte_lines(data, offsets), "point set")
+    space, limit = Space(field, n, s), min(field.q, len(DIGIT_CHARS))
+    body = np.frombuffer(memoryview(data)[offsets[-1]:], dtype=np.uint8)
+    table = np.frombuffer(_DIGITS, dtype=np.uint8).astype(np.int16)
+    size = count * n * (s + 1)
+    if size <= body.size:
+        # fixed width: n digit strings of s bytes a line, single spaces, LF ends
+        grid = body[:size].reshape(count, n, s + 1)
+        if (grid[:, :-1, s] == ord(" ")).all() and (grid[:, -1, s] == ord("\n")).all():
+            digits = table[grid[:, :, s - 1::-1]]
+            # a byte that is no digit (255) may be a comment: the classifier decides
+            if np.max(digits, initial=0) < limit:
+                return Distribution(space, array=digits)
+    # the classifier: every byte is classed as a space, a line end or a digit
+    text = str(body.data, "utf-8", "replace")
+    if not text.isascii():
+        # one byte a character: wide spaces become spaces and every other
+        # non-ASCII character "?", a bad digit
+        body = np.frombuffer(_WIDE_SPACE.sub(" ", text).encode("ascii", "replace"), np.uint8)
+    # " ", "\t\n\v\f\r" and "\x1c".."\x1f" separate tokens (uint8 subtraction
+    # wraps below 0); a token starts and ends where the class changes
+    spans = np.flatnonzero(np.diff((body == 32) | (body - 9 <= 4) | (body - 28 <= 3),
+                                   prepend=True, append=True)).reshape(-1, 2)
+    # a line ends at every LF and every CR that no LF follows; the tokens of
+    # line i of the body are [cuts[i], cuts[i + 1])
+    breaks = np.flatnonzero((body == 10) | (body == 13) & np.append(body[1:] != 10, True))
+    cuts = np.concatenate(([0], np.searchsorted(spans[:, 0], breaks), [len(spans)]))
+    sizes = np.diff(cuts)
+    lines = np.flatnonzero(sizes)
+    lines = lines[body[spans[cuts[lines], 0]] != ord("#")][:count]
+    short = np.flatnonzero(sizes[lines] != n)
+    points = int(short[0]) if short.size else len(lines)
+    tokens = cuts[lines[:points], None] + np.arange(n)
+    starts, ends = spans[:, 0][tokens].ravel(), spans[:, 1][tokens].ravel()
+    wrong = np.flatnonzero(ends - starts != s)
+    good = int(wrong[0]) if wrong.size else len(starts)
+    digits = np.empty((good, s), dtype=np.int16)
+    for j in range(s):
+        digits[:, s - 1 - j] = table[body[starts[:good] + j]]
+    # the first error in file order, and the index of its point
+    if np.max(digits, initial=0) >= limit:
+        t = int(np.argmax((digits >= limit).any(axis=1)))
+        what = "bad digit" if (digits[t] == 255).any() else "digit out of range"
+        message, point = f"{what} in {text[starts[t]:ends[t]]!r}", t // n
+    elif good < len(starts):
+        message = f"digit string {text[starts[good]:ends[good]]!r} is not {s} long"
+        point = good // n
+    elif points < len(lines):
+        message, point = f"expected {n} coordinates", points
+    elif points < count:
+        message, point = "fewer points than the header promised", points - 1
+    else:
+        return Distribution(space, array=digits.reshape(count, n, s))
+    raise PointFileError(message, lineno + 1 + int(lines[point]) if point >= 0 else lineno)

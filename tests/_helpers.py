@@ -10,8 +10,7 @@ from nrtcodes.codes import LinearCode
 from nrtcodes.construct import _check_nodes
 from nrtcodes.gf import DIGIT_CHARS, GF
 from nrtcodes.poly import INF, binom_mod
-from nrtcodes.words import (PointFileError, _content_lines, _read_header,
-                            hamming_weight, nrt_weight)
+from nrtcodes.words import PointFileError, _read_header, hamming_weight, nrt_weight
 
 
 def random_code(space, k, rng):
@@ -124,9 +123,17 @@ def _parse_row(q, s, token, line):
     return eta
 
 
+def _content_lines(stream):
+    for lineno, raw in enumerate(stream, start=1):
+        text = raw.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
 def read_point_array_by_line(stream):
-    """Line-by-line point-file parser, the oracle of `read_point_set`:
-    returns the (N, n, s) label array, least significant digit first."""
+    """Line-by-line point-file parser over the lines of a text stream, the
+    oracle of `read_point_set`: returns the (N, n, s) label array, least
+    significant digit first."""
     lines = _content_lines(stream)
     field, n, s, count, lineno = _read_header(lines, "point set")
     eta = []

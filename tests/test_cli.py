@@ -100,6 +100,29 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_point_files_are_read_as_bytes(tmp_path, capsys):
+    pts = tmp_path / "in.points"
+    verify = ["verify", "--kind", "optimum", "--in", str(pts)]
+    # a comment is skipped whatever bytes it holds, here a Latin-1 one
+    pts.write_bytes(b"# caf\xe9\n2 1 2 1\n01\n")
+    assert run(verify, capsys) == (0, "optimum: True\n", "")
+    # a non-ASCII byte in a digit string is a bad digit on its line
+    pts.write_bytes(b"2 1 2 1\n0\xe9\n")
+    message = "line 2: bad digit in '0\ufffd'"
+    assert run(verify, capsys) == (2, "", f"error: {message}\n")
+    code, out, _ = run(verify + ["--format", "json"], capsys)
+    assert code == 2 and json.loads(out) == {"schema": 1, "error": message, "line": 2}
+    # a lone CR ends a line, and the spaces str.split() knows separate tokens
+    pts.write_bytes(b"2 1 2 2\r01\r1z\r")
+    assert run(verify, capsys) == (2, "", "error: line 3: digit out of range in '1z'\n")
+    pts.write_bytes("2 2 1 1\n0\xa01\n".encode())
+    assert run(verify, capsys)[0] == 0
+    # code files share the header reader
+    code_file = tmp_path / "in.code"
+    code_file.write_bytes(b"# caf\xe9\n2 1 2 1\n1 0\n")
+    assert run(["dual", "--in", str(code_file)], capsys)[0] == 0
+
+
 def test_header_above_the_field_bound(tmp_path, capsys):
     pts, code_file = tmp_path / "big.points", tmp_path / "big.code"
     for q in (1031, 65537):

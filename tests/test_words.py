@@ -1,6 +1,8 @@
 import io
 import itertools
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes.gf import DIGIT_CHARS, GF
-from nrtcodes.words import (Distribution, PointFileError, Space, digits_of,
+from nrtcodes.words import (_WIDE_SPACE, Distribution, PointFileError, Space, digits_of,
                             hamming_weight, nrt_weight, read_point_set,
                             row_weight, truncate_digits, write_point_set)
 
@@ -215,21 +217,24 @@ def test_point_set_file_errors():
     assert err is not None and err.line == 3
 
 
-def _parse_outcome(parse, text):
+def _parse_outcome(parse, data):
     try:
-        return parse(io.StringIO(text))
+        return parse(io.StringIO(data) if isinstance(data, str) else io.BytesIO(data))
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
 def _same_outcome(text):
-    new = _parse_outcome(lambda fh: read_point_set(fh).array(), text)
+    """The outcome of `read_point_set` on `text`, as a text stream and as
+    its UTF-8 bytes, after checking both against the line parser."""
     old = _parse_outcome(read_point_array_by_line, text)
-    if isinstance(old, np.ndarray):
-        assert isinstance(new, np.ndarray) and new.shape == old.shape, text
-        assert np.array_equal(new, old), text
-    else:
-        assert new == old, text
+    for data in (text, text.encode()):
+        new = _parse_outcome(lambda fh: read_point_set(fh).array(), data)
+        if isinstance(old, np.ndarray):
+            assert isinstance(new, np.ndarray) and new.shape == old.shape, text
+            assert np.array_equal(new, old), text
+        else:
+            assert new == old, text
     return new
 
 
@@ -338,6 +343,77 @@ def test_parse_accepts_only_ascii_digits():
         read_point_set(io.StringIO(text))
     assert exc.value.line == 2 and "bad digit" in str(exc.value)
     assert read_point_set(io.StringIO("29 1 1 1\nK\n")).words() == [((20,),)]
+
+
+def test_binary_reads_keep_the_text_line_and_token_rules():
+    # a lone CR ends a line, as in a file opened in text mode
+    with pytest.raises(PointFileError) as exc:
+        read_point_set(io.BytesIO(b"2 1 2 2\r01\r1z\r"))
+    assert exc.value.line == 3 and str(exc.value) == "line 3: digit out of range in '1z'"
+    # every space str.split() separates at separates tokens, ASCII or not
+    for sep in ("\xa0", "\x85", "\u2028", "\u3000", "\x0b", "\x1f"):
+        text = f"2 2 1 1\n0{sep}1\n"
+        assert read_point_set(io.BytesIO(text.encode())).words() == [((0,), (1,))]
+    # a comment is skipped whatever bytes it holds
+    assert read_point_set(io.BytesIO(b"# caf\xe9\n2 1 2 1\n01\n")).words() == [((1, 0),)]
+    # a non-ASCII byte in a digit string is a bad digit on its line
+    for token in (b"0\xe9", b"\xff1", b"0\x80", "\u00e9\u00e9".encode()):
+        with pytest.raises(PointFileError) as exc:
+            read_point_set(io.BytesIO(b"2 1 2 2\n01\n" + token + b"\n"))
+        expected = repr(token.decode("utf-8", "replace"))
+        assert exc.value.line == 3 and str(exc.value) == f"line 3: bad digit in {expected}"
+
+
+def test_wide_spaces_are_the_ones_str_split_separates_at():
+    every = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    assert _WIDE_SPACE.findall(every) == [c for c in every if c.isspace()]
+
+
+def _large_lines():
+    """The lines of a fixed-width file of 2^17 random points over GF(4),
+    field line first."""
+    space = Space(GF(2, 2), 2, 3)
+    rng = np.random.default_rng(17)
+    dist = Distribution(space, array=rng.integers(0, 4, size=(1 << 17, 2, 3)))
+    buf = io.StringIO()
+    write_point_set(buf, dist, comments=["large"])
+    return buf.getvalue().split("\n")[:-1]
+
+
+@pytest.mark.parametrize("where, line", [
+    ("first", "012 30!"), ("first", "012 301 2"), ("middle", "012\t301"),
+    ("middle", "012\t30!"), ("middle", "# 012 301"), ("last", "012 3010"),
+    ("last", "012 3x1")])
+def test_large_files_match_the_line_parser(where, line):
+    lines = _large_lines()
+    body = range(3, len(lines))
+    lines[{"first": body[0], "middle": body[len(body) // 2], "last": body[-1]}[where]] = line
+    _same_outcome("".join(f"{x}\n" for x in lines))
+
+
+def test_large_crlf_files_match_the_line_parser():
+    lines = _large_lines()
+    assert _same_outcome("".join(f"{x}\r\n" for x in lines)).shape == (1 << 17, 2, 3)
+    lines[-1] = "012 3x1"
+    _same_outcome("".join(f"{x}\r\n" for x in lines))
+
+
+def test_fixed_width_read_peaks_below_four_times_the_file(tmp_path):
+    space = Space(GF(2, 4), 5, 3)
+    rng = np.random.default_rng(16)
+    dist = Distribution(space, array=rng.integers(0, 16, size=(1 << 16, 5, 3)))
+    path = tmp_path / "large.points"
+    with open(path, "wb") as fh:
+        write_point_set(fh, dist)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            back = read_point_set(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.array(), dist.array())
+    assert peak < 4 * path.stat().st_size
 
 
 def test_space_mismatch():
