@@ -142,8 +142,9 @@ def cmd_generate(args) -> int:
         raise UsageError("need 1 <= k <= n*s")
     space = Space(gf, n, s)
     nodes = _parse_nodes(gf, args.nodes) if args.nodes else default_nodes(gf, n)
-    code = build_mds_code(space, k, nodes=nodes)
+    # the distribution first: it refuses q^k points before any row is built
     dist = build_optimum_distribution(space, k, nodes=nodes)
+    code = build_mds_code(space, k, nodes=nodes)
     comments = [f"nodes {_nodes_text(nodes)}"]
     out = args.out or "out"
     with _output(f"{out}.points") as fh:
@@ -260,8 +261,7 @@ def cmd_spectrum(args) -> int:
         dist = span
     anchor = dist.word(0) if dist.array().any(axis=(1, 2)).all() else space.zero()
     spec = distance_spectrum(dist, anchor)
-    q = space.q
-    k = exponent(q, len(dist))
+    q, k = space.q, dist.exponent()
     payload = {
         "params": {"q": q, "n": space.n, "s": space.s},
         "anchor": [list(r) for r in anchor],
@@ -270,7 +270,7 @@ def cmd_spectrum(args) -> int:
     }
     lines = [f"bruteforce spectrum: {spec}"]
     # more than q^(ns) points (k > ns) repeat one, so cannot be optimum
-    if q ** k == len(dist) and k <= space.dim and optimum_report(dist, k).ok:
+    if k is not None and k <= space.dim and optimum_report(dist, k).ok:
         formula = mds_spectrum(space.n, space.s, k, q)
         payload["formula"] = formula
         payload["formula_matches"] = formula == spec
@@ -288,8 +288,8 @@ def cmd_spectrum(args) -> int:
         }
         if space.n == 1:
             # a span, not `distribution()`: the enumerator needs no words
-            dual = LinearCode(space, dist._generator).dual()
-            ok = macwilliams_n1_ok(dist, Distribution.span(space, dual.basis))
+            dual = LinearCode(space, dist.generator).dual()
+            ok = macwilliams_n1_ok(dist, Distribution(space, generator=dual.basis))
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)

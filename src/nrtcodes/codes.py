@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF
-from .words import Distribution, Space, exponent
+from .words import Distribution, Space
 
 ENUMERATION_BOUND = 1 << 21
 
@@ -135,10 +135,10 @@ class LinearCode:
 
     def distribution(self) -> Distribution:
         """The codewords as a point set, in `words_array` order, with the
-        basis as its generator (see `Distribution.span`)."""
+        basis as its generator (a lazy span, see `Distribution`)."""
         if self.space.q ** self.k > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        return Distribution.span(self.space, self.basis)
+        return Distribution(self.space, generator=self.basis)
 
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
@@ -235,8 +235,8 @@ def span_is_mds(space: Space, rows) -> bool:
 
 
 def own_span(dist: Distribution) -> Distribution | None:
-    """The points, keeping their array, as the `Distribution.span` of an
-    RREF basis B if they are the q^r words of span(B) once each, else
+    """The points, keeping their array, with an RREF basis B as their
+    generator if they are the q^r words of span(B) once each, else
     None.  The pivot columns of B are an information set: a point lies in
     span(B) iff it is word `key` of `bulk.span_array(B)`, key the Horner
     value of its pivot digits, and the points are span(B) once each iff
@@ -247,9 +247,8 @@ def own_span(dist: Distribution) -> Distribution | None:
     import numpy as np
     from . import bulk
 
-    space, count = dist.space, len(dist)
-    r = exponent(space.q, count)
-    if space.q ** r != count or r > space.dim:
+    space, count, r = dist.space, len(dist), dist.exponent()
+    if r is None or r > space.dim:
         return None
     flat = dist.array().reshape(count, space.dim)
     sample = np.arange(min(count, 4 * r + 16)) * 1000003 % count
@@ -264,9 +263,7 @@ def own_span(dist: Distribution) -> Distribution | None:
             # N keys below q^rank <= N are a permutation iff none is missed
             if not np.bincount(keys, minlength=count).all():
                 return None
-            proven = Distribution.span(space, basis)
-            proven._array = dist.array()
-            return proven
+            return Distribution(space, array=dist.array(), generator=basis)
         basis = rref(space.gf, basis + [flat[outside.argmax()].tolist()])
     return None
 
@@ -385,10 +382,10 @@ def _profile_ranks(space: Space, rows) -> list[int]:
 
 def span_corner_counts(space: Space, rows):
     """(s+1)^n int table whose entry a is the number of combinations of
-    the flat `rows` (all q^k, with multiplicity, as `Distribution.span`
-    counts them) that lie in the corner box of side exponents a: those
-    whose row weights are at most s - a_j.  They are the combinations
-    orthogonal to the columns of prefix profile a of the block-reversed
+    the flat `rows` (all q^k, with multiplicity, as the `Distribution`
+    they generate counts them) that lie in the corner box of side
+    exponents a: those whose row weights are at most s - a_j.  They are
+    the combinations orthogonal to the columns of prefix profile a of the block-reversed
     rows, q^(k - rank) of them.  int64 while q^k < 2^63, else Python
     ints."""
     import numpy as np
@@ -441,8 +438,8 @@ def parity_nrt_weight(check: LinearCode) -> int:
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
     i.e. the coefficient table of the box enumerator phi(D).  There are
-    (s+1)^n of them, at most ENUMERATION_BOUND.  A set built as a span
-    (`Distribution.span`) with no more boxes than its q^k points reads
+    (s+1)^n of them, at most ENUMERATION_BOUND.  A set with a generator
+    (see `Distribution`) with no more boxes than its q^k points reads
     them from the ranks of its k generator rows (`span_corner_counts`),
     without its array; any other set counts its points."""
     import numpy as np
@@ -455,8 +452,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     if (s + 1) ** n > ENUMERATION_BOUND:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
-    rows = dist._generator
-    if rows is not None and (s + 1) ** n <= space.q ** len(rows):
+    rows = dist.generator
+    if rows is not None and (s + 1) ** n <= dist.size():
         counts = span_corner_counts(space, rows).ravel().tolist()
         return dict(zip(product(range(s + 1), repeat=n), counts))
     rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)

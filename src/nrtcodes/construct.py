@@ -102,10 +102,9 @@ def build_mds_code(space: Space, k: int, nodes=None) -> LinearCode:
 def build_optimum_distribution(space: Space, k: int, nodes=None) -> Distribution:
     """The q^k points whose digit words are exactly the codewords of
     build_mds_code, in coefficient colex order, with the monomial rows as
-    their generator (see `Distribution.span`).  More than
-    ENUMERATION_BOUND points are refused before any is built."""
-    basis = _monomial_rows(space, k, nodes)
-    if space.q ** k > ENUMERATION_BOUND:
+    their generator (a lazy span, see `Distribution`).  More than
+    ENUMERATION_BOUND points are refused before any row is built."""
+    if 1 <= k <= space.dim and space.q ** k > ENUMERATION_BOUND:
         raise ValueError(f"q^k = {space.q ** k} points exceed the bound of "
                          f"{ENUMERATION_BOUND} (2^21)")
-    return Distribution.span(space, basis)
+    return Distribution(space, generator=_monomial_rows(space, k, nodes))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import span_is_mds
-from .words import Distribution, exponent
+from .words import Distribution
 
 DISCREPANCY_CELL_BOUND = 1 << 20
 
@@ -129,9 +129,8 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
     The net parameter s is read off from the cardinality q^s."""
-    q, count = dist.space.q, dist.size()
-    s_net = exponent(q, count)
-    if q ** s_net != count:
+    s_net = dist.exponent()
+    if s_net is None:
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
@@ -145,13 +144,13 @@ def is_net(dist: Distribution, delta: int) -> bool:
 def optimum_report(dist: Distribution, k: int) -> BoxReport:
     """Check that every elementary box with side exponents summing to k
     holds exactly one of the q^k points; at a coarser digit depth d, check
-    `dist.project(d)`.  A span of k rows (`Distribution.span`, or a file
-    `codes.own_span` proved one) holds q^len(rows) points, however many,
-    and is first decided by the rank certificate `codes.span_is_mds` on
-    those rows.  Its "no", and any other set, goes to the box count
+    `dist.project(d)`.  A set with a generator of k rows (a built span,
+    or a file `codes.own_span` proved one) holds q^k points, however
+    many, and is first decided by the rank certificate `codes.span_is_mds`
+    on those rows.  Its "no", and any other set, goes to the box count
     `_box_report`."""
-    space, rows = dist.space, dist._generator
-    if dist.size() != space.q ** k:
+    space, rows = dist.space, dist.generator
+    if dist.exponent() != k:
         raise ValueError("not q^k points")
     if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
@@ -173,7 +172,7 @@ def check_counts(dist: Distribution, k: int) -> BoxReport:
     a_j <= s) lies inside a box with sum exactly k, which holds one
     point, so the at-most-one families cannot fail once these pass."""
     space = dist.space
-    if dist.size() != space.q ** k:
+    if dist.exponent() != k:
         raise ValueError("not q^k points")
     for total in range(min(k, space.dim) + 1):
         report = _box_report(dist, total, space.s)

@@ -101,15 +101,9 @@ def merge_code(code: LinearCode, g: int) -> LinearCode:
 
 
 def merge_distribution(dist: Distribution, g: int) -> Distribution:
-    small = merged_space(dist.space, g)
     # row-major reshape concatenates each g consecutive rows, matching
     # merge_rows; so the flat generator rows stay those of the merged set
-    if dist._generator is None:
-        return Distribution(small, array=dist.array().reshape(len(dist), small.n, small.s))
-    merged = Distribution.span(small, dist._generator)
-    if dist._array is not None:  # a proven file keeps its point order
-        merged._array = dist._array.reshape(len(dist), small.n, small.s)
-    return merged
+    return dist.reshaped(merged_space(dist.space, g))
 
 
 def block_reverse_code(code: LinearCode, g: int) -> LinearCode:
@@ -151,8 +145,9 @@ def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> Composite
     tall = Space(gf, g * n, s)
     if nodes is None:
         nodes = default_nodes(gf, g * n)
-    code_tall = build_mds_code(tall, g * k, nodes=nodes)
+    # the distribution first: it refuses q^(gk) points before any row is built
     dist_tall = build_optimum_distribution(tall, g * k, nodes=nodes)
+    code_tall = build_mds_code(tall, g * k, nodes=nodes)
     return CompositeBuild(g, t, code_tall, dist_tall,
                           merge_code(code_tall, g),
                           merge_distribution(dist_tall, g))

@@ -52,7 +52,7 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
     must itself belong to the distribution.  From the zero word, a set
-    built as a span (`Distribution.span`) is counted from its generator,
+    with a generator (see `Distribution`) is counted from it,
     without its array, by `bulk.span_weight_histogram`: from the ranks of
     the generator's (s+1)^n prefix profiles when they are no more than the
     q^k words, else word by word in blocks.  Any other set or anchor
@@ -63,8 +63,8 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     space = dist.space
     anchor = space.check_word(anchor)
     flat_anchor = space.flatten(anchor)
-    if dist._generator is not None and not any(flat_anchor):
-        return bulk.span_weight_histogram(space.gf, dist._generator,
+    if dist.generator is not None and not any(flat_anchor):
+        return bulk.span_weight_histogram(space.gf, dist.generator,
                                           space.n, space.s).tolist()
     arr = dist.array().reshape(len(dist), space.dim)
     diffs = bulk.sub_anchor(space.gf, arr, flat_anchor)

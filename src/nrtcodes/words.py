@@ -193,54 +193,62 @@ class Space:
 
 
 class Distribution:
-    """A multiset of points of Q^n(q^s), stored as their digit words."""
+    """A multiset of points of Q^n(q^s), stored as their digit words: an
+    (N, n, s) label `array` (given, or built from `words`), a `generator`
+    of k flat rows whose q^k combinations in `bulk.span_array` order are
+    the points (a lazy span: its read-only array is built on the first
+    call of `array`), or both: then the array holds the generator's q^k
+    combinations once each, in its own order, and only `codes.own_span`
+    and `reshaped` build this form.  Rank certificates on the generator
+    decide `geometry.optimum_report`, and `spectra.distance_spectrum` and
+    `codes.corner_box_counts` read its prefix-profile ranks, without the
+    array."""
 
-    def __init__(self, space: Space, words=None, array=None):
+    def __init__(self, space: Space, words=None, array=None, generator=None):
         import numpy as np
 
         self.space = space
-        self._generator = None  # flat rows whose span this is, see `span`
+        self.generator = None
+        if generator is not None:
+            self.generator = tuple(tuple(int(v) for v in r) for r in generator)
+            if any(len(r) != space.dim for r in self.generator):
+                raise ValueError("row length mismatch")
+        elif array is None:
+            rows = [space.check_word(w) for w in words]
+            array = np.array(rows, dtype=np.int16).reshape(len(rows), space.n, space.s)
         if array is not None:
             array = np.asarray(array, dtype=np.int16)
             if array.ndim != 3 or array.shape[1:] != (space.n, space.s):
                 raise ValueError("array shape must be (N, n, s)")
-            self._array = array
-        else:
-            rows = [space.check_word(w) for w in words]
-            self._array = np.array(rows, dtype=np.int16).reshape(
-                len(rows), space.n, space.s)
-
-    @classmethod
-    def span(cls, space: Space, rows) -> "Distribution":
-        """The q^k combinations of k flat rows, in `bulk.span_array` order
-        unless `codes.own_span` kept a file's array beside the rows.
-        The rows are kept as the set's generator: `geometry.optimum_report`
-        decides the set by a rank certificate on them, and
-        `spectra.distance_spectrum` from the origin and
-        `codes.corner_box_counts` read the ranks of their prefix profiles
-        when there are no more profiles than points (the spectrum is
-        otherwise counted in blocks).  The read-only array is built on the
-        first call of `array`."""
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
-        if any(len(r) != space.dim for r in rows):
-            raise ValueError("row length mismatch")
-        dist = cls.__new__(cls)
-        dist.space = space
-        dist._generator = rows
-        dist._array = None
-        return dist
+        self._array = array
 
     @classmethod
     def from_points(cls, space: Space, points) -> "Distribution":
         return cls(space, words=[space.point_to_word(p) for p in points])
 
     def size(self) -> int:
-        """The number of points, q^len(rows) for a span (len() stops at 2^63)."""
-        if self._generator is not None:
-            return self.space.q ** len(self._generator)
+        """The number of points, q^len(generator) for a span (len() stops at 2^63)."""
+        if self._array is None:
+            return self.space.q ** len(self.generator)
         return self._array.shape[0]
 
     __len__ = size
+
+    def exponent(self) -> int | None:
+        """The k of the set's q^k points: the generator's length for a
+        span, else the k with q^k = N, None if N is no power of q."""
+        if self.generator is not None:
+            return len(self.generator)
+        k = exponent(self.space.q, len(self))
+        return k if self.space.q ** k == len(self) else None
+
+    def reshaped(self, space: Space) -> "Distribution":
+        """The same words in a space of the same n*s: each word's flat
+        digits, and so the generator rows, kept in order, cut into rows
+        of the new length.  A lazy span stays lazy."""
+        arr = self._array
+        return Distribution(space, generator=self.generator, array=None if arr is None
+                            else arr.reshape(len(arr), space.n, space.s))
 
     def __iter__(self):
         return iter(self.words())
@@ -251,7 +259,7 @@ class Distribution:
             from . import bulk
 
             space = self.space
-            arr = bulk.span_array(space.gf, self._generator, space.dim)
+            arr = bulk.span_array(space.gf, self.generator, space.dim)
             arr.setflags(write=False)
             self._array = arr.reshape(len(arr), space.n, space.s)
         return self._array
@@ -281,12 +289,9 @@ class Distribution:
         space_p = self.space.base_p_space()
         if space_p is self.space:
             return self
-        import numpy as np
-
-        coeff = self.space.gf.coeff_table  # (q, e) low digit first
+        coeff = self.space.gf.coeff_table  # (q, e) int16, low digit first
         expanded = coeff[self.array()]     # (N, n, s, e)
-        return Distribution(space_p, array=expanded.reshape(
-            len(self), self.space.n, space_p.s).astype(np.int16))
+        return Distribution(space_p, array=expanded.reshape(len(self), space_p.n, space_p.s))
 
 
 class PointFileError(ValueError):
@@ -423,12 +428,13 @@ def read_point_set(stream) -> Distribution:
     lines = lines[body[spans[cuts[lines], 0]] != ord("#")][:count]
     short = np.flatnonzero(sizes[lines] != n)
     points = int(short[0]) if short.size else len(lines)
-    tokens = cuts[lines[:points], None] + np.arange(n)
+    # a line of n tokens bounds n, and a token of s bytes bounds s, by the file
+    tokens = cuts[lines[:points], None] + np.arange(n if points else 0)
     starts, ends = spans[:, 0][tokens].ravel(), spans[:, 1][tokens].ravel()
     wrong = np.flatnonzero(ends - starts != s)
     good = int(wrong[0]) if wrong.size else len(starts)
     digits = np.empty((good, s), dtype=np.int16)
-    for j in range(s):
+    for j in range(s if good else 0):
         digits[:, s - 1 - j] = table[body[starts[:good] + j]]
     # the first error in file order, and the index of its point
     if np.max(digits, initial=0) >= limit:

@@ -1,6 +1,6 @@
 """Span enumeration in blocks: `bulk.span_array` and the weight histogram
 `bulk.span_weight_histogram` against the k-pass oracle, and built sets
-(`Distribution.span`) that keep their generator and make their array
+(`Distribution(space, generator=rows)`) that keep their generator and make their array
 only when a caller needs the words."""
 
 import random
@@ -89,7 +89,7 @@ def test_built_sets_make_their_array_on_first_use(monkeypatch):
     space = Space(GF(5), 3, 2)
     rows = build_mds_code(space, 3).basis
     monkeypatch.setattr(bulk, "span_array", lambda *a: pytest.fail("array built"))
-    dist = Distribution.span(space, rows)
+    dist = Distribution(space, generator=rows)
     assert len(dist) == 125
     assert distance_spectrum(dist, space.zero()) == mds_spectrum(3, 2, 3, 5)
     assert optimum_report(dist, 3).ok
@@ -157,7 +157,7 @@ def test_built_set_spectrum_peaks_far_below_its_array():
     space = Space(GF(5), 4, 2)
     dist = build_optimum_distribution(space, 8)   # 5^8 words, 6.25 MB as labels
     # a small span first, so that nothing cached on first use is counted
-    distance_spectrum(Distribution.span(space, dist._generator[:2]), space.zero())
+    distance_spectrum(Distribution(space, generator=dist.generator[:2]), space.zero())
     tracemalloc.start()
     try:
         spectrum = distance_spectrum(dist, space.zero())

@@ -85,7 +85,7 @@ def test_certificate_agrees_with_enumeration_on_random_rows(data):
     zero = data.draw(st.sets(st.integers(0, space.dim - 1), max_size=2))
     rows = [[0 if c in zero else v for c, v in enumerate(r)] for r in rows]
     cert = assert_three_agree(space, rows)
-    built = Distribution.span(space, rows)
+    built = Distribution(space, generator=rows)
     report = optimum_report(built, k)
     assert report.ok == cert
     assert report == optimum_report(plain_copy(built), k)
@@ -111,7 +111,7 @@ def test_built_sets_keep_the_enumeration_witness():
 def test_sets_of_dependent_rows_are_not_optimum():
     space = Space(GF(3), 2, 2)
     row = [1, 2, 0, 1]
-    dist = Distribution.span(space, [row, row])
+    dist = Distribution(space, generator=[row, row])
     assert not span_is_mds(space, [row, row])
     report = optimum_report(dist, 2)
     assert not report.ok and report == optimum_report(plain_copy(dist), 2)
@@ -140,7 +140,7 @@ def test_arrays_of_built_sets_refuse_assignment():
     space = Space(GF(5), 3, 2)
     built = (build_optimum_distribution(space, 3),
              build_mds_code(space, 3).distribution(),
-             Distribution.span(space, build_mds_code(space, 2).basis),
+             Distribution(space, generator=build_mds_code(space, 2).basis),
              build_composite(GF(5), 2, 2, 1, 1).dist)
     for dist in built:
         with pytest.raises(ValueError, match="read-only"):
@@ -154,13 +154,13 @@ def test_merge_distribution_keeps_the_generator():
     tall = Space(gf, 4, 2)
     dist = build_optimum_distribution(tall, 3)
     merged = merge_distribution(dist, 2)
-    assert merged._generator == dist._generator
+    assert merged.generator == dist.generator
     assert merged.space == Space(gf, 2, 4)
     # the merged set is optimum only for the families of the merged space
     report = optimum_report(merged, 3)
     assert report == optimum_report(plain_copy(merged), 3)
     build = build_composite(gf, 2, 3, 2, 1)
-    assert build.dist._generator is not None
+    assert build.dist.generator is not None
     assert optimum_report(build.dist, 4).ok
     assert optimum_report(plain_copy(build.dist), 4).ok
 
@@ -173,15 +173,15 @@ def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
 
     monkeypatch.setattr(Distribution, "array", unbuilt)
     space = Space(GF(2), 1, 70)
-    top = Distribution.span(space, [[int(c == 69 - r) for c in range(70)]
-                                    for r in range(65)])
+    top = Distribution(space, generator=[[int(c == 69 - r) for c in range(70)]
+                                              for r in range(65)])
     assert optimum_report(top, 65).ok
     # the span is the words whose 5 low digits are 0
     counts = codes.corner_box_counts(top)
     assert counts == {(a,): 2 ** max(65 - a, 0) for a in range(71)}
     assert all(type(c) is int for c in counts.values())
-    low = Distribution.span(space, [[int(c == r) for c in range(70)]
-                                    for r in range(65)])
+    low = Distribution(space, generator=[[int(c == r) for c in range(70)]
+                                              for r in range(65)])
     for check, args in ((optimum_report, (low, 65)), (geometry.check_counts, (top, 65)),
                         (geometry.net_report, (top, 0)), (geometry.is_net, (top, 0))):
         with pytest.raises(ValueError, match="too large for 64-bit box indices"):
@@ -243,7 +243,7 @@ def test_spectrum_optimum_line_agrees_with_enumeration(tmp_path):
     checked = set()
     for trial in range(24):
         rows = rng.integers(0, 3, size=(2, space.dim)).tolist()
-        dist = plain_copy(Distribution.span(space, rows))
+        dist = plain_copy(Distribution(space, generator=rows))
         if trial % 3 == 1:  # a shuffled copy of the span
             dist = Distribution(space, array=dist.array()[rng.permutation(len(dist))])
         elif trial % 3 == 2:  # a coset, not linear

@@ -405,6 +405,25 @@ def test_generate_refuses_oversize_before_allocating(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", (
+    ["--q", "1021", "--n", "2", "--s", "200", "--k", "400"],
+    ["--q", "5", "--n", "2", "--s", "10", "--g", "2", "--t", "1"],
+))
+def test_generate_refuses_oversize_before_building_a_row(tmp_path, capsys, monkeypatch,
+                                                          args):
+    from nrtcodes import construct
+
+    def no_rows(*args):
+        raise AssertionError("a generator row was built")
+
+    monkeypatch.setattr(construct, "_monomial_rows", no_rows)
+    code, out, err = run(["generate", *args, "--out", str(tmp_path / "big")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: q^k = ") and err.endswith(
+        " points exceed the bound of 2097152 (2^21)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_no_file(tmp_path, capsys):
     # q = 37 has no single-character digits, so the point file cannot be written
     code, _, err = run(["generate", "--q", "37", "--n", "2", "--s", "1",
@@ -547,6 +566,42 @@ def test_errors_are_json_under_json_format(tmp_path, capsys):
         code, out, err = run(args + ["--format", "json"], capsys)
         assert code == 2 and err == "" and out.count("\n") == 1
         assert json.loads(out) == {"schema": 1, **expected}
+
+
+@pytest.mark.parametrize("command, name, text, message", (
+    ("dual", "c.code", "2 2 1 2\n1 0\n", "line 2: fewer rows than the header promised"),
+    ("dual", "c.code", "2 2 1 1\n1 x\n", "line 2: labels must be integers"),
+    ("dual", "c.code", "2 2 1 1\n1 2\n", "line 2: label out of range"),
+    ("dual", "c.code", "2 1 0 1\n0\n", "line 1: bad code header parameters"),
+    ("verify", "p.points", "2 2 1 1 1\n8 1 2 1\n00\n",
+     "line 2: field line and header disagree on q"),
+    ("verify", "p.points", "2 0 1 1\n0\n", "line 1: bad point set header parameters"),
+))
+def test_file_errors_name_their_line(tmp_path, capsys, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    kind = ["--kind", "optimum"] if command == "verify" else []
+    code, out, err = run([command, *kind, "--in", str(path), "--format", "json"], capsys)
+    line = int(message.split(":")[0].split()[1])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"schema": 1, "error": message, "line": line}
+
+
+def test_verify_with_a_huge_k_checks_the_size_without_q_to_the_k(tmp_path, capsys):
+    import tracemalloc
+
+    prefix = str(tmp_path / "g")
+    run(["generate", "--q", "2", "--n", "2", "--s", "2", "--k", "4", "--out", prefix],
+        capsys)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["verify", "--kind", "optimum", "--in", f"{prefix}.points",
+                              "--k", "10000000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: not q^k points\n")
+    assert peak < 2 << 20
 
 
 def test_usage_errors_are_json_under_json_format(capsys):

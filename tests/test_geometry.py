@@ -184,7 +184,7 @@ def test_box_report_matches_the_per_family_recount(data):
             arr = build_optimum_distribution(space, k).array().copy()
         else:
             rows = data.draw(st.lists(word, min_size=k, max_size=k))
-            arr = Distribution.span(space, rows).array().copy()
+            arr = Distribution(space, generator=rows).array().copy()
         if kind == "shift":
             shift = np.array(data.draw(word)).reshape(n, s)
             arr = space.gf.add_table[arr, shift[None]]

@@ -27,7 +27,7 @@ def check(space, rows):
     if got is not None:
         # the file's array, in its order, with the RREF basis of its span
         assert got.array() is dist.array() and len(got) == len(dist)
-        assert got._generator == LinearCode(space, rows.tolist()).basis
+        assert got.generator == LinearCode(space, rows.tolist()).basis
     return got
 
 
@@ -93,8 +93,8 @@ def test_own_span_in_orders_that_defeat_a_prefix(monkeypatch):
     for space, k in ((Space(GF(2), 3, 4), 8), (Space(GF(3), 4, 2), 6),
                      (Space(GF(2, 2), 4, 2), 5)):
         built = build_optimum_distribution(space, k)
-        basis = LinearCode(space, built._generator).basis
-        rows = np.asarray(span_array(space.gf, built._generator, space.dim))
+        basis = LinearCode(space, built.generator).basis
+        rows = np.asarray(span_array(space.gf, built.generator, space.dim))
         in_sub = np.arange(len(rows)) < space.q ** (k - 2)  # span order
         assert 4 * k + 16 <= in_sub.sum()
         orders = (rows, rows[::-1],

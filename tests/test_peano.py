@@ -131,7 +131,7 @@ def test_merge_distribution_keeps_a_proven_files_order():
     shuffled = Distribution(sp, array=built[order])
     proven = own_span(shuffled)
     merged = merge_distribution(proven, 2)
-    assert merged._generator == proven._generator
+    assert merged.generator == proven.generator
     assert merged.words() == merge_distribution(shuffled, 2).words() \
         == [merge_rows(w, 2) for w in shuffled.words()]
 

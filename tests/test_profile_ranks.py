@@ -88,7 +88,7 @@ def test_profile_ranks_saturate_in_the_middle_of_a_block():
                                         (5, 1, 8, 3), (3, 4, 1, 3)])
 def test_profile_ranks_match_one_rank_per_profile(q, n, s, k):
     space = Space({2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}[q], n, s)
-    rows = build_optimum_distribution(space, k)._generator
+    rows = build_optimum_distribution(space, k).generator
     # an optimum set: every profile of total t has rank min(t, k)
     ranks = codes._profile_ranks(space, rows)
     assert ranks == [min(sum(d), k) for d in product(range(s + 1), repeat=n)]
@@ -144,7 +144,7 @@ def test_built_corner_counts_read_the_ranks(q, n, s, k, monkeypatch):
 def test_spans_beyond_int64_are_counted_in_python_integers():
     # 16^16 = 2^64 words: no enumeration reaches them, and int64 would wrap
     space = Space(GF(2, 4), 5, 4)
-    dist = Distribution.span(space, build_mds_code(space, 16).basis)
+    dist = Distribution(space, generator=build_mds_code(space, 16).basis)
     spectrum = distance_spectrum(dist, space.zero())
     assert spectrum == mds_spectrum(5, 4, 16, 16)
     assert sum(spectrum) == 2 ** 64 and all(type(w) is int for w in spectrum)

@@ -416,6 +416,39 @@ def test_fixed_width_read_peaks_below_four_times_the_file(tmp_path):
     assert peak < 4 * path.stat().st_size
 
 
+@pytest.mark.parametrize("text, message", (
+    (b"2 2000000 1 1\n0 1\n", "line 2: expected 2000000 coordinates"),
+    (b"2 1 1000000000 1\n0\n", "line 2: digit string '0' is not 1000000000 long"),
+))
+def test_header_sizes_cost_nothing_the_file_does_not_hold(text, message):
+    read_point_set(io.BytesIO(b"2 1 1 1\n0\n"))  # the reader's one-time setup
+    tracemalloc.start()
+    try:
+        with pytest.raises(PointFileError) as exc:
+            read_point_set(io.BytesIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20
+
+
+def test_base_p_expansion_peaks_near_its_output():
+    from nrtcodes.construct import build_optimum_distribution
+
+    dist = build_optimum_distribution(Space(GF(2, 2), 4, 4), 7)
+    dist.array()
+    tracemalloc.start()
+    try:
+        reduced = dist.to_base_p()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced.array().shape == (4 ** 7, 4, 8)
+    assert reduced.words() == [dist.space.word_to_base_p(w) for w in dist.words()]
+    assert peak < 1.3 * reduced.array().nbytes
+
+
 def test_space_mismatch():
     sp = Space(GF(2), 1, 2)
     with pytest.raises(ValueError):
