@@ -77,16 +77,8 @@ def span_array(gf: GF, rows, width: int) -> np.ndarray:
 def span_weight_histogram(gf: GF, rows, n: int, s: int,
                           metric: str = "nrt") -> np.ndarray:
     """Counts (w_0, ..., w_ns) of the weights of all q^k combinations of
-    the flat rows.  NRT weights come from the rank of every prefix
-    profile of the rows (`codes.span_nrt_histogram`) whenever the
-    (s+1)^n profiles are no more than the q^k words; otherwise, and for
-    Hamming weights, the words are enumerated and summed block by block,
-    so no q^k-word array is built."""
-    if metric == "nrt" and (s + 1) ** n <= gf.q ** len(rows):
-        from .codes import span_nrt_histogram
-        from .words import Space
-
-        return span_nrt_histogram(Space(gf, n, s), rows)
+    the flat rows, summed over the words block by block, so no q^k-word
+    array is built."""
     hist = np.zeros(n * s + 1, dtype=np.int64)
     for block in _span_blocks(gf, rows, n * s):
         hist += np.bincount(weights(block, n, s, metric), minlength=n * s + 1)

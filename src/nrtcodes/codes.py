@@ -10,6 +10,7 @@ major), which makes canonical comparisons and double duals bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .gf import GF
 from .words import Distribution, Space
@@ -17,34 +18,48 @@ from .words import Distribution, Space
 ENUMERATION_BOUND = 1 << 21
 
 
+# a field's (add, mul, neg, inv) lookups, as `_push` takes them
+_lookups = attrgetter("add_lookup", "mul_lookup", "neg_lookup", "inv_lookup")
+
+
+def _push(lookups, echelon: list, vec) -> bool:
+    """The one elimination step: reduce `vec` against the stack of
+    (pivot, row) entries `echelon`, each row 1 at its pivot and 0 at the
+    pivots stacked before it.  If anything nonzero is left, push it
+    scaled to a leading 1 and return True; else return False."""
+    add, mul, neg, inv = lookups
+    for pivot, row in echelon:
+        c = vec[pivot]
+        if c:
+            # vec - c * row, as vec + (-c) * row
+            times = mul[neg[c]]
+            vec = [add[a][times[b]] for a, b in zip(vec, row)]
+    for pivot, v in enumerate(vec):
+        if v:
+            scale = mul[inv[v]]
+            echelon.append((pivot, [scale[x] for x in vec]))
+            return True
+    return False
+
+
 def rref(gf: GF, rows) -> list[list[int]]:
-    """Reduced row echelon form; returns only the nonzero rows."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    add, mul, neg = gf.add_lookup, gf.mul_lookup, gf.neg_lookup
-    width = len(mat[0])
-    pivot_row = 0
-    for col in range(width):
-        pivot = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        scale = mul[gf.inv(mat[pivot_row][col])]
-        prow = mat[pivot_row] = [scale[v] for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                # row - c * pivot row, as row + (-c) * pivot row
-                times = mul[neg[mat[r][col]]]
-                mat[r] = [add[a][times[b]] for a, b in zip(mat[r], prow)]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [r for r in mat[:pivot_row]]
+    """Reduced row echelon form; returns only the nonzero rows.  The rows
+    are pushed onto one echelon stack (`_push`), which sorted by pivot is
+    an echelon form; clearing each pivot column above its pivot, the
+    latest pivot first, reduces it."""
+    echelon, lookups = [], _lookups(gf)
+    for r in rows:
+        _push(lookups, echelon, r)
+    echelon.sort()  # the pivots differ, so no two rows are compared
+    pivots, out = [p for p, _ in echelon], [row for _, row in echelon]
+    add, mul, neg, _ = lookups
+    for i in reversed(range(len(out))):
+        for r in range(i):
+            c = out[r][pivots[i]]
+            if c:
+                times = mul[neg[c]]
+                out[r] = [add[a][times[b]] for a, b in zip(out[r], out[i])]
+    return out
 
 
 def rank(gf: GF, rows) -> int:
@@ -174,7 +189,7 @@ class LinearCode:
             return parity_nrt_weight(self.parity_check())
         if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        if metric == "nrt" and (space.s + 1) ** space.n <= size:
+        if metric == "nrt" and _counted_from_ranks(space, self.k):
             totals = [0]  # a_1 + ... + a_n, in the C order of the ranks
             for _ in range(space.n):
                 totals = [t + a for t in totals for a in range(space.s + 1)]
@@ -279,12 +294,10 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     last block or the first of a later block, and reduces it against the
     echelon rows of its ancestors' columns.  A column that reduces to 0
     sets the best total; only profiles below it are visited after."""
-    n, s = space.n, space.s
-    add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
-                          space.gf.neg_lookup, space.gf.inv_lookup)
+    n, s, lookups = space.n, space.s, _lookups(space.gf)
     columns = list(zip(*rows))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
-    echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
+    echelon = []  # the `_push` stack of the current profile's columns
     best = total + 1
 
     def walk(first: int) -> None:
@@ -298,23 +311,12 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
                 return  # no profile left here is below `best`, or it is enough
             depth = 0  # the columns of block j on the echelon stack
             while depth < s:
-                vec = blocks[j][depth]
-                for pivot, row in echelon:
-                    c = vec[pivot]
-                    if c:
-                        times = mul[neg[c]]
-                        vec = [add[a][times[b]] for a, b in zip(vec, row)]
-                for pivot, v in enumerate(vec):
-                    if v:
-                        break
-                else:
+                if not _push(lookups, echelon, blocks[j][depth]):
                     best = base + depth + 1
                     break
-                if base + depth + 2 == best:  # no extension is below it
-                    break
-                scale = mul[inv[vec[pivot]]]
-                echelon.append((pivot, [scale[v] for v in vec]))
                 depth += 1
+                if base + depth + 1 == best:  # no extension is below it
+                    break
             while depth and best > enough:
                 walk(j + 1)
                 echelon.pop()
@@ -335,14 +337,12 @@ def _profile_ranks(space: Space, rows) -> list[int]:
     its last block and the later ones has rank k; they form one
     contiguous run of the table, filled by one slice assignment, and the
     walk does not descend into them."""
-    n, s, k = space.n, space.s, len(rows)
-    add, mul, neg, inv = (space.gf.add_lookup, space.gf.mul_lookup,
-                          space.gf.neg_lookup, space.gf.inv_lookup)
+    n, s, k, lookups = space.n, space.s, len(rows), _lookups(space.gf)
     columns = list(zip(*(_block_reverse(r, n, s) for r in rows)))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
     stride = [(s + 1) ** (n - 1 - j) for j in range(n)]
     ranks = [0] * (s + 1) ** n
-    echelon = []  # (pivot, row) with row[pivot] = 1, zero at earlier pivots
+    echelon = []  # the `_push` stack of the current profile's columns
 
     def walk(first: int, at: int) -> None:
         # the profiles that extend the one at flat index `at`, whose
@@ -353,17 +353,7 @@ def _profile_ranks(space: Space, rows) -> list[int]:
         for j in range(first, n):
             entry_rank = len(echelon)
             for i in range(s):
-                vec = blocks[j][i]
-                for pivot, row in echelon:
-                    c = vec[pivot]
-                    if c:
-                        times = mul[neg[c]]
-                        vec = [add[a][times[b]] for a, b in zip(vec, row)]
-                for pivot, v in enumerate(vec):
-                    if v:
-                        scale = mul[inv[v]]
-                        echelon.append((pivot, [scale[x] for x in vec]))
-                        break
+                _push(lookups, echelon, blocks[j][i])
                 node = at + stride[j] * (i + 1)
                 if len(echelon) == k:
                     # the profiles with this prefix and d_j > i
@@ -378,6 +368,12 @@ def _profile_ranks(space: Space, rows) -> list[int]:
     if k:
         walk(0, 0)
     return ranks
+
+
+def _counted_from_ranks(space: Space, k: int) -> bool:
+    """Whether NRT counts over the span of k rows are read from the ranks
+    of the (s+1)^n prefix profiles: when they are no more than the q^k words."""
+    return (space.s + 1) ** space.n <= space.q ** k
 
 
 def span_corner_counts(space: Space, rows):
@@ -453,7 +449,7 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
     rows = dist.generator
-    if rows is not None and (s + 1) ** n <= dist.size():
+    if rows is not None and _counted_from_ranks(space, len(rows)):
         counts = span_corner_counts(space, rows).ravel().tolist()
         return dict(zip(product(range(s + 1), repeat=n), counts))
     rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)
@@ -629,9 +625,11 @@ def read_code(stream) -> LinearCode:
         labels = text.split()
         if len(labels) != space.dim:
             raise PointFileError(f"expected {space.dim} labels", lineno)
-        try:
+        try:  # int() alone would also read signs, "_" and non-ASCII digits
+            if not all(t.isascii() and t.isdigit() for t in labels):
+                raise ValueError
             vals = [int(t) for t in labels]
-        except ValueError:
+        except ValueError:  # or more digits than int() reads
             raise PointFileError("labels must be integers", lineno) from None
         if any(not 0 <= v < space.q for v in vals):
             raise PointFileError("label out of range", lineno)

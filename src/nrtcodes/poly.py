@@ -34,11 +34,6 @@ def normalize(f: list[int]) -> list[int]:
     return f
 
 
-def degree(f) -> int:
-    """Degree of f, -1 for the zero polynomial."""
-    return len(f) - 1
-
-
 def poly_add(gf: GF, f, g):
     out = [gf.add(a, b) for a, b in zip(f, g)]
     longer = f if len(f) > len(g) else g
@@ -61,23 +56,6 @@ def poly_mul(gf: GF, f, g):
             for j, b in enumerate(g):
                 out[i + j] = gf.add(out[i + j], gf.mul(a, b))
     return normalize(out)
-
-
-def poly_divmod(gf: GF, f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    quot = [0] * max(0, len(f) - len(g) + 1)
-    inv_lead = gf.inv(g[-1])
-    dg = degree(g)
-    while degree(rem) >= dg:
-        c = gf.mul(rem[-1], inv_lead)
-        shift = degree(rem) - dg
-        quot[shift] = c
-        for i, b in enumerate(g):
-            rem[shift + i] = gf.sub(rem[shift + i], gf.mul(c, b))
-        normalize(rem)
-    return normalize(quot), rem
 
 
 def binom_mod(m: int, j: int, p: int) -> int:

@@ -52,20 +52,22 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
     must itself belong to the distribution.  From the zero word, a set
-    with a generator (see `Distribution`) is counted from it,
-    without its array, by `bulk.span_weight_histogram`: from the ranks of
-    the generator's (s+1)^n prefix profiles when they are no more than the
-    q^k words, else word by word in blocks.  Any other set or anchor
-    reads the array."""
+    with a generator (see `Distribution`) is counted from it, without its
+    array: from the ranks of the generator's prefix profiles
+    (`codes.span_nrt_histogram`) when `codes._counted_from_ranks`, else
+    word by word in blocks (`bulk.span_weight_histogram`).  Any other set
+    or anchor reads the array."""
     import numpy as np
-    from . import bulk
+    from . import bulk, codes
 
     space = dist.space
     anchor = space.check_word(anchor)
     flat_anchor = space.flatten(anchor)
-    if dist.generator is not None and not any(flat_anchor):
-        return bulk.span_weight_histogram(space.gf, dist.generator,
-                                          space.n, space.s).tolist()
+    rows = dist.generator
+    if rows is not None and not any(flat_anchor):
+        if codes._counted_from_ranks(space, len(rows)):
+            return codes.span_nrt_histogram(space, rows).tolist()
+        return bulk.span_weight_histogram(space.gf, rows, space.n, space.s).tolist()
     arr = dist.array().reshape(len(dist), space.dim)
     diffs = bulk.sub_anchor(space.gf, arr, flat_anchor)
     rho = bulk.nrt_weights(diffs, space.n, space.s)

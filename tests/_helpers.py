@@ -219,10 +219,42 @@ def lattice_discrepancy(dist):
     return Fraction(worst, count * side ** n)
 
 
+def rref_by_columns(gf, rows):
+    """Gauss-Jordan elimination column by column, the oracle of
+    `codes.rref` and, through its length, of every rank the package
+    takes with `codes._push`: reduced row echelon form, nonzero rows
+    only."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    add, mul, neg = gf.add_lookup, gf.mul_lookup, gf.neg_lookup
+    width = len(mat[0])
+    pivot_row = 0
+    for col in range(width):
+        pivot = None
+        for r in range(pivot_row, len(mat)):
+            if mat[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        scale = mul[gf.inv(mat[pivot_row][col])]
+        prow = mat[pivot_row] = [scale[v] for v in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col]:
+                # row - c * pivot row, as row + (-c) * pivot row
+                times = mul[neg[mat[r][col]]]
+                mat[r] = [add[a][times[b]] for a, b in zip(mat[r], prow)]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return [r for r in mat[:pivot_row]]
+
+
 def parity_weight_by_composition(check):
     """The per-composition search, the oracle of `parity_nrt_weight`:
     totals ascending, one fresh rank per composition of each total."""
-    from nrtcodes.codes import rank
     from nrtcodes.geometry import bounded_compositions
 
     space = check.space
@@ -234,7 +266,7 @@ def parity_weight_by_composition(check):
             for j, d in enumerate(d_vec):
                 for i in range(d):
                     cols.append(tuple(row[j * s + i] for row in check.basis))
-            if rank(gf, cols) < len(cols):
+            if len(rref_by_columns(gf, cols)) < len(cols):
                 return total
     raise ValueError("zero code has no nonzero word")
 

@@ -572,6 +572,11 @@ def test_errors_are_json_under_json_format(tmp_path, capsys):
     ("dual", "c.code", "2 2 1 2\n1 0\n", "line 2: fewer rows than the header promised"),
     ("dual", "c.code", "2 2 1 1\n1 x\n", "line 2: labels must be integers"),
     ("dual", "c.code", "2 2 1 1\n1 2\n", "line 2: label out of range"),
+    # labels are ASCII decimal digits: no sign, no "_", no other script's digits
+    ("dual", "c.code", "5 2 2 1\n+1 0 0 1\n", "line 2: labels must be integers"),
+    ("dual", "c.code", "5 2 2 1\n-0 1 0 0\n", "line 2: labels must be integers"),
+    ("dual", "c.code", "5 2 2 1\n\u0663 0 0 1\n", "line 2: labels must be integers"),
+    ("dual", "c.code", "5 2 2 1\n1_0 0 0 1\n", "line 2: labels must be integers"),
     ("dual", "c.code", "2 1 0 1\n0\n", "line 1: bad code header parameters"),
     ("verify", "p.points", "2 2 1 1 1\n8 1 2 1\n00\n",
      "line 2: field line and header disagree on q"),
@@ -579,7 +584,7 @@ def test_errors_are_json_under_json_format(tmp_path, capsys):
 ))
 def test_file_errors_name_their_line(tmp_path, capsys, command, name, text, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     kind = ["--kind", "optimum"] if command == "verify" else []
     code, out, err = run([command, *kind, "--in", str(path), "--format", "json"], capsys)
     line = int(message.split(":")[0].split()[1])

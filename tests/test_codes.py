@@ -19,7 +19,7 @@ from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
 from _helpers import (all_subspaces, box_count, parity_weight_by_composition,
-                      random_code, span_array_by_passes)
+                      random_code, rref_by_columns, span_array_by_passes)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2), 16: GF(2, 4)}
@@ -33,6 +33,32 @@ def test_rref_and_rank():
     assert red == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # [2,1,0] is twice [1,2,0] over F_3
     assert rank(gf, [[1, 2, 0], [2, 1, 0]]) == 1
+    assert rref(gf, []) == rref_by_columns(gf, []) == [] and rank(gf, ()) == 0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rref_matches_gauss_jordan_by_columns(data):
+    gf = data.draw(st.sampled_from([*FIELDS.values(), GF(2, 8)]))
+    width = data.draw(st.integers(0, 7))
+    # up to twice as many rows as columns, so often more rows than columns
+    count = data.draw(st.integers(0, 2 * width + 2))
+    entry = st.integers(0, gf.q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                              min_size=count, max_size=count))
+    # zero rows, and rows that repeat a multiple of another
+    for _ in range(data.draw(st.integers(0, 2)) if count else 0):
+        rows[data.draw(st.integers(0, count - 1))] = [0] * width
+    for _ in range(data.draw(st.integers(0, 2)) if count > 1 else 0):
+        i, j = data.draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                                  unique=True))
+        c = data.draw(st.integers(0, gf.q - 1))
+        rows[j] = [gf.mul(c, v) for v in rows[i]]
+    if data.draw(st.booleans()):
+        rows = [tuple(r) for r in rows]
+    expected = rref_by_columns(gf, rows)
+    assert rref(gf, rows) == expected
+    assert rank(gf, rows) == len(expected)
 
 
 def test_nullspace_orthogonality():

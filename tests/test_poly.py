@@ -8,7 +8,7 @@ from nrtcodes.gf import GF
 from nrtcodes.poly import (INF, binom_mod, eval_poly, from_taylor,
                            hasse_derivative, hermite_interpolate, hyper_eval,
                            linear_factor_power, normalize, poly_add,
-                           poly_divmod, poly_mul, poly_scale, taylor_expand)
+                           poly_mul, poly_scale, taylor_expand)
 
 
 def pascal_mod(p, rows):
@@ -243,20 +243,6 @@ def test_hermite_meets_every_prescribed_value(data):
     # the definition of d^j f(beta) is the oracle
     for beta, values in zip(nodes, targets):
         assert [hyper_eval(gf, f, beta, j, ambient=t) for j in range(len(values))] == values
-
-
-def test_poly_divmod_roundtrip():
-    f7 = GF(7)
-    rng = random.Random(5)
-    for _ in range(40):
-        f = normalize([rng.randrange(7) for _ in range(rng.randrange(0, 8))])
-        g = normalize([rng.randrange(7) for _ in range(rng.randrange(1, 5))])
-        if not g:
-            continue
-        quot, rem = poly_divmod(f7, f, g)
-        back = poly_add(f7, poly_mul(f7, quot, g), rem)
-        assert back == f
-        assert len(rem) < len(g) or not rem
 
 
 def test_eval_poly_horner():

@@ -1,9 +1,10 @@
 """NRT weight spectra and corner box counts of spans from the ranks of
 their prefix profiles (`codes.span_nrt_histogram`,
 `codes.span_corner_counts`), against the k-pass enumeration and against
-one rank per profile, and the rule (s+1)^n <= q^k by which
-`bulk.span_weight_histogram` and `codes.corner_box_counts` take that
-route instead of counting words."""
+one rank per profile, and the rule (s+1)^n <= q^k
+(`codes._counted_from_ranks`) by which `spectra.distance_spectrum`,
+`codes.corner_box_counts` and `LinearCode.min_weight` take that route
+instead of counting words."""
 
 import tracemalloc
 from itertools import product
@@ -13,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes import bulk, codes
-from nrtcodes.codes import LinearCode, corner_box_counts, rank
+from nrtcodes.codes import LinearCode, corner_box_counts
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.gf import GF
 from nrtcodes.spectra import distance_spectrum, mds_spectrum
 from nrtcodes.words import Distribution, Space
 
-from _helpers import span_array_by_passes
+from _helpers import rref_by_columns, span_array_by_passes
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
 
@@ -32,7 +33,7 @@ def profile_ranks_one_by_one(space, rows):
     for depths in product(range(s + 1), repeat=n):
         cols = [[row[j * s + s - 1 - i] for row in rows]
                 for j, d in enumerate(depths) for i in range(d)]
-        out.append(rank(space.gf, cols) if rows else 0)
+        out.append(len(rref_by_columns(space.gf, cols)) if rows else 0)
     return out
 
 
@@ -112,19 +113,21 @@ def test_built_spectra_and_minimum_weights_are_counted_without_words(monkeypatch
 def test_a_table_wider_than_the_span_is_not_built(monkeypatch):
     # 2^20 profiles and 4 words: both rows on coordinate 0
     gf, n, s = GF(2), 20, 1
+    space = Space(gf, n, s)
     rows = [[1] + [0] * (n - 1)] * 2
     expected = np.bincount(bulk.nrt_weights(span_array_by_passes(gf, rows, n), n, s),
                            minlength=n + 1)
     assert expected[:2].tolist() == [2, 2]
     monkeypatch.setattr(codes, "_profile_ranks", refuse("_profile_ranks"))
-    bulk.span_weight_histogram(gf, rows[:1], n, s)  # caches filled outside the trace
+    # caches filled outside the trace
+    distance_spectrum(Distribution(space, generator=rows[:1]), space.zero())
     tracemalloc.start()
     try:
-        hist = bulk.span_weight_histogram(gf, rows, n, s)
+        hist = distance_spectrum(Distribution(space, generator=rows), space.zero())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(hist, expected)
+    assert hist == expected.tolist()
     assert peak < 2 ** 20
 
 
@@ -150,11 +153,13 @@ def test_spans_beyond_int64_are_counted_in_python_integers():
     assert sum(spectrum) == 2 ** 64 and all(type(w) is int for w in spectrum)
 
 
-def test_a_long_block_is_walked_without_deep_recursion():
+def test_a_long_block_is_walked_without_deep_recursion(monkeypatch):
     # 1100 digits, and the rows are unit words on the lowest 11 of them:
     # the rank stays 0 for the first 1089 top-first columns
     gf, n, s, k = GF(2), 1, 1100, 11
+    space = Space(gf, n, s)
     rows = [[int(i == m) for i in range(s)] for m in range(k)]
-    hist = bulk.span_weight_histogram(gf, rows, n, s)
+    monkeypatch.setattr(bulk, "_span_blocks", refuse("_span_blocks"))
+    hist = distance_spectrum(Distribution(space, generator=rows), space.zero())
     # the word of combination c has the weight of c's highest nonzero digit
-    assert hist.tolist() == [1] + [2 ** (t - 1) for t in range(1, k + 1)] + [0] * (s - k)
+    assert hist == [1] + [2 ** (t - 1) for t in range(1, k + 1)] + [0] * (s - k)
