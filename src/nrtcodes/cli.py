@@ -26,7 +26,6 @@ from .poly import INF
 from .spectra import distance_spectrum, mds_spectrum, nets_exist
 from .words import (Distribution, PointFileError, Space, exponent,
                     read_point_set, write_point_set)
-from . import peano
 
 SCHEMA = 1
 
@@ -171,6 +170,8 @@ def cmd_generate(args) -> int:
 def _generate_composite(args, gf) -> int:
     """generate --g G --t T: the merged-block construction with k = s*t,
     large in both metrics along with its dual."""
+    from . import peano
+
     n, s, t, g = args.n, args.s, args.t, args.g
     if n is None or s is None or t is None:
         raise UsageError("composite generation needs --n, --s and --t")
@@ -315,6 +316,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_peano(args) -> int:
+    from . import peano
+
     g = args.g
     if args.type == "code":
         code = _read(args, read_code)
@@ -350,6 +353,8 @@ def cmd_peano(args) -> int:
 def cmd_basechange(args) -> int:
     """Least weights of the file's nonzero points in base q and base p; they
     are the minimum distances only when the file is linear."""
+    from . import peano
+
     dist = _read(args, read_point_set)
     reduced = dist.to_base_p()
     rep = peano.distribution_base_change_weights(dist, reduced)

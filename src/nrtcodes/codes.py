@@ -9,7 +9,7 @@ major), which makes canonical comparisons and double duals bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .gf import GF
@@ -537,11 +537,9 @@ def macwilliams_n1_ok(dist: Distribution, dual_dist: Distribution) -> bool:
     return lhs == rhs
 
 
-@dataclass
-class CharacterReport:
-    ok: bool
-    checked: int
-    failure: str | None = None
+class CharacterReport(namedtuple("CharacterReport", "ok checked failure",
+                                 defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -612,7 +610,7 @@ def write_code(stream, code: LinearCode, comments=()) -> None:
 
 
 def read_code(stream) -> LinearCode:
-    from .words import PointFileError, _byte_lines, _read_header
+    from .words import PointFileError, _byte_lines, _ints, _read_header
 
     lines = _byte_lines(stream.read(), [])
     field, n, s, k, lineno = _read_header(lines, "code")
@@ -625,10 +623,8 @@ def read_code(stream) -> LinearCode:
         labels = text.split()
         if len(labels) != space.dim:
             raise PointFileError(f"expected {space.dim} labels", lineno)
-        try:  # int() alone would also read signs, "_" and non-ASCII digits
-            if not all(t.isascii() and t.isdigit() for t in labels):
-                raise ValueError
-            vals = [int(t) for t in labels]
+        try:
+            vals = _ints(labels)
         except ValueError:  # or more digits than int() reads
             raise PointFileError("labels must be integers", lineno) from None
         if any(not 0 <= v < space.q for v in vals):

@@ -13,8 +13,7 @@ certificate `codes.span_is_mds` first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .codes import span_is_mds
 from .words import Distribution
@@ -22,21 +21,22 @@ from .words import Distribution
 DISCREPANCY_CELL_BOUND = 1 << 20
 
 
-@dataclass(frozen=True)
-class ElementaryBox:
+class ElementaryBox(namedtuple("ElementaryBox", "a m")):
     """Anchored q-adic box: coordinate j spans [m_j/q^a_j, (m_j+1)/q^a_j)."""
 
-    a: tuple[int, ...]
-    m: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != len(self.m):
+    def __new__(cls, a: tuple[int, ...], m: tuple[int, ...]):
+        if len(a) != len(m):
             raise ValueError("side and position vectors differ in length")
-        for aj, mj in zip(self.a, self.m):
+        for aj, mj in zip(a, m):
             if aj < 0 or mj < 0:
                 raise ValueError("negative box parameters")
+        return super().__new__(cls, a, m)
 
     def volume(self, q: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(1, q ** sum(self.a))
 
 
@@ -52,14 +52,11 @@ def bounded_compositions(total: int, parts: int, bound: int):
             yield head + (last,)
 
 
-@dataclass
-class BoxReport:
+class BoxReport(namedtuple("BoxReport", "ok box count expected",
+                           defaults=(None, None, None))):
     """Outcome of a box-count sweep; `box` is the first offending box."""
 
-    ok: bool
-    box: ElementaryBox | None = None
-    count: int | None = None
-    expected: int | None = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -222,6 +219,8 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     refused before allocating, as soon as the grid sizes of the axes
     ranked so far, times 2 for each axis still to rank, exceed it.
     """
+    from fractions import Fraction
+
     import numpy as np
 
     space = dist.space

@@ -10,7 +10,7 @@ formula and the weight monotonicity below exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codes import LinearCode
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
@@ -67,12 +67,8 @@ def merged_block_weight(block_rows) -> int:
     return row_weight(block_rows[last - 1]) + (last - 1) * s
 
 
-@dataclass
-class WeightTransport:
-    hamming_before: int
-    hamming_after: int
-    nrt_before: int
-    nrt_after: int
+WeightTransport = namedtuple("WeightTransport",
+                             "hamming_before hamming_after nrt_before nrt_after")
 
 
 def weight_transport(word: Word, g: int) -> WeightTransport:
@@ -121,19 +117,14 @@ def dual_transport(code: LinearCode, g: int) -> LinearCode:
     return direct
 
 
-@dataclass
-class CompositeBuild:
+class CompositeBuild(namedtuple("CompositeBuild",
+                                "g t code_tall dist_tall code dist")):
     """Composite construction: an MDS code / optimum distribution built
     with gn rows at digit depth s, then merged down to n rows of depth
     g*s.  k = s*t is the underlying dimension parameter; the merged code
     has dimension g*k."""
 
-    g: int
-    t: int
-    code_tall: LinearCode
-    dist_tall: Distribution
-    code: LinearCode
-    dist: Distribution
+    __slots__ = ()
 
 
 def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> CompositeBuild:
@@ -155,14 +146,9 @@ def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> Composite
 
 # --- base p^e -> p weight relations ---
 
-@dataclass
-class BaseChangeWeights:
-    nrt_q: int
-    nrt_p: int
-    hamming_q: int
-    hamming_p: int
-    e: int
-    n: int
+class BaseChangeWeights(namedtuple("BaseChangeWeights",
+                                   "nrt_q nrt_p hamming_q hamming_p e n")):
+    __slots__ = ()
 
     @property
     def bounds_ok(self) -> bool:
@@ -217,16 +203,10 @@ def optimum_base_p_bound(n: int, s: int, k: int, e: int) -> int:
     return (n * s - k) * e + 1 - (e - 1) * (n - 1)
 
 
-@dataclass
-class CompositeBasePReport:
-    nrt_p: int
-    hamming_p: int
-    dual_nrt_p: int
-    dual_hamming_p: int
-    nrt_p_bound: int
-    hamming_p_bound: int
-    dual_nrt_p_bound: int
-    dual_hamming_p_bound: int
+class CompositeBasePReport(namedtuple(
+        "CompositeBasePReport", "nrt_p hamming_p dual_nrt_p dual_hamming_p nrt_p_bound "
+        "hamming_p_bound dual_nrt_p_bound dual_hamming_p_bound")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import re
-from fractions import Fraction
 
 from .gf import DIGIT_CHARS, GF, TABLE_BOUND, FieldBoundError
 
@@ -46,6 +45,8 @@ def exponent(q: int, count: int) -> int:
 
 def truncate_digits(x: Fraction, q: int, s: int) -> Fraction:
     """Projection onto Q(q^s): keep the first s base-q digits of x."""
+    from fractions import Fraction
+
     if not 0 <= x < 1:
         raise ValueError("coordinate must lie in [0, 1)")
     scaled = x * q ** s
@@ -152,6 +153,8 @@ class Space:
 
     def coordinate(self, row) -> Fraction:
         """Exact value sum_i row[i-1] * q^(i-s-1) of one coordinate."""
+        from fractions import Fraction
+
         num = 0
         for v in reversed(row):
             num = num * self.q + v
@@ -170,6 +173,8 @@ class Space:
         return tuple(num // self.q ** i % self.q for i in range(self.s))
 
     def point_to_word(self, point) -> Word:
+        from fractions import Fraction
+
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         return tuple(self.row_from_coordinate(Fraction(x)) for x in point)
@@ -348,6 +353,14 @@ def _byte_lines(data, offsets: list):
             yield len(offsets), text
 
 
+def _ints(tokens) -> list[int]:
+    """Tokens that are ASCII decimal digits as ints, else ValueError: int()
+    alone would also read signs, "_" and other scripts' digits."""
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError("not a decimal digit string")
+    return [int(t) for t in tokens]
+
+
 def _read_header(lines, kind: str):
     lineno, text = next(lines, (1, None))
     if text is None:
@@ -355,6 +368,7 @@ def _read_header(lines, kind: str):
     parts, field = text.split(), None
     if len(parts) != 4:
         try:
+            _ints(parts)  # the field line's values are digit strings too
             field = GF.from_description(text)
         except FieldBoundError as exc:
             raise PointFileError(str(exc), lineno) from None
@@ -367,7 +381,7 @@ def _read_header(lines, kind: str):
         if len(parts) != 4:
             raise PointFileError("expected header 'q n s N'", lineno)
     try:
-        q, n, s, count = (int(x) for x in parts)
+        q, n, s, count = _ints(parts)
     except ValueError:
         raise PointFileError("header values must be integers", lineno) from None
     if field is None:

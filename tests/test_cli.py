@@ -453,22 +453,26 @@ def test_degree_and_block_size_below_one_are_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("g*"))
 
 
-def run_without_numpy(script, cwd=None):
-    """Run `script` in a fresh interpreter whose `nrtcodes.gf` refuses to
-    build the numpy field arrays, and check that it imported no numpy."""
-    script = ("import sys\n"
-              "from nrtcodes import cli, gf\n"
-              "assert 'numpy' not in sys.modules\n"
-              "def refuse(*field):\n"
-              "    raise AssertionError('field arrays built')\n"
-              "gf._field_arrays = refuse\n"
-              + script +
-              "assert 'numpy' not in sys.modules\n")
+def run_fresh(script, cwd=None):
+    """Run `script` in a fresh interpreter on this package; its stdout."""
     src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             cwd=cwd, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def run_without_numpy(script, cwd=None):
+    """Run `script` in a fresh interpreter whose `nrtcodes.gf` refuses to
+    build the numpy field arrays, and check that it imported no numpy."""
+    return run_fresh("import sys\n"
+                     "from nrtcodes import cli, gf\n"
+                     "assert 'numpy' not in sys.modules\n"
+                     "def refuse(*field):\n"
+                     "    raise AssertionError('field arrays built')\n"
+                     "gf._field_arrays = refuse\n"
+                     + script +
+                     "assert 'numpy' not in sys.modules\n", cwd)
 
 
 def test_field_info_builds_no_tables():
@@ -503,6 +507,36 @@ def test_code_commands_start_without_numpy(tmp_path):
         with open(tmp_path / f"{name}.dual") as fh:
             dual = read_code(fh)
         assert dual.k == 2
+
+
+def test_commands_import_only_what_they_run(tmp_path, capsys):
+    # start-up loads no dataclasses, fractions or peano; the commands that
+    # need fractions or peano import them as they run, with the same answers
+    code = LinearCode(Space(GF(5), 2, 2), [[1, 2, 0, 1], [0, 1, 1, 3]])
+    with open(tmp_path / "c.code", "w") as fh:
+        write_code(fh, code)
+    with open(tmp_path / "c.points", "w") as fh:
+        write_point_set(fh, code.distribution())
+    commands = [f"dual --in {tmp_path / 'c.code'}",
+                f"verify --kind mds --in {tmp_path / 'c.code'}",
+                f"discrepancy --in {tmp_path / 'c.points'}",
+                f"peano --type points --g 2 --in {tmp_path / 'c.points'}"]
+    expected = [run(argv.split(), capsys) for argv in commands]
+    calls = [f"assert cli.main({argv.split()!r}) == {status}\n"
+             for argv, (status, _, _) in zip(commands, expected)]
+    script = ("import sys\n"
+              "from nrtcodes import cli\n"
+              "def loaded(*names):\n"
+              "    return [name for name in names if name in sys.modules]\n"
+              "assert not loaded('dataclasses', 'fractions', 'nrtcodes.peano')\n"
+              + calls[0] + calls[1] +
+              "assert not loaded('dataclasses', 'numpy')\n"
+              + calls[2] + calls[3] +
+              "assert not loaded('dataclasses')\n")
+    assert run_fresh(script) == "".join(out for _, out, _ in expected)
+    assert [err for _, _, err in expected] == [""] * 4
+    assert expected[1][1] == "MDS: False (weight 2, bound 3)\n"
+    assert expected[3][1] == "merged 25 points into Q^1(q^4)\n"
 
 
 def test_removed_flags_are_usage_errors(capsys):
@@ -581,6 +615,16 @@ def test_errors_are_json_under_json_format(tmp_path, capsys):
     ("verify", "p.points", "2 2 1 1 1\n8 1 2 1\n00\n",
      "line 2: field line and header disagree on q"),
     ("verify", "p.points", "2 0 1 1\n0\n", "line 1: bad point set header parameters"),
+    # header and field-line values are ASCII decimal digits, as labels are
+    ("verify", "p.points", "+5 2 2 1\n00 00\n", "line 1: header values must be integers"),
+    ("verify", "p.points", "\u0665 2 2 1\n00 00\n", "line 1: header values must be integers"),
+    ("verify", "p.points", "2 1_0 1 1\n0 0\n", "line 1: header values must be integers"),
+    ("verify", "p.points", "+2 2 1 1 1\n4 1 1 1\n0\n",
+     "line 1: expected field line or 4-value header"),
+    ("dual", "c.code", "+5 2 2 1\n1 0 0 1\n", "line 1: header values must be integers"),
+    ("dual", "c.code", "2 2 1 1 1\n4 1 1 -1\n1\n", "line 2: header values must be integers"),
+    ("dual", "c.code", "2 2 1 \u0661 1\n4 1 1 1\n1\n",
+     "line 1: expected field line or 4-value header"),
 ))
 def test_file_errors_name_their_line(tmp_path, capsys, command, name, text, message):
     path = tmp_path / name

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nrtcodes.codes import CharacterReport
 from nrtcodes.construct import build_optimum_distribution
-from nrtcodes.geometry import (ElementaryBox, _box_report, base_reduce_net,
+from nrtcodes.geometry import (BoxReport, ElementaryBox, _box_report, base_reduce_net,
                                bounded_compositions, check_counts, is_net,
                                is_optimum, net_from_optimum, net_report, optimum_report, star_discrepancy)
 from nrtcodes.gf import GF
@@ -47,6 +48,27 @@ def test_box_membership_is_interval_membership():
             for x, aj, mj in zip(pt, a, m)
         )
         assert box_contains(box, w, 3, 2) == geometric
+
+
+def test_reports_are_checked_named_tuples():
+    with pytest.raises(ValueError, match="differ in length"):
+        ElementaryBox((1, 0), (0,))
+    for a, m in (((-1, 0), (0, 0)), ((1, 0), (0, -1))):
+        with pytest.raises(ValueError, match="negative box parameters"):
+            ElementaryBox(a=a, m=m)
+    box = ElementaryBox(a=(1, 0), m=(2, 0))
+    assert box == ElementaryBox((1, 0), (2, 0))
+    assert hash(box) == hash(ElementaryBox((1, 0), (2, 0)))
+    assert len({box, ElementaryBox((1, 0), (2, 0)), ElementaryBox((0, 1), (0, 2))}) == 2
+    assert repr(box) == "ElementaryBox(a=(1, 0), m=(2, 0))"
+    assert box.volume(3) == Fraction(1, 3)
+    failed = BoxReport(False, box, count=2, expected=1)
+    assert not failed and (failed.box, failed.count, failed.expected) == (box, 2, 1)
+    assert BoxReport(ok=True) and BoxReport(True).box is None
+    assert repr(BoxReport(True)) == "BoxReport(ok=True, box=None, count=None, expected=None)"
+    assert not CharacterReport(False, 3, "character sum broke at Y key 5")
+    assert CharacterReport(ok=True, checked=4) == CharacterReport(True, 4, None)
+    assert repr(CharacterReport(True, 4)) == "CharacterReport(ok=True, checked=4, failure=None)"
 
 
 def test_is_net_examples():
