@@ -12,20 +12,18 @@ any other option is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 
-from .codes import (LinearCode, corner_box_counts, is_mds, macwilliams_n1_ok,
-                    own_span, read_code, write_code)
+from .codes import (LinearCode, corner_box_counts, duality_ok, is_mds, own_span,
+                    read_code, write_code)
 from .construct import build_mds_code, build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
 from .gf import GF, TABLE_BOUND
 from .poly import INF
 from .spectra import distance_spectrum, mds_spectrum, nets_exist
-from .words import (Distribution, PointFileError, Space, exponent,
-                    read_point_set, write_point_set)
+from .words import PointFileError, Space, exponent, read_point_set, write_point_set
 
 SCHEMA = 1
 
@@ -101,6 +99,8 @@ def _nodes_text(nodes) -> str:
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
     else:
         for line in text_lines:
@@ -288,9 +288,8 @@ def cmd_spectrum(args) -> int:
             for a, c in sorted(corner_box_counts(dist).items())
         }
         if space.n == 1:
-            # a span, not `distribution()`: the enumerator needs no words
-            dual = LinearCode(space, dist.generator).dual()
-            ok = macwilliams_n1_ok(dist, Distribution(space, generator=dual.basis))
+            code = LinearCode(space, dist.generator)
+            ok = duality_ok(code, code.dual())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)
@@ -483,6 +482,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of the program, still never a traceback
         error = {"error": f"internal: {type(exc).__name__}: {exc}"}
     if fmt == "json":
+        import json
+
         print(json.dumps({"schema": SCHEMA, **error}, sort_keys=True))
     else:
         print(f"error: {error['error']}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
-the reversed inner product, minimum weights, check matrices (the codes
-their rows span), box and weight enumerators, and character-sum
-verification.
+the reversed inner product and its MacWilliams identity, minimum weights,
+check matrices (the codes their rows span), box and weight enumerators,
+and character-sum verification.
 
 Codes are stored as RREF bases over the flattened n*s coordinates (row
 major), which makes canonical comparisons and double duals bit-exact.
@@ -190,11 +190,9 @@ class LinearCode:
         if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
         if metric == "nrt" and _counted_from_ranks(space, self.k):
-            totals = [0]  # a_1 + ... + a_n, in the C order of the ranks
-            for _ in range(space.n):
-                totals = [t + a for t in totals for a in range(space.s + 1)]
             ranks = _profile_ranks(space, self.basis)
-            return space.dim - max(t for t, r in zip(totals, ranks) if r < self.k)
+            return space.dim - max(t for t, r in zip(_profile_totals(space), ranks)
+                                   if r < self.k)
         import numpy as np
         from . import bulk
 
@@ -370,6 +368,33 @@ def _profile_ranks(space: Space, rows) -> list[int]:
     return ranks
 
 
+def _profile_totals(space: Space) -> list[int]:
+    """a_1 + ... + a_n of every prefix profile, in the C order of
+    `_profile_ranks`."""
+    totals = [0]
+    for _ in range(space.n):
+        totals = [t + a for t in totals for a in range(space.s + 1)]
+    return totals
+
+
+def duality_ok(code: LinearCode, dual: LinearCode) -> bool:
+    """The generalized MacWilliams identity of C = `code` and C' = `dual`,
+    for every n: q^k phi_C'(b) = q^(ns - |b|) phi_C(s - b) for every b in
+    {0..s}^n, phi(a) = q^(k - rank(a)) the codewords in the corner box of
+    side exponents a (`span_corner_counts`).  In the ranks of the prefix
+    profiles it reads rank_C'(b) = |b| - k + rank_C(s - b), and profile
+    s - b is the mirror of b in the C order of `_profile_ranks`, so one
+    pass over the two rank lists decides it, with no words and no numpy.
+    At b = (s, ..., s) it reads dim C' = ns - k.  False when the spaces
+    differ."""
+    space, k = code.space, code.k
+    if dual.space != space:
+        return False
+    mirrored = reversed(_profile_ranks(space, code.basis))
+    return all(r == t - k + m for t, r, m in
+               zip(_profile_totals(space), _profile_ranks(space, dual.basis), mirrored))
+
+
 def _counted_from_ranks(space: Space, k: int) -> bool:
     """Whether NRT counts over the span of k rows are read from the ranks
     of the (s+1)^n prefix profiles: when they are no more than the q^k words."""
@@ -429,7 +454,7 @@ def parity_nrt_weight(check: LinearCode) -> int:
     return _dependent_profile(space, check.basis, rank_h, 0)
 
 
-# --- enumerators and duality identities ---
+# --- enumerators and character sums ---
 
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
@@ -467,76 +492,6 @@ def weight_enumerator(dist: Distribution) -> list[int]:
     return distance_spectrum(dist, dist.space.zero())
 
 
-def box_duality_ok(dist: Distribution, dual_dist: Distribution) -> bool:
-    """Corner-count duality: q^(sum A) #(D in box_A) = N #(D* in box_A*),
-    equivalently the box-enumerator functional equation after clearing
-    denominators."""
-    from itertools import product
-
-    space = dist.space
-    q, n, s = space.q, space.n, space.s
-    counts = corner_box_counts(dist)
-    dual_counts = corner_box_counts(dual_dist)
-    for a_vec in product(range(s + 1), repeat=n):
-        a_star = tuple(s - a for a in a_vec)
-        lhs = counts[a_vec] * q ** sum(a_vec)
-        rhs = len(dist) * dual_counts[a_star]
-        if lhs != rhs:
-            return False
-    return True
-
-
-def weight_enum_identity_n1(dist: Distribution) -> bool:
-    """n = 1 bridge between the box and weight enumerators:
-    W(D;z) = z^s (1-z) phi(D;1/z) + N z^(s+1)."""
-    space = dist.space
-    if space.n != 1:
-        raise ValueError("identity proven only for n=1")
-    s = space.s
-    w = weight_enumerator(dist)
-    phi = corner_box_counts(dist)
-    # z^s * phi(1/z) has coefficient phi[a] at degree s - a
-    lifted = [0] * (s + 2)
-    for (a,), c in phi.items():
-        lifted[s - a] += c
-    rhs = [0] * (s + 2)
-    for d in range(s + 1):
-        rhs[d] += lifted[d]
-        rhs[d + 1] -= lifted[d]
-    rhs[s + 1] += len(dist)
-    return w + [0] * (s + 2 - len(w)) == rhs
-
-
-def _v_poly(w: list[int], q: int) -> list[int]:
-    """(qz - 1) W(z) + 1 - z as an integer coefficient list."""
-    out = [0] * (len(w) + 1)
-    for r, c in enumerate(w):
-        out[r + 1] += q * c
-        out[r] -= c
-    out[0] += 1
-    out[1] -= 1
-    return out
-
-
-def macwilliams_n1_ok(dist: Distribution, dual_dist: Distribution) -> bool:
-    """n = 1 MacWilliams identity, checked exactly after clearing
-    denominators: q^(s+1) v(D;z) = N sum_r v_r(D*) q^(s+2-r) z^(s+2-r)."""
-    space = dist.space
-    if space.n != 1 or dual_dist.space.n != 1:
-        raise ValueError("identity proven only for n=1")
-    s = space.s
-    q = space.q
-    v = _v_poly(weight_enumerator(dist), q)
-    v_dual = _v_poly(weight_enumerator(dual_dist), q)
-    width = s + 3
-    lhs = ([q ** (s + 1) * c for c in v] + [0] * width)[:width]
-    rhs = [0] * width
-    for r, c in enumerate(v_dual):
-        deg = s + 2 - r
-        rhs[deg] += len(dist) * c * q ** deg
-    return lhs == rhs
-
-
 class CharacterReport(namedtuple("CharacterReport", "ok checked failure",
                                  defaults=(None,))):
     __slots__ = ()
@@ -549,7 +504,8 @@ def character_sum_report(code: LinearCode) -> CharacterReport:
     """Verify the additive character sum dichotomy over the code: summing
     the p-th root of unity with exponent Tr<Y, X> over X gives #C when Y
     is in the dual and 0 otherwise, tracked as exact exponent histograms.
-    Also checks the corner-box count duality against the dual code.
+    Also checks the generalized MacWilliams identity against the dual
+    code (`duality_ok`).
 
     Checks every Y, so the ambient space may hold at most 4096 words.
     """
@@ -592,7 +548,7 @@ def character_sum_report(code: LinearCode) -> CharacterReport:
         return CharacterReport(False, checked,
                                f"character sum broke at Y key {bad}")
 
-    if not box_duality_ok(code.distribution(), dual.distribution()):
+    if not duality_ok(code, dual):
         return CharacterReport(False, checked, "box-count duality failed")
     return CharacterReport(True, checked)
 

@@ -40,18 +40,6 @@ class ElementaryBox(namedtuple("ElementaryBox", "a m")):
         return Fraction(1, q ** sum(self.a))
 
 
-def bounded_compositions(total: int, parts: int, bound: int):
-    """All (a_1..a_parts) with sum total and 0 <= a_j <= bound, colex order
-    (last coordinate varies slowest)."""
-    if parts == 1:
-        if 0 <= total <= bound:
-            yield (total,)
-        return
-    for last in range(min(total, bound) + 1):
-        for head in bounded_compositions(total - last, parts - 1, bound):
-            yield head + (last,)
-
-
 class BoxReport(namedtuple("BoxReport", "ok box count expected",
                            defaults=(None, None, None))):
     """Outcome of a box-count sweep; `box` is the first offending box."""
@@ -79,8 +67,8 @@ def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
     """Check that every elementary box whose side exponents sum to `total`,
     each at most `bound`, holds len(dist) / q^total points; the witness is
     the first failing box, in key order, of the first failing family in
-    `bounded_compositions` order, the order of the walk: it fixes the last
-    coordinate's exponent outermost.  A point's key in family a is
+    colex order, the last coordinate's exponent outermost: the order of
+    the walk.  A point's key in family a is
     m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)); one more unit of a_j takes the
     key times q plus the next digit column of coordinate j (zero past the
     stored digits).  The walk loops down a coordinate and recurses only

@@ -3,14 +3,41 @@ that the fast paths of the package are checked against."""
 
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
-from nrtcodes.codes import LinearCode
+import nrtcodes
+from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
 from nrtcodes.construct import _check_nodes
 from nrtcodes.gf import DIGIT_CHARS, GF
 from nrtcodes.poly import INF, binom_mod
-from nrtcodes.words import PointFileError, _read_header, hamming_weight, nrt_weight
+from nrtcodes.words import (Distribution, PointFileError, _read_header, hamming_weight,
+                            nrt_weight)
+
+
+def run_fresh(script, cwd=None):
+    """Run `script` in a fresh interpreter on this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def run_without_numpy(script, cwd=None):
+    """Run `script` in a fresh interpreter whose `nrtcodes.gf` refuses to
+    build the numpy field arrays, and check that it imported no numpy."""
+    return run_fresh("import sys\n"
+                     "from nrtcodes import cli, gf\n"
+                     "assert 'numpy' not in sys.modules\n"
+                     "def refuse(*field):\n"
+                     "    raise AssertionError('field arrays built')\n"
+                     "gf._field_arrays = refuse\n"
+                     + script +
+                     "assert 'numpy' not in sys.modules\n", cwd)
 
 
 def random_code(space, k, rng):
@@ -252,11 +279,21 @@ def rref_by_columns(gf, rows):
     return [r for r in mat[:pivot_row]]
 
 
+def bounded_compositions(total: int, parts: int, bound: int):
+    """All (a_1..a_parts) with sum total and 0 <= a_j <= bound, colex order
+    (last coordinate varies slowest)."""
+    if parts == 1:
+        if 0 <= total <= bound:
+            yield (total,)
+        return
+    for last in range(min(total, bound) + 1):
+        for head in bounded_compositions(total - last, parts - 1, bound):
+            yield head + (last,)
+
+
 def parity_weight_by_composition(check):
     """The per-composition search, the oracle of `parity_nrt_weight`:
     totals ascending, one fresh rank per composition of each total."""
-    from nrtcodes.geometry import bounded_compositions
-
     space = check.space
     gf = space.gf
     n, s = space.n, space.s
@@ -392,3 +429,76 @@ def min_distance(dist, metric="nrt"):
             if best is None or d < best:
                 best = d
     return best
+
+
+# The count-based duality check and the n = 1 identities, the oracles of
+# `codes.duality_ok`.
+
+def box_duality_ok(dist: Distribution, dual_dist: Distribution) -> bool:
+    """Corner-count duality: q^(sum A) #(D in box_A) = N #(D* in box_A*),
+    equivalently the box-enumerator functional equation after clearing
+    denominators."""
+    from itertools import product
+
+    space = dist.space
+    q, n, s = space.q, space.n, space.s
+    counts = corner_box_counts(dist)
+    dual_counts = corner_box_counts(dual_dist)
+    for a_vec in product(range(s + 1), repeat=n):
+        a_star = tuple(s - a for a in a_vec)
+        lhs = counts[a_vec] * q ** sum(a_vec)
+        rhs = len(dist) * dual_counts[a_star]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def weight_enum_identity_n1(dist: Distribution) -> bool:
+    """n = 1 bridge between the box and weight enumerators:
+    W(D;z) = z^s (1-z) phi(D;1/z) + N z^(s+1)."""
+    space = dist.space
+    if space.n != 1:
+        raise ValueError("identity proven only for n=1")
+    s = space.s
+    w = weight_enumerator(dist)
+    phi = corner_box_counts(dist)
+    # z^s * phi(1/z) has coefficient phi[a] at degree s - a
+    lifted = [0] * (s + 2)
+    for (a,), c in phi.items():
+        lifted[s - a] += c
+    rhs = [0] * (s + 2)
+    for d in range(s + 1):
+        rhs[d] += lifted[d]
+        rhs[d + 1] -= lifted[d]
+    rhs[s + 1] += len(dist)
+    return w + [0] * (s + 2 - len(w)) == rhs
+
+
+def _v_poly(w: list[int], q: int) -> list[int]:
+    """(qz - 1) W(z) + 1 - z as an integer coefficient list."""
+    out = [0] * (len(w) + 1)
+    for r, c in enumerate(w):
+        out[r + 1] += q * c
+        out[r] -= c
+    out[0] += 1
+    out[1] -= 1
+    return out
+
+
+def macwilliams_n1_ok(dist: Distribution, dual_dist: Distribution) -> bool:
+    """n = 1 MacWilliams identity, checked exactly after clearing
+    denominators: q^(s+1) v(D;z) = N sum_r v_r(D*) q^(s+2-r) z^(s+2-r)."""
+    space = dist.space
+    if space.n != 1 or dual_dist.space.n != 1:
+        raise ValueError("identity proven only for n=1")
+    s = space.s
+    q = space.q
+    v = _v_poly(weight_enumerator(dist), q)
+    v_dual = _v_poly(weight_enumerator(dual_dist), q)
+    width = s + 3
+    lhs = ([q ** (s + 1) * c for c in v] + [0] * width)[:width]
+    rhs = [0] * width
+    for r, c in enumerate(v_dual):
+        deg = s + 2 - r
+        rhs[deg] += len(dist) * c * q ** deg
+    return lhs == rhs

@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from nrtcodes import bulk
-from nrtcodes.codes import (LinearCode, character_sum_report,
-                            macwilliams_n1_ok, parity_nrt_weight)
+from nrtcodes.codes import LinearCode, character_sum_report, parity_nrt_weight
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import (_box_report, base_reduce_net, is_net, optimum_report,
                                star_discrepancy)
@@ -28,8 +27,8 @@ from nrtcodes.spectra import (distance_spectrum,
                               weak_composition_count)
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (all_subspaces, mds_spectrum_alt, net_spectrum_alt,
-                      random_code, same_multiset)
+from _helpers import (all_subspaces, macwilliams_n1_ok, mds_spectrum_alt,
+                      net_spectrum_alt, random_code, same_multiset)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 9: GF(3, 2)}
 

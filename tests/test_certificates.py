@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from nrtcodes import bulk, codes, geometry
 from nrtcodes.codes import LinearCode, is_mds, span_is_mds
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
-from nrtcodes.geometry import _box_report, bounded_compositions, optimum_report
+from nrtcodes.geometry import _box_report, optimum_report
 from nrtcodes.gf import GF
 from nrtcodes.peano import build_composite, merge_distribution
 from nrtcodes.words import Distribution, Space
 
-from _helpers import family_report, random_code
+from _helpers import bounded_compositions, family_report, random_code
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2)}

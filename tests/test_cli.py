@@ -3,8 +3,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -12,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-import nrtcodes
 from nrtcodes.cli import build_parser, main
 from nrtcodes.codes import (LinearCode, corner_box_counts, read_code,
                             weight_enumerator, write_code)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
-from _helpers import same_multiset
+from _helpers import run_fresh, run_without_numpy, same_multiset
 
 
 def run(args, capsys):
@@ -453,28 +450,6 @@ def test_degree_and_block_size_below_one_are_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("g*"))
 
 
-def run_fresh(script, cwd=None):
-    """Run `script` in a fresh interpreter on this package; its stdout."""
-    src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            cwd=cwd, env={**os.environ, "PYTHONPATH": src})
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-def run_without_numpy(script, cwd=None):
-    """Run `script` in a fresh interpreter whose `nrtcodes.gf` refuses to
-    build the numpy field arrays, and check that it imported no numpy."""
-    return run_fresh("import sys\n"
-                     "from nrtcodes import cli, gf\n"
-                     "assert 'numpy' not in sys.modules\n"
-                     "def refuse(*field):\n"
-                     "    raise AssertionError('field arrays built')\n"
-                     "gf._field_arrays = refuse\n"
-                     + script +
-                     "assert 'numpy' not in sys.modules\n", cwd)
-
-
 def test_field_info_builds_no_tables():
     # a command that needs no arithmetic builds neither table set
     out = run_without_numpy("def refuse_lookups(*field):\n"
@@ -510,8 +485,9 @@ def test_code_commands_start_without_numpy(tmp_path):
 
 
 def test_commands_import_only_what_they_run(tmp_path, capsys):
-    # start-up loads no dataclasses, fractions or peano; the commands that
-    # need fractions or peano import them as they run, with the same answers
+    # start-up loads no dataclasses, fractions, json or peano; the commands
+    # that need fractions, json or peano import them as they run, with the
+    # same answers
     code = LinearCode(Space(GF(5), 2, 2), [[1, 2, 0, 1], [0, 1, 1, 3]])
     with open(tmp_path / "c.code", "w") as fh:
         write_code(fh, code)
@@ -520,7 +496,9 @@ def test_commands_import_only_what_they_run(tmp_path, capsys):
     commands = [f"dual --in {tmp_path / 'c.code'}",
                 f"verify --kind mds --in {tmp_path / 'c.code'}",
                 f"discrepancy --in {tmp_path / 'c.points'}",
-                f"peano --type points --g 2 --in {tmp_path / 'c.points'}"]
+                f"peano --type points --g 2 --in {tmp_path / 'c.points'}",
+                f"dual --format json --in {tmp_path / 'c.code'}",
+                f"verify --kind mds --format json --in {tmp_path / 'none.code'}"]
     expected = [run(argv.split(), capsys) for argv in commands]
     calls = [f"assert cli.main({argv.split()!r}) == {status}\n"
              for argv, (status, _, _) in zip(commands, expected)]
@@ -528,15 +506,18 @@ def test_commands_import_only_what_they_run(tmp_path, capsys):
               "from nrtcodes import cli\n"
               "def loaded(*names):\n"
               "    return [name for name in names if name in sys.modules]\n"
-              "assert not loaded('dataclasses', 'fractions', 'nrtcodes.peano')\n"
+              "assert not loaded('dataclasses', 'fractions', 'json', 'nrtcodes.peano')\n"
               + calls[0] + calls[1] +
-              "assert not loaded('dataclasses', 'numpy')\n"
-              + calls[2] + calls[3] +
+              "assert not loaded('dataclasses', 'numpy', 'json')\n"
+              + "".join(calls[2:]) +
               "assert not loaded('dataclasses')\n")
     assert run_fresh(script) == "".join(out for _, out, _ in expected)
-    assert [err for _, _, err in expected] == [""] * 4
+    assert [err for _, _, err in expected] == [""] * 6
     assert expected[1][1] == "MDS: False (weight 2, bound 3)\n"
     assert expected[3][1] == "merged 25 points into Q^1(q^4)\n"
+    # a report and an error under --format json, both on stdout
+    assert [json.loads(out)["schema"] for _, out, _ in expected[4:]] == [1, 1]
+    assert expected[5][0] == 2 and "error" in json.loads(expected[5][1])
 
 
 def test_removed_flags_are_usage_errors(capsys):

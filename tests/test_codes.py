@@ -7,19 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nrtcodes import bulk
-from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, box_duality_ok,
-                            character_sum_report, corner_box_counts, is_mds,
-                            macwilliams_n1_ok, nullspace, parity_nrt_weight,
-                            rank, read_code, rref, span_is_mds,
-                            weight_enum_identity_n1, weight_enumerator,
-                            write_code)
+from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, character_sum_report,
+                            corner_box_counts, duality_ok, is_mds, nullspace,
+                            parity_nrt_weight, rank, read_code, rref, span_is_mds,
+                            weight_enumerator, write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (all_subspaces, box_count, parity_weight_by_composition,
-                      random_code, rref_by_columns, span_array_by_passes)
+from _helpers import (all_subspaces, bounded_compositions, box_count, box_duality_ok,
+                      macwilliams_n1_ok, parity_weight_by_composition, random_code,
+                      rref_by_columns, run_without_numpy, span_array_by_passes,
+                      weight_enum_identity_n1)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2), 16: GF(2, 4)}
@@ -509,6 +509,67 @@ def test_box_duality():
             assert box_duality_ok(c.distribution(), c.dual().distribution())
 
 
+def test_duality_ok_agrees_with_the_corner_counts():
+    # every pair of complementary dimension; formally dual codes pass too,
+    # so a non-dual pair is not always refused
+    formally_dual = {}
+    for q, n, s in ((2, 1, 2), (2, 2, 1), (2, 1, 3), (3, 1, 2)):
+        sp = Space(FIELDS[q], n, s)
+        codes = all_subspaces(sp)
+        passed = 0
+        for c in codes:
+            dual = c.dual()
+            for d in codes:
+                if c.k + d.k != sp.dim:
+                    continue
+                ok = duality_ok(c, d)
+                assert ok == box_duality_ok(c.distribution(), d.distribution())
+                assert ok or d != dual
+                passed += ok and d != dual
+        formally_dual[q, n, s] = passed
+    assert formally_dual == {(2, 1, 2): 2, (2, 2, 1): 0, (2, 1, 3): 28, (3, 1, 2): 6}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_duality_ok_holds_for_random_codes_and_their_duals(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, data.draw(st.integers(1, 12 // n)))
+    k = data.draw(st.integers(0, space.dim))  # the zero code and the whole space too
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    code = random_code(space, k, rng)
+    dual = code.dual()
+    assert duality_ok(code, dual) and duality_ok(dual, code)
+    if q ** space.dim <= 1 << 12:
+        # against another code of the dual's dimension, by corner counts
+        other = random_code(space, space.dim - k, rng)
+        assert duality_ok(code, other) == box_duality_ok(code.distribution(),
+                                                          other.distribution())
+
+
+def test_duality_ok_refuses_a_wrong_dual():
+    sp = Space(GF(2), 1, 2)
+    code = LinearCode(sp, [[1, 0]])
+    assert code.dual() == code and duality_ok(code, code)
+    assert not duality_ok(code, LinearCode(sp, [[0, 1]]))
+    # a wrong space, or a wrong dimension
+    assert not duality_ok(code, LinearCode(Space(GF(2), 2, 1), [[1, 0]]))
+    assert not duality_ok(code, LinearCode(Space(GF(3), 1, 2), [[1, 0]]))
+    assert not duality_ok(code, LinearCode.zero(sp))
+    assert not duality_ok(code, LinearCode.whole_space(sp))
+
+
+def test_duality_ok_needs_no_numpy():
+    out = run_without_numpy("from nrtcodes.codes import LinearCode, duality_ok\n"
+                            "from nrtcodes.words import Space\n"
+                            "for field in (gf.GF(5), gf.GF(2, 2)):\n"
+                            "    space = Space(field, 2, 2)\n"
+                            "    code = LinearCode(space, [[1, 2, 0, 1], [0, 1, 1, 3]])\n"
+                            "    print(duality_ok(code, code.dual()))\n")
+    assert out == "True\nTrue\n"
+
+
 def test_weight_enumerator_examples():
     sp = Space(GF(2), 1, 2)
     origin = Distribution(sp, words=[sp.zero()])
@@ -554,8 +615,6 @@ def test_character_sums():
 
 def test_v0_subspace_duality():
     # the corner-box subspaces pair up under side-exponent complement
-    from nrtcodes.geometry import bounded_compositions
-
     for gf, n, s in ((GF(2), 2, 3), (GF(2), 3, 2), (GF(3), 2, 3), (GF(3), 3, 2)):
         sp = Space(gf, n, s)
         for total in range(n * s + 1):

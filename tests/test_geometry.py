@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from nrtcodes.codes import CharacterReport
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.geometry import (BoxReport, ElementaryBox, _box_report, base_reduce_net,
-                               bounded_compositions, check_counts, is_net,
-                               is_optimum, net_from_optimum, net_report, optimum_report, star_discrepancy)
+                               check_counts, is_net, is_optimum, net_from_optimum,
+                               net_report, optimum_report, star_discrepancy)
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (box_contains, box_count, family_report, lattice_discrepancy,
-                      min_distance, same_multiset)
+from _helpers import (bounded_compositions, box_contains, box_count, family_report,
+                      lattice_discrepancy, min_distance, same_multiset)
 
 
 def frac_points(sp, pts):

@@ -15,7 +15,7 @@ from nrtcodes.spectra import (ball_packing_ok, ball_size, composition_count,
                               sphere_size, weak_composition_count)
 from nrtcodes.words import Distribution, Space, nrt_weight, row_weight
 
-from _helpers import mds_spectrum_alt, net_spectrum_alt
+from _helpers import bounded_compositions, mds_spectrum_alt, net_spectrum_alt
 
 
 def compositions_brute(parts, total, bound):
@@ -106,7 +106,6 @@ def test_fragment_counts():
 
 def test_ball_is_union_of_boxes():
     # weight <= t iff the point lies in a corner box with complement side sum t
-    from nrtcodes.geometry import bounded_compositions
     gf = GF(2)
     sp = Space(gf, 2, 2)
     s = 2
