@@ -66,23 +66,6 @@ def rank(gf: GF, rows) -> int:
     return len(rref(gf, rows))
 
 
-def nullspace(gf: GF, rows, width: int) -> list[list[int]]:
-    """A basis of {x : rows . x = 0} under the plain dot product: one row
-    per free column of rref(rows), 1 there and 0 at the other free
-    columns, so independent but not reduced (`LinearCode` reduces it)."""
-    reduced = rref(gf, rows)
-    pivots = [row.index(1) for row in reduced]  # a row's first 1 is its pivot
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = gf.neg(prow[fc])
-        basis.append(vec)
-    return basis
-
-
 def _block_reverse(flat, n: int, s: int):
     out = []
     for j in range(n):
@@ -167,9 +150,11 @@ class LinearCode:
         and for the Hamming weight, it is the first nonzero entry after
         w_0 of the weight histogram counted over the codewords in blocks
         (`bulk.span_weight_histogram`).  Beyond the enumeration bound the
-        NRT weight comes from the check matrix H: `parity_nrt_weight`
-        walks the tree of its prefix profiles once for the least
-        dependent total, and the Hamming weight is refused.
+        NRT weight comes from the complement rows (`_complement`), a
+        check matrix: one `_dependent_profile` walk up to total ns - k
+        finds the least dependent total of their prefix profiles, as
+        `parity_nrt_weight` does for a check code.  The Hamming weight is
+        refused there.
         """
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
@@ -186,7 +171,8 @@ class LinearCode:
             method = ("parity" if metric == "nrt" and size > ENUMERATION_BOUND
                       else "enumerate")
         if method == "parity":
-            return parity_nrt_weight(self.parity_check())
+            # any basis of the check has the same dependent columns
+            return _dependent_profile(space, self._complement(), space.dim - self.k, 0)
         if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
         if metric == "nrt" and _counted_from_ranks(space, self.k):
@@ -201,30 +187,53 @@ class LinearCode:
         # the basis is independent, so w_0 = 1 counts the zero word only
         return int(np.flatnonzero(hist[1:])[0]) + 1
 
+    def _complement(self) -> list[list[int]]:
+        """A basis of the plain complement {x : b . x = 0 for every basis
+        row b}, read off the RREF basis with no elimination: each free
+        column f gets the row with 1 at f, -b[f] at the pivot of each
+        basis row b and 0 elsewhere.  Independent, as each row has its
+        own free column, but not reduced."""
+        dim, neg = self.space.dim, self.space.gf.neg_lookup
+        pivots = {row.index(1): row for row in self.basis}  # a row's first 1 is its pivot
+        rows = []
+        for f in range(dim):
+            if f not in pivots:
+                vec = [0] * dim
+                vec[f] = 1
+                for pivot, row in pivots.items():
+                    vec[pivot] = neg[row[f]]
+                rows.append(vec)
+        return rows
+
     def dual(self) -> "LinearCode":
-        """Orthogonal complement under the reversed inner product."""
+        """Orthogonal complement under the reversed inner product: the
+        plain complement with each block reversed."""
         space = self.space
-        plain_null = nullspace(space.gf, self.basis, space.dim)
-        rows = [_block_reverse(r, space.n, space.s) for r in plain_null]
-        return LinearCode(space, rows)
+        return LinearCode(space, [_block_reverse(r, space.n, space.s)
+                                  for r in self._complement()])
 
     def parity_check(self) -> "LinearCode":
         """The code H whose basis rows, as the block row (H_1, ..., H_n) of
         k' x s matrices, cut out C = {w : sum_j H_j row_j(w)^T = 0}: the
         complement of C under the plain dot product, so that
         C = H.parity_check()."""
-        space = self.space
-        return LinearCode(space, nullspace(space.gf, self.basis, space.dim))
+        return LinearCode(self.space, self._complement())
 
 
 def is_mds(code: LinearCode) -> bool:
     """Weight meets the Singleton-type bound ns - k + 1.  For 0 < k < ns
-    one walk over the basis decides it, `span_is_mds`, at every size;
-    the zero code has no weight (ValueError) and the whole space is MDS."""
-    space = code.space
-    if code.k in (0, space.dim):
-        return code.min_weight("nrt") == space.dim - code.k + 1
-    return span_is_mds(space, code.basis)
+    one rank walk decides it at every size: over the generator at total
+    k when 2k <= ns (`span_is_mds`), else over the complement rows at
+    total ns - k, as C is MDS iff its dual is, and the dual's
+    block-reversed basis spans the plain complement.  The zero code has
+    no weight (ValueError) and the whole space is MDS."""
+    space, k = code.space, code.k
+    if k in (0, space.dim):
+        return code.min_weight("nrt") == space.dim - k + 1
+    if 2 * k <= space.dim:
+        return span_is_mds(space, code.basis)
+    free = space.dim - k
+    return _dependent_profile(space, code._complement(), free, free) > free
 
 
 def span_is_mds(space: Space, rows) -> bool:
@@ -235,14 +244,19 @@ def span_is_mds(space: Space, rows) -> bool:
     (Niederreiter's linear-independence criterion).  Reversing each
     block puts the top digits first, so these minors are the prefix
     profiles of total k, and one `_dependent_profile` walk decides them
-    all, ending at the first dependent one (`enough` = k).  No minor
-    exists for k > ns, and k = 0 is trivially optimum."""
+    all, ending at the first dependent one (`enough` = k).  When 2k > ns
+    the rows are reduced once and `is_mds` walks the smaller side, the
+    complement at total ns - k.  No minor exists for k > ns, and k = 0 is
+    trivially optimum."""
     rows = [[int(v) for v in r] for r in rows]
     if any(len(r) != space.dim for r in rows):
         raise ValueError("row length mismatch")
-    if len(rows) > space.dim:
-        return False
     k = len(rows)
+    if k > space.dim:
+        return False
+    if 2 * k > space.dim:
+        code = LinearCode(space, rows)
+        return code.k == k and is_mds(code)
     top_first = [_block_reverse(r, space.n, space.s) for r in rows]
     return not rows or _dependent_profile(space, top_first, k, k) > k
 
@@ -286,11 +300,12 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     (0 <= d_j <= s) whose columns, the first d_j of each block of the
     flat `rows`, are linearly dependent, else `total` + 1; the walk ends
     early at a dependent total <= `enough`.  The rows are a check matrix
-    H for `parity_nrt_weight`, and a block-reversed generator for
-    `span_is_mds`.  The walk goes depth first through the profile tree,
-    recursing only across blocks: a node adds one column, the next of its
-    last block or the first of a later block, and reduces it against the
-    echelon rows of its ancestors' columns.  A column that reduces to 0
+    (a check code's basis for `parity_nrt_weight`, the complement rows
+    for `LinearCode.min_weight` and `is_mds`), or a block-reversed
+    generator for `span_is_mds`.  The walk goes depth first through the
+    profile tree, recursing only across blocks: a node adds one column,
+    the next of its last block or the first of a later block, and
+    reduces it against the echelon rows of its ancestors' columns.  A column that reduces to 0
     sets the best total; only profiles below it are visited after."""
     n, s, lookups = space.n, space.s, _lookups(space.gf)
     columns = list(zip(*rows))

@@ -29,9 +29,7 @@ def default_nodes(gf: GF, n: int) -> tuple:
 def _check_nodes(gf: GF, nodes) -> tuple:
     nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
-        raise ValueError("nodes must be pairwise distinct")
-    if sum(1 for b in nodes if b == INF) > 1:
-        raise ValueError("at most one node may be INF")
+        raise ValueError("nodes must be pairwise distinct")  # so at most one INF
     for b in nodes:
         if b != INF:
             gf.check(b)

@@ -64,12 +64,9 @@ def _pmod(f, g, p):
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
+    """Trial division by every monic polynomial of degree <= deg(f)/2;
+    f has degree at least 2."""
     e = len(f) - 1
-    if e <= 0:
-        return False
-    if e == 1:
-        return True
     for deg in range(1, e // 2 + 1):
         for code in range(p ** deg):
             g = [0] * (deg + 1)
@@ -83,6 +80,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+@functools.cache
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree e, low coefficients compared
     first as a base-p integer."""
@@ -113,7 +111,9 @@ class GF:
     p : prime characteristic
     e : extension degree
     modulus : optional coefficient list of a monic irreducible of degree e
-        over F_p (constant term first); defaults to the smallest one.
+        over F_p (constant term first); defaults to the smallest one.  Every
+        monic modulus of degree 1 gives the labels of F_p, and is held as
+        (0, 1), so GF(p, 1, modulus=m) == GF(p).
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -137,7 +137,9 @@ class GF:
             self.modulus = tuple(int(c) % p for c in modulus)
             if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
-            if not _is_irreducible(list(self.modulus), p):
+            if e == 1:
+                self.modulus = (0, 1)
+            elif not _is_irreducible(list(self.modulus), p):
                 raise ValueError("modulus is reducible over F_p")
 
     # --- representation ---

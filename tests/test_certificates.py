@@ -61,12 +61,15 @@ def assert_three_agree(space, rows):
 
 
 def test_certificate_agrees_with_enumeration_over_the_sweep_grid():
+    # 2k > ns walks the complement, 2k <= ns the generator: both answers
+    # come up on both sides
     rng = random.Random(11)
     seen = set()
     for space, k in sweep_grid():
         assert assert_three_agree(space, build_mds_code(space, k).basis)
-        seen.add(assert_three_agree(space, random_code(space, k, rng).basis))
-    assert seen == {True, False}
+        cert = assert_three_agree(space, random_code(space, k, rng).basis)
+        seen.add((cert, 2 * k > space.dim))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -76,8 +79,11 @@ def test_certificate_agrees_with_enumeration_on_random_rows(data):
     n = data.draw(st.integers(1, 4))
     s = data.draw(st.integers(1, 4))
     space = Space(FIELDS[q], n, s)
-    k_max = max(k for k in range(1, space.dim + 1) if q ** k <= 4096 or k == 1)
-    k = data.draw(st.integers(1, k_max))
+    # k from the drawn side of 2k > ns, or from either side when
+    # q^k <= 4096 leaves that side empty
+    ks = [k for k in range(1, space.dim + 1) if q ** k <= 4096 or k == 1]
+    beyond = data.draw(st.booleans())
+    k = data.draw(st.sampled_from([k for k in ks if (2 * k > space.dim) == beyond] or ks))
     entry = st.integers(0, q - 1)
     rows = data.draw(st.lists(st.lists(entry, min_size=space.dim, max_size=space.dim),
                               min_size=k, max_size=k))

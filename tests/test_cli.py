@@ -450,6 +450,50 @@ def test_degree_and_block_size_below_one_are_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("g*"))
 
 
+# (arguments, the message each refusal gives); {out} is a prefix in the
+# test's directory, {code} a code file there with n = 3
+REFUSALS = (
+    (["field-info"], "need --q or --p/--e"),
+    (["generate", "--q", "5", "--s", "2", "--k", "2", "--out", "{out}"],
+     "generate needs --n, --s and --k"),
+    (["generate", "--q", "5", "--n", "2", "--s", "2", "--k", "5", "--out", "{out}"],
+     "need 1 <= k <= n*s"),
+    (["generate", "--q", "5", "--n", "2", "--s", "2", "--k", "0", "--out", "{out}"],
+     "need 1 <= k <= n*s"),
+    (["generate", "--q", "5", "--n", "2", "--s", "2", "--g", "2", "--out", "{out}"],
+     "composite generation needs --n, --s and --t"),
+    (["generate", "--q", "5", "--n", "2", "--s", "2", "--g", "2", "--t", "1", "--k", "2",
+      "--out", "{out}"], "--k is determined by --t in composite mode (k = s*t)"),
+    (["peano", "--type", "code", "--g", "2", "--in", "{code}", "--out", "{out}"],
+     "--g must divide n"),
+    (["peano", "--type", "code", "--g", "abc", "--in", "{code}", "--out", "{out}"],
+     "argument --g: invalid int value: 'abc'"),
+    (["generate", "--q", "5", "--n", "2", "--s", "2", "--g", "abc", "--t", "1",
+      "--out", "{out}"], "argument --g: invalid int value: 'abc'"),
+)
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_refusals_exit_2_and_write_nothing(argv, message, tmp_path, capsys):
+    code_file = tmp_path / "c.code"
+    code_file.write_text("5 3 1 1\n1 0 0\n")
+    args = [a.format(out=tmp_path / "o", code=code_file) for a in argv]
+    for fmt in ("text", "json"):
+        try:
+            code = main(args + ["--format", fmt])
+        except SystemExit as exc:  # argparse reports its own refusals in text
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and "Traceback" not in captured.out + captured.err
+        if fmt == "json":
+            assert captured.err == "" and json.loads(captured.out) == {
+                "schema": 1, "error": message}
+        else:
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == [code_file]
+
+
 def test_field_info_builds_no_tables():
     # a command that needs no arithmetic builds neither table set
     out = run_without_numpy("def refuse_lookups(*field):\n"

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nrtcodes import bulk
 from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, character_sum_report,
-                            corner_box_counts, duality_ok, is_mds, nullspace,
-                            parity_nrt_weight, rank, read_code, rref, span_is_mds,
-                            weight_enumerator, write_code)
+                            corner_box_counts, duality_ok, is_mds, parity_nrt_weight,
+                            rank, read_code, rref, span_is_mds, weight_enumerator,
+                            write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
@@ -66,8 +66,9 @@ def test_nullspace_orthogonality():
     for gf in (GF(2), GF(3), GF(2, 2)):
         for _ in range(20):
             width = 6
+            space = Space(gf, 2, 3)
             rows = [[rng.randrange(gf.q) for _ in range(width)] for _ in range(3)]
-            null = nullspace(gf, rows, width)
+            null = LinearCode(space, rows).parity_check().basis
             for nv in null:
                 for row in rows:
                     acc = 0
@@ -75,6 +76,32 @@ def test_nullspace_orthogonality():
                         acc = gf.add(acc, gf.mul(a, b))
                     assert acc == 0
             assert len(null) == width - rank(gf, rows)
+
+
+def _oracle_complement(gf, rows, width):
+    """RREF basis of {x : rows . x = 0}, by Gauss-Jordan on the columns
+    of [rows^T | I]: the rows whose left part reduces to zero carry, in
+    their right part, the combinations of columns that vanish."""
+    aug = [[row[c] for row in rows] + [int(c == i) for i in range(width)]
+           for c in range(width)]
+    null = [r[len(rows):] for r in rref_by_columns(gf, aug) if not any(r[:len(rows)])]
+    return rref_by_columns(gf, null)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_dual_and_check_bases_match_the_oracle_complement(data):
+    q = data.draw(st.sampled_from(sorted(FIELDS)))
+    n = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, data.draw(st.integers(1, 12 // n)))
+    k = data.draw(st.integers(0, space.dim))  # the zero code and the whole space too
+    code = random_code(space, k, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    plain = _oracle_complement(space.gf, code.basis, space.dim)
+    assert len(plain) == space.dim - k
+    assert [list(r) for r in code.parity_check().basis] == plain
+    # the reversed pairing: each block of a plain complement row reversed
+    dual = [[v for row in space.unflatten(r) for v in reversed(row)] for r in plain]
+    assert [list(r) for r in code.dual().basis] == rref_by_columns(space.gf, dual)
 
 
 def test_min_weight_examples():
@@ -365,7 +392,9 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
                            (_planted_code(space, k, rng), False)):
             walks.clear()
             assert is_mds(code) is want
-            assert walks == [k]  # one walk over the generator, at total k
+            # one walk, over the generator at total k or over the
+            # complement at total ns - k, whichever is smaller
+            assert walks == [min(k, space.dim - k)]
             check = code.parity_check()
             weight = parity_weight_by_composition(check)
             assert (weight == space.dim - k + 1) is want

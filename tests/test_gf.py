@@ -119,6 +119,33 @@ def test_modulus_override():
     assert GF.from_description(alt.describe()) == alt
 
 
+def test_degree_one_moduli_give_the_prime_field():
+    from nrtcodes.codes import LinearCode, duality_ok
+    from nrtcodes.words import Space
+
+    for p, modulus in ((5, [3, 1]), (5, (4, 6)), (2, [1, 1]), (7, [0, 1])):
+        alt, prime = GF(p, 1, modulus=modulus), GF(p)
+        assert alt == prime and hash(alt) == hash(prime)
+        assert alt.modulus == (0, 1) and alt.describe() == prime.describe() == f"{p} 1 0 1"
+        assert GF.from_description(f"{p} 1 {modulus[0]} 1") == prime
+        assert alt.mul_lookup == prime.mul_lookup and alt.add_lookup == prime.add_lookup
+        # a code over one and its dual over the other share their field
+        code = LinearCode(Space(alt, 2, 2), [[1, 1, 0, 1]])
+        dual = LinearCode(Space(prime, 2, 2), code.basis).dual()
+        assert duality_ok(code, dual) and duality_ok(dual, code)
+    for modulus in ([3, 2], [1, 0, 1], [1]):  # not monic of degree 1
+        with pytest.raises(ValueError, match="monic of degree e"):
+            GF(5, 1, modulus=modulus)
+
+
+def test_default_modulus_is_searched_once_per_field():
+    default_modulus.cache_clear()
+    for _ in range(3):
+        assert GF(2, 5).modulus == (1, 0, 1, 0, 0, 1)  # z^5 + z^2 + 1
+        GF(3, 4)
+    assert default_modulus.cache_info().misses == 2
+
+
 def test_construction_errors():
     with pytest.raises(ValueError):
         GF(4)
