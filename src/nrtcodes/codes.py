@@ -85,21 +85,25 @@ class LinearCode:
         self.basis = tuple(tuple(r) for r in rref(space.gf, rows))
 
     @classmethod
+    def _reduced(cls, space: Space, basis) -> "LinearCode":
+        """The code whose basis is `basis`, rows already in RREF over the
+        flat coordinates of `space`, taken with no elimination."""
+        code = cls.__new__(cls)
+        code.space, code.basis = space, tuple(tuple(r) for r in basis)
+        return code
+
+    @classmethod
     def from_words(cls, space: Space, words) -> "LinearCode":
         return cls(space, [space.flatten(space.check_word(w)) for w in words])
 
     @classmethod
     def zero(cls, space: Space) -> "LinearCode":
-        return cls(space, [])
+        return cls._reduced(space, ())
 
     @classmethod
     def whole_space(cls, space: Space) -> "LinearCode":
-        eye = []
-        for i in range(space.dim):
-            row = [0] * space.dim
-            row[i] = 1
-            eye.append(row)
-        return cls(space, eye)
+        return cls._reduced(space, [[int(c == i) for c in range(space.dim)]
+                                    for i in range(space.dim)])
 
     @property
     def k(self) -> int:
@@ -296,7 +300,7 @@ def own_span(dist: Distribution) -> Distribution | None:
 
 
 def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
-    """The least total d_1 + ... + d_n <= `total` of a prefix profile
+    """The least total d_1 + ... + d_n <= `total` <= ns of a prefix profile
     (0 <= d_j <= s) whose columns, the first d_j of each block of the
     flat `rows`, are linearly dependent, else `total` + 1; the walk ends
     early at a dependent total <= `enough`.  The rows are a check matrix
@@ -306,21 +310,31 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     profile tree, recursing only across blocks: a node adds one column,
     the next of its last block or the first of a later block, and
     reduces it against the echelon rows of its ancestors' columns.  A column that reduces to 0
-    sets the best total; only profiles below it are visited after."""
+    sets the best total; only profiles below it are visited after.
+
+    A first walk decides whether any profile of total <= `total` is
+    dependent, and visits only profiles that extend to total `total`: a
+    dependent profile extends to a dependent one there, as its columns
+    stay dependent.  When it finds none, or `enough` >= `total`, that is
+    the answer; else a second walk, with no such bound, looks for the
+    least total below the one the first walk found."""
     n, s, lookups = space.n, space.s, _lookups(space.gf)
     columns = list(zip(*rows))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
     echelon = []  # the `_push` stack of the current profile's columns
-    best = total + 1
+    best, goal, stop_at = total + 1, total, total  # the first walk decides
 
     def walk(first: int) -> None:
         # extend the current profile, independent and on the echelon stack,
         # in blocks first, first + 1, ...: block j's prefixes grow to the
-        # deepest, then later blocks extend them from there back up
+        # deepest, then later blocks extend them from there back up.  Blocks
+        # j, ..., n - 1 add at most (n - j) s columns, so those from `stop`
+        # on cannot bring the profile to `goal`.
         nonlocal best
         base = len(echelon)
-        for j in range(first, n):
-            if best <= base + 1 or best <= enough:
+        stop = n - (goal - base - 1) // s
+        for j in range(first, stop if stop < n else n):
+            if best <= base + 1 or best <= stop_at:
                 return  # no profile left here is below `best`, or it is enough
             depth = 0  # the columns of block j on the echelon stack
             while depth < s:
@@ -330,12 +344,19 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
                 depth += 1
                 if base + depth + 1 == best:  # no extension is below it
                     break
-            while depth and best > enough:
+            if j + 1 == n:  # no later block extends the profile
+                del echelon[base:]
+                return
+            while depth and best > stop_at:
                 walk(j + 1)
                 echelon.pop()
                 depth -= 1
 
     walk(0)
+    if enough < best <= total:
+        echelon.clear()
+        goal, stop_at = 0, enough
+        walk(0)
     return best
 
 

@@ -92,8 +92,9 @@ def merged_space(space: Space, g: int) -> Space:
 
 
 def merge_code(code: LinearCode, g: int) -> LinearCode:
-    # a word and its merge share one row-major flat layout, as in merge_rows
-    return LinearCode(merged_space(code.space, g), code.basis)
+    # a word and its merge share one row-major flat layout, as in merge_rows,
+    # so the RREF basis is the merged code's RREF basis as it stands
+    return LinearCode._reduced(merged_space(code.space, g), code.basis)
 
 
 def merge_distribution(dist: Distribution, g: int) -> Distribution:

@@ -104,6 +104,41 @@ def test_dual_and_check_bases_match_the_oracle_complement(data):
     assert [list(r) for r in code.dual().basis] == rref_by_columns(space.gf, dual)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_is_mds_of_a_code_and_its_dual_match_the_oracle_weights(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    n = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, data.draw(st.integers(2 if n == 1 else 1, 12 // n)))
+    dim, k = space.dim, data.draw(st.integers(1, space.dim - 1))
+    # MDS codes of the construction as well as random codes, which seldom are
+    if q >= n - 1 and data.draw(st.booleans()):
+        code = build_mds_code(space, k)
+    else:
+        code = random_code(space, k, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    dual = code.dual()
+    # the weights of C and its dual, each by composition over a check code
+    weight = parity_weight_by_composition(code.parity_check())
+    weight_dual = parity_weight_by_composition(dual.parity_check())
+    assert (weight == dim - k + 1) is (weight_dual == k + 1)
+    # whichever side `is_mds` walks, both answer the oracle
+    assert is_mds(code) is is_mds(dual) is (weight == dim - k + 1)
+    assert code.min_weight("nrt", "parity") == weight
+    assert dual.min_weight("nrt", "parity") == weight_dual
+
+
+def test_the_zero_code_and_the_whole_space_are_each_others_dual():
+    for space in (Space(GF(3), 2, 2), Space(GF(2), 1, 3), Space(GF(2, 2), 3, 1)):
+        zero, whole = LinearCode.zero(space), LinearCode.whole_space(space)
+        eye = [[int(c == i) for c in range(space.dim)] for i in range(space.dim)]
+        assert zero == LinearCode(space, []) and hash(zero) == hash(LinearCode(space, []))
+        assert whole == LinearCode(space, eye) and hash(whole) == hash(LinearCode(space, eye))
+        assert whole.dual() == zero and zero.dual() == whole
+        assert is_mds(whole)
+        with pytest.raises(ValueError, match="zero code"):
+            is_mds(zero)
+
+
 def test_min_weight_examples():
     sp = Space(GF(3), 2, 2)
     whole = LinearCode.whole_space(sp)
@@ -395,6 +430,11 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
             # one walk, over the generator at total k or over the
             # complement at total ns - k, whichever is smaller
             assert walks == [min(k, space.dim - k)]
+            # the dual's weight is one walk over its complement at total k
+            walks.clear()
+            weight = code.dual().min_weight("nrt", method="parity")
+            assert (weight == k + 1) is want
+            assert walks == [k]
             check = code.parity_check()
             weight = parity_weight_by_composition(check)
             assert (weight == space.dim - k + 1) is want
@@ -402,6 +442,46 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
             walks.clear()
             assert parity_nrt_weight(check) == weight
             assert walks == [check.k]
+
+
+def test_mds_walks_push_only_profiles_that_reach_the_walked_total(monkeypatch):
+    from itertools import product
+
+    from nrtcodes import codes
+
+    def reach(n, s, total):
+        # a profile of total <= `total` whose last nonzero block is j is
+        # pushed when blocks j, ..., n - 1 can bring it to `total`
+        count = 0
+        for depths in product(range(s + 1), repeat=n):
+            if 0 < sum(depths) <= total:
+                j = max(i for i, d in enumerate(depths) if d)
+                count += sum(depths[:j]) + (n - j) * s >= total
+        return count
+
+    built = [build_mds_code(Space(FIELDS[q], n, s), k) for q, n, s, k in CERT_SHAPES]
+    pushes, push = [], codes._push
+
+    def counted(*args):
+        pushes.append(1)
+        return push(*args)
+
+    monkeypatch.setattr(codes, "_push", counted)
+    counts = []
+    for code in built:
+        n, s, dim, k = code.space.n, code.space.s, code.space.dim, code.k
+        pushes.clear()
+        assert is_mds(code)
+        # the decision walks the smaller side, at total min(k, ns - k)
+        assert len(pushes) == reach(n, s, min(k, dim - k))
+        counts.append(len(pushes))
+        # the weight of the MDS dual: the first walk finds no dependent
+        # profile up to total k, and no second walk follows
+        dual = code.dual()
+        pushes.clear()
+        assert dual.min_weight("nrt", method="parity") == k + 1
+        assert len(pushes) == reach(n, s, k)
+    assert counts == [403, 545, 979, 274]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nrtcodes.codes import LinearCode, is_mds, own_span
-from nrtcodes.construct import build_optimum_distribution
+from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import is_optimum
 from nrtcodes.gf import GF
 from nrtcodes.peano import (block_reverse_rows, build_composite,
@@ -13,6 +13,8 @@ from nrtcodes.peano import (block_reverse_rows, build_composite,
                             split_rows, weight_transport,
                             word_base_change_weights)
 from nrtcodes.words import Distribution, Space, nrt_weight
+
+from _helpers import rref_by_columns
 
 
 def test_merge_rows():
@@ -100,6 +102,27 @@ def test_merge_code_is_linear_bijection():
             set(merged.words())
 
 
+def test_merged_bases_are_already_reduced():
+    fields = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
+    codes = []
+    # the sweep grid: q <= 5, n <= min(q + 1, 4), ns <= 8, every g dividing n
+    for q, gf in fields.items():
+        for n in range(2, min(q + 1, 4) + 1):
+            for s in range(1, 8 // n + 1):
+                codes += [(build_mds_code(Space(gf, n, s), k), g)
+                          for k in range(1, n * s + 1) for g in range(2, n + 1) if n % g == 0]
+    for q, g, n, s, t in ((3, 2, 2, 1, 1), (4, 2, 2, 1, 1), (5, 2, 2, 1, 1),
+                          (7, 2, 3, 1, 1), (9, 2, 2, 2, 1)):
+        gf = {4: GF(2, 2), 9: GF(3, 2)}.get(q) or GF(q)
+        build = build_composite(gf, g, n, s, t)
+        codes += [(build.code_tall, g), (build.code_tall.dual(), g)]
+    assert len(codes) > 100
+    for code, g in codes:
+        merged = merge_code(code, g)
+        assert [list(r) for r in merged.basis] == rref_by_columns(code.space.gf, merged.basis)
+        assert merged == LinearCode(merged.space, code.basis) and merged.k == code.k
+
+
 def test_dual_transport():
     rng = random.Random(2)
     # g = 1 reduces to the plain dual
@@ -152,8 +175,6 @@ def test_composite_worked_instance():
 
 
 def test_composite_g1_reduction():
-    from nrtcodes.construct import build_mds_code
-
     build = build_composite(GF(3), 1, 2, 2, 1)
     assert build.code == build.code_tall
     assert build.code == build_mds_code(Space(GF(3), 2, 2), 2)
