@@ -85,15 +85,19 @@ def span_weight_histogram(gf: GF, rows, n: int, s: int,
     return hist
 
 
-def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
-    """NRT weight of every word in an (N, n*s) or (N, n, s) label array,
-    in one pass over the digits with (N, n) row weights (int8 up to
-    s = 127)."""
+def _row_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
+    """(N, n) NRT row weights of an (N, n*s) or (N, n, s) label array."""
     a = arr.reshape(arr.shape[0], n, s)
     rw = np.zeros((a.shape[0], n), dtype=np.int8 if s <= 127 else np.int64)
     for i in range(s):
         # positions grow with i, so a row keeps that of its last nonzero digit
         np.maximum(rw, (a[:, :, i] != 0) * rw.dtype.type(i + 1), out=rw)
+    return rw
+
+
+def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
+    """NRT weight of every word: the sum of its `_row_weights`."""
+    rw = _row_weights(arr, n, s)
     # n column adds; a sum over the short row axis is about twice as slow
     out = rw[:, 0].astype(np.int64)
     for j in range(1, n):
@@ -112,6 +116,17 @@ def weights(arr: np.ndarray, n: int, s: int, metric: str) -> np.ndarray:
     if metric == "hamming":
         return hamming_weights(arr, n, s)
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _cumulative_counts(index, shape):
+    """For every cell of an array of `shape`, the number of points whose
+    cell (one index array per axis in `index`) is at or below it in every
+    coordinate."""
+    counts = np.bincount(np.ravel_multi_index(index, shape),
+                         minlength=int(np.prod(shape))).reshape(shape)
+    for axis in range(len(shape)):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts
 
 
 def encode(arr: np.ndarray, q: int) -> np.ndarray:

@@ -61,19 +61,23 @@ def _requested_format(argv) -> str:
 
 
 def _field_from_args(args) -> GF:
-    if args.p is not None:
-        return GF(args.p, args.e)
-    if args.q is None:
-        raise UsageError("need --q or --p/--e")
+    """The field of --p/--e (--e 1 if omitted), else of --q; q must be p^e."""
     q = args.q
-    if q > TABLE_BOUND:  # refused before the prime-power search
+    if args.p is not None:
+        gf = GF(args.p, args.e or 1)
+    elif q is None:
+        raise UsageError("need --q or --p/--e")
+    elif q > TABLE_BOUND:  # refused before the prime-power search
         raise UsageError(f"q = {q} exceeds the field bound {TABLE_BOUND}")
-    # the least divisor p >= 2 of q is prime; q is a power of it or of none
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)
-    e = exponent(p, q)
-    if q < 2 or p ** e != q:
-        raise UsageError(f"q = {q} is not a prime power")
-    return GF(p, e)
+    else:
+        # the least divisor p >= 2 of q is prime; q is a power of it or of none
+        p = next((d for d in range(2, q + 1) if q % d == 0), q)
+        if q < 2 or p ** exponent(p, q) != q:
+            raise UsageError(f"q = {q} is not a prime power")
+        gf = GF(p, args.e or exponent(p, q))
+    if q is not None and gf.q != q:
+        raise UsageError(f"--q {q} is not p^e = {gf.p}^{gf.e} = {gf.q}")
+    return gf
 
 
 def _parse_nodes(gf: GF, text: str):
@@ -417,7 +421,7 @@ def _positive_int(text: str) -> int:
 # one spec per option: the keyword arguments of `add_argument`
 OPTIONS = {
     "p": dict(type=int, help="field characteristic"),
-    "e": dict(type=_positive_int, default=1, help="extension degree"),
+    "e": dict(type=_positive_int, help="extension degree (default 1)"),
     "q": dict(type=int, help="field size (prime power)"),
     "n": dict(type=int, help="number of dimensions / rows"),
     "s": dict(type=int, help="digits per coordinate"),

@@ -225,44 +225,22 @@ class LinearCode:
 
 
 def is_mds(code: LinearCode) -> bool:
-    """Weight meets the Singleton-type bound ns - k + 1.  For 0 < k < ns
-    one rank walk decides it at every size: over the generator at total
-    k when 2k <= ns (`span_is_mds`), else over the complement rows at
-    total ns - k, as C is MDS iff its dual is, and the dual's
-    block-reversed basis spans the plain complement.  The zero code has
-    no weight (ValueError) and the whole space is MDS."""
+    """Weight meets the Singleton-type bound ns - k + 1, so that the q^k
+    codewords are an optimum distribution (the paper's equivalence).  For
+    0 < k < ns one `_dependent_profile` walk decides it on the smaller
+    side: at total k over the block-reversed basis, whose prefix profiles
+    of total k are Niederreiter's k x k minors on the top digits, when
+    2k <= ns; else at total ns - k over the complement rows, as C is MDS
+    iff its dual is.  The zero code has no weight (ValueError) and the
+    whole space is MDS."""
     space, k = code.space, code.k
     if k in (0, space.dim):
         return code.min_weight("nrt") == space.dim - k + 1
     if 2 * k <= space.dim:
-        return span_is_mds(space, code.basis)
-    free = space.dim - k
-    return _dependent_profile(space, code._complement(), free, free) > free
-
-
-def span_is_mds(space: Space, rows) -> bool:
-    """Whether the k flat `rows` span an MDS code of dimension k, which
-    by the paper's equivalence makes their q^k combinations an optimum
-    distribution: every k x k minor on the top a_j digits of each
-    coordinate, for a_1 + ... + a_n = k and a_j <= s, is invertible
-    (Niederreiter's linear-independence criterion).  Reversing each
-    block puts the top digits first, so these minors are the prefix
-    profiles of total k, and one `_dependent_profile` walk decides them
-    all, ending at the first dependent one (`enough` = k).  When 2k > ns
-    the rows are reduced once and `is_mds` walks the smaller side, the
-    complement at total ns - k.  No minor exists for k > ns, and k = 0 is
-    trivially optimum."""
-    rows = [[int(v) for v in r] for r in rows]
-    if any(len(r) != space.dim for r in rows):
-        raise ValueError("row length mismatch")
-    k = len(rows)
-    if k > space.dim:
-        return False
-    if 2 * k > space.dim:
-        code = LinearCode(space, rows)
-        return code.k == k and is_mds(code)
-    top_first = [_block_reverse(r, space.n, space.s) for r in rows]
-    return not rows or _dependent_profile(space, top_first, k, k) > k
+        rows, total = [_block_reverse(r, space.n, space.s) for r in code.basis], k
+    else:
+        rows, total = code._complement(), space.dim - k
+    return _dependent_profile(space, rows, total, total) > total
 
 
 def own_span(dist: Distribution) -> Distribution | None:
@@ -305,12 +283,12 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     flat `rows`, are linearly dependent, else `total` + 1; the walk ends
     early at a dependent total <= `enough`.  The rows are a check matrix
     (a check code's basis for `parity_nrt_weight`, the complement rows
-    for `LinearCode.min_weight` and `is_mds`), or a block-reversed
-    generator for `span_is_mds`.  The walk goes depth first through the
-    profile tree, recursing only across blocks: a node adds one column,
-    the next of its last block or the first of a later block, and
-    reduces it against the echelon rows of its ancestors' columns.  A column that reduces to 0
-    sets the best total; only profiles below it are visited after.
+    for `LinearCode.min_weight` and `is_mds` when 2k > ns), or the
+    block-reversed basis for `is_mds` when 2k <= ns.  The walk goes depth
+    first through the profile tree, recursing only across blocks: a node
+    adds the next column of its last block or the first of a later block,
+    and reduces it against the echelon rows of its ancestors' columns.  A
+    column reducing to 0 sets the best total; only profiles below it come after.
 
     A first walk decides whether any profile of total <= `total` is
     dependent, and visits only profiles that extend to total `total`: a
@@ -499,10 +477,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     (see `Distribution`) with no more boxes than its q^k points reads
     them from the ranks of its k generator rows (`span_corner_counts`),
     without its array; any other set counts its points."""
-    import numpy as np
     from itertools import product
-
-    from .geometry import _cumulative_counts
+    from . import bulk
 
     space = dist.space
     n, s = space.n, space.s
@@ -513,9 +489,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     if rows is not None and _counted_from_ranks(space, len(rows)):
         counts = span_corner_counts(space, rows).ravel().tolist()
         return dict(zip(product(range(s + 1), repeat=n), counts))
-    rw = ((dist.array() != 0) * np.arange(1, s + 1)).max(axis=2)
     # points with row weights <= b lie in the corner box with a_j = s - b_j
-    cum = _cumulative_counts(rw.T, (s + 1,) * n)
+    cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
     return {a_vec: int(cum[tuple(s - a for a in a_vec)])
             for a_vec in product(range(s + 1), repeat=n)}
 

@@ -6,8 +6,8 @@ side exponents A and positions M iff its leading a_j radix digits agree
 with those of m_j / q^(a_j) in every coordinate.  The net, optimum and
 full-count checks share one box count, `_box_report`: side-exponent
 vectors A in colex order, positions M in mixed-radix order, so failure
-reports are deterministic.  A span's optimum check takes the rank
-certificate `codes.span_is_mds` first.
+reports are deterministic.  A span's optimum check first asks the one
+MDS certificate, `codes.is_mds`, of its generator's code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .codes import span_is_mds
+from .codes import LinearCode, is_mds
 from .words import Distribution
 
 DISCREPANCY_CELL_BOUND = 1 << 20
@@ -48,19 +48,6 @@ class BoxReport(namedtuple("BoxReport", "ok box count expected",
 
     def __bool__(self):
         return self.ok
-
-
-def _cumulative_counts(index, shape):
-    """For every cell of an array of `shape`, the number of points whose
-    cell (one index array per axis in `index`) is at or below it in every
-    coordinate."""
-    import numpy as np
-
-    counts = np.bincount(np.ravel_multi_index(index, shape),
-                         minlength=math.prod(shape)).reshape(shape)
-    for axis in range(len(shape)):
-        np.cumsum(counts, axis=axis, out=counts)
-    return counts
 
 
 def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
@@ -131,16 +118,18 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     holds exactly one of the q^k points; at a coarser digit depth d, check
     `dist.project(d)`.  A set with a generator of k rows (a built span,
     or a file `codes.own_span` proved one) holds q^k points, however
-    many, and is first decided by the rank certificate `codes.span_is_mds`
-    on those rows.  Its "no", and any other set, goes to the box count
-    `_box_report`."""
+    many; it is optimum if the rows are independent and span an MDS code
+    (`codes.is_mds`), and trivially if there are none.  Its "no", and any
+    other set, goes to the box count `_box_report` for its witness."""
     space, rows = dist.space, dist.generator
     if dist.exponent() != k:
         raise ValueError("not q^k points")
     if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
-    if rows is not None and span_is_mds(space, rows):
-        return BoxReport(True)
+    if rows is not None:
+        code = LinearCode(space, rows)
+        if code.k == k and (not k or is_mds(code)):
+            return BoxReport(True)
     return _box_report(dist, k, space.s)
 
 
@@ -210,6 +199,7 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     from fractions import Fraction
 
     import numpy as np
+    from . import bulk
 
     space = dist.space
     q, n, s = space.q, space.n, space.s
@@ -238,7 +228,7 @@ def star_discrepancy(dist: Distribution) -> Fraction:
                              "sampled estimation is out of scope")
     shape = tuple(len(g) for g in grids)
     # closed and open counts times q^(sn) against count * volume * q^(sn)
-    closed = _cumulative_counts(ranks, shape).astype(dtype, copy=False)
+    closed = bulk._cumulative_counts(ranks, shape).astype(dtype, copy=False)
     closed *= unit
     opened = np.zeros_like(closed)
     opened[(slice(1, None),) * n] = closed[(slice(None, -1),) * n]

@@ -204,10 +204,10 @@ class Distribution:
     the points (a lazy span: its read-only array is built on the first
     call of `array`), or both: then the array holds the generator's q^k
     combinations once each, in its own order, and only `codes.own_span`
-    and `reshaped` build this form.  Rank certificates on the generator
-    decide `geometry.optimum_report`, and `spectra.distance_spectrum` and
-    `codes.corner_box_counts` read its prefix-profile ranks, without the
-    array."""
+    and `reshaped` build this form.  `codes.is_mds` of the generator's
+    code decides `geometry.optimum_report`; `spectra.distance_spectrum`
+    and `codes.corner_box_counts` read its prefix-profile ranks, without
+    the array."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None):
         import numpy as np

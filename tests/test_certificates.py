@@ -1,7 +1,9 @@
-"""The rank certificate `codes.span_is_mds` against its slow oracles: box
-enumeration over the span and the enumerated minimum weight.  Built
-point sets and codes are decided by the certificate; these tests check
-that every answer, and every witness of a "no", is the enumeration's."""
+"""The one MDS certificate, `codes.is_mds`, against its slow oracles: box
+enumeration over the span and the enumerated minimum weight.  A built
+point set of k generator rows is optimum iff the rows are independent
+and their code is MDS, which `geometry.optimum_report` asks of it; codes
+are decided by `is_mds` directly.  These tests check that every answer,
+and every witness of a "no", is the enumeration's."""
 
 import random
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes import bulk, codes, geometry
-from nrtcodes.codes import LinearCode, is_mds, span_is_mds
+from nrtcodes.codes import LinearCode, is_mds
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import _box_report, optimum_report
 from nrtcodes.gf import GF
@@ -46,13 +48,20 @@ def enumerated(space, rows):
     return _box_report(dist, k, space.s)
 
 
-def assert_three_agree(space, rows):
-    k = len(rows)
-    cert = span_is_mds(space, rows)
-    assert cert == enumerated(space, rows).ok
+def certificate(space, rows):
+    """The certificate of the set the rows generate: no rows, or
+    independent rows whose code is MDS."""
     code = LinearCode(space, rows)
+    return code.k == len(rows) and (not rows or is_mds(code))
+
+
+def assert_three_agree(space, rows):
+    k, code, cert = len(rows), LinearCode(space, rows), certificate(space, rows)
+    report = enumerated(space, rows)
+    assert cert == report.ok
     if code.k < k:
-        assert not cert  # dependent rows repeat every point
+        # dependent rows repeat every point, so the first box is overfull
+        assert not cert and report.count > report.expected
     elif k < space.dim:
         assert cert == (code.min_weight("nrt", method="enumerate") == space.dim - k + 1)
     else:
@@ -118,16 +127,20 @@ def test_sets_of_dependent_rows_are_not_optimum():
     space = Space(GF(3), 2, 2)
     row = [1, 2, 0, 1]
     dist = Distribution(space, generator=[row, row])
-    assert not span_is_mds(space, [row, row])
+    assert not certificate(space, [row, row])
     report = optimum_report(dist, 2)
     assert not report.ok and report == optimum_report(plain_copy(dist), 2)
     # more rows than coordinates are always dependent
     whole = LinearCode.whole_space(space).basis
-    assert span_is_mds(space, whole)
-    assert not span_is_mds(space, list(whole) + [row])
-    assert span_is_mds(space, [])
+    assert certificate(space, whole)
+    assert not certificate(space, list(whole) + [row])
+    assert certificate(space, [])
+    assert optimum_report(Distribution(space, generator=[]), 0).ok
+    # a short row is refused by the code and by the set it would generate
     with pytest.raises(ValueError, match="row length"):
-        span_is_mds(space, [[1, 0, 0]])
+        LinearCode(space, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="row length"):
+        Distribution(space, generator=[[1, 0, 0]])
 
 
 def test_other_depths_count_boxes():
@@ -224,12 +237,21 @@ def test_built_sets_are_decided_without_enumeration(monkeypatch):
             raise AssertionError(f"{name} reached")
         return call
 
+    # both sides of 2k > ns: the generator walk and the complement walk
+    assert {2 * k > code.space.dim for code, _, k in cases} == {True, False}
+    walks = []
+    walk = codes._dependent_profile
+    monkeypatch.setattr(codes, "_dependent_profile",
+                        lambda *args: walks.append(1) or walk(*args))
     monkeypatch.setattr(bulk, "span_array", refuse("span_array"))
     monkeypatch.setattr(geometry, "_box_report", refuse("_box_report"))
     for code, dist, k in cases:
-        assert is_mds(code)
+        # each answer takes exactly one rank walk
+        walks.clear()
+        assert is_mds(code) and len(walks) == 1
         if dist is not None:
-            assert optimum_report(dist, k).ok
+            walks.clear()
+            assert optimum_report(dist, k).ok and len(walks) == 1
     assert reached == []
     with pytest.raises(AssertionError, match="_box_report reached"):
         optimum_report(plain, cases[0][2])

@@ -470,6 +470,14 @@ REFUSALS = (
      "argument --g: invalid int value: 'abc'"),
     (["generate", "--q", "5", "--n", "2", "--s", "2", "--g", "abc", "--t", "1",
       "--out", "{out}"], "argument --g: invalid int value: 'abc'"),
+    # a field given twice must be given consistently
+    (["field-info", "--q", "4", "--p", "3", "--e", "2"], "--q 4 is not p^e = 3^2 = 9"),
+    (["field-info", "--q", "4", "--p", "2"], "--q 4 is not p^e = 2^1 = 2"),
+    (["field-info", "--q", "8", "--e", "2"], "--q 8 is not p^e = 2^2 = 4"),
+    (["generate", "--q", "4", "--p", "3", "--e", "2", "--n", "2", "--s", "2", "--k", "2",
+      "--out", "{out}"], "--q 4 is not p^e = 3^2 = 9"),
+    (["generate", "--q", "8", "--e", "2", "--n", "2", "--s", "2", "--k", "2",
+      "--out", "{out}"], "--q 8 is not p^e = 2^2 = 4"),
 )
 
 
@@ -591,12 +599,12 @@ def test_spectrum_of_one_point(tmp_path, capsys):
 
 
 def test_spectrum_refuses_a_box_enumerator_above_the_bound(tmp_path, capsys, monkeypatch):
-    from nrtcodes import geometry
+    from nrtcodes import bulk
 
     def no_histogram(*args):
         raise AssertionError("the histogram was allocated")
 
-    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    monkeypatch.setattr(bulk, "_cumulative_counts", no_histogram)
     pts = tmp_path / "two.points"
     pts.write_text("2 12 12 2\n" + " ".join(["0" * 12] * 12) + "\n"
                    + " ".join(["0" * 11 + "1"] * 12) + "\n")

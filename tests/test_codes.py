@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nrtcodes import bulk
 from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, character_sum_report,
                             corner_box_counts, duality_ok, is_mds, parity_nrt_weight,
-                            rank, read_code, rref, span_is_mds, weight_enumerator,
-                            write_code)
+                            rank, read_code, rref, weight_enumerator, write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
@@ -514,8 +513,10 @@ def test_profile_walks_of_a_thousand_columns_stay_shallow():
     space = Space(GF(2), 1, 1200)
     # unit rows at the 1100 top digits, stored least significant first
     rows = [[int(c == 1199 - r) for c in range(1200)] for r in range(1100)]
-    assert span_is_mds(space, rows)
-    assert not span_is_mds(space, rows[:-2] + [rows[0], rows[-1]])
+    code = LinearCode(space, rows)
+    assert code.k == len(rows) and is_mds(code)
+    dependent = LinearCode(space, rows[:-2] + [rows[0], rows[-1]])
+    assert dependent.k < len(rows) and not is_mds(dependent)
 
 
 def test_short_rows_are_refused_before_the_reduction():
@@ -576,12 +577,10 @@ def test_box_enumerator_matches_box_count():
 
 
 def test_box_enumerator_bound_is_checked_before_allocating(monkeypatch):
-    from nrtcodes import geometry
-
     def no_histogram(*args):
         raise AssertionError("the histogram was allocated")
 
-    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    monkeypatch.setattr(bulk, "_cumulative_counts", no_histogram)
     # 13^12 coefficients would take 170 TiB
     sp = Space(GF(2), 12, 12)
     two = Distribution(sp, words=[sp.zero(), ((1,) + (0,) * 11,) * 12])

@@ -421,12 +421,12 @@ def _points_with_ranks(distinct_x, distinct_y):
 
 
 def test_star_discrepancy_cell_bound(monkeypatch):
-    from nrtcodes import geometry
+    from nrtcodes import bulk, geometry
 
     def no_histogram(*args):
         raise AssertionError("the histogram was allocated")
 
-    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    monkeypatch.setattr(bulk, "_cumulative_counts", no_histogram)
     # 17 * 61681 = 2^20 + 1 cells are refused before the histogram
     with pytest.raises(ValueError, match="too large for the exact grid sweep"):
         star_discrepancy(_points_with_ranks(16, 61680))
@@ -437,7 +437,7 @@ def test_star_discrepancy_cell_bound(monkeypatch):
 
 
 def test_star_discrepancy_refuses_before_ranking_every_coordinate(monkeypatch):
-    from nrtcodes import geometry
+    from nrtcodes import bulk
 
     ranked = []
     unique = np.unique
@@ -450,7 +450,7 @@ def test_star_discrepancy_refuses_before_ranking_every_coordinate(monkeypatch):
         raise AssertionError("the histogram was allocated")
 
     monkeypatch.setattr(np, "unique", counted)
-    monkeypatch.setattr(geometry, "_cumulative_counts", no_histogram)
+    monkeypatch.setattr(bulk, "_cumulative_counts", no_histogram)
     # 1024 points on the diagonal of n = 5: an axis has 1025 grid entries, so
     # two ranked axes and three to come make 1025^2 * 2^3 > 2^20 cells
     digits = (np.arange(1024)[:, None, None] >> np.arange(10)) & 1
