@@ -263,8 +263,10 @@ def cmd_spectrum(args) -> int:
     # proven set carries its basis, so the routes of built sets answer
     span = own_span(dist)
     if span is not None:
-        dist = span
-    anchor = dist.word(0) if dist.array().any(axis=(1, 2)).all() else space.zero()
+        # a linear set holds zero, the anchor of its spectrum
+        dist, anchor = span, space.zero()
+    else:
+        anchor = dist.word(0) if dist.array().any(axis=(1, 2)).all() else space.zero()
     spec = distance_spectrum(dist, anchor)
     q, k = space.q, dist.exponent()
     payload = {
@@ -285,7 +287,6 @@ def cmd_spectrum(args) -> int:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
     if span is not None:
-        # a linear set holds zero, the anchor of its spectrum
         payload["weight_enumerator"] = spec
         payload["box_enumerator"] = {
             ",".join(map(str, a)): c

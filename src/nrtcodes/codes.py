@@ -1,7 +1,8 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
 the reversed inner product and its MacWilliams identity, minimum weights,
-check matrices (the codes their rows span), box and weight enumerators,
-and character-sum verification.
+check matrices (the codes their rows span), the weight counts of a span
+(`span_weight_counts`, the one route for spectra and enumerated minimum
+weights), box and weight enumerators, and character-sum verification.
 
 Codes are stored as RREF bases over the flattened n*s coordinates (row
 major), which makes canonical comparisons and double duals bit-exact.
@@ -10,7 +11,7 @@ major), which makes canonical comparisons and double duals bit-exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .gf import GF
 from .words import Distribution, Space
@@ -145,15 +146,10 @@ class LinearCode:
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords.
 
-        Within the enumeration bound the NRT weight, when the (s+1)^n
-        prefix profiles are no more than the q^k codewords, is read from
-        their ranks (`_profile_ranks`): the corner box of side exponents
-        a holds the q^(k - rank(a)) codewords with row weights at most
-        s - a_j, so it holds a nonzero one iff rank(a) < k, and the
-        weight is ns - max{a_1 + ... + a_n : rank(a) < k}.  Otherwise,
-        and for the Hamming weight, it is the first nonzero entry after
-        w_0 of the weight histogram counted over the codewords in blocks
-        (`bulk.span_weight_histogram`).  Beyond the enumeration bound the
+        Within the enumeration bound it is the first nonzero entry after
+        w_0 of the weight counts of the basis's span
+        (`span_weight_counts`: from the ranks of the prefix profiles, or
+        over the codewords in blocks).  Beyond the enumeration bound the
         NRT weight comes from the complement rows (`_complement`), a
         check matrix: one `_dependent_profile` walk up to total ns - k
         finds the least dependent total of their prefix profiles, as
@@ -179,17 +175,9 @@ class LinearCode:
             return _dependent_profile(space, self._complement(), space.dim - self.k, 0)
         if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        if metric == "nrt" and _counted_from_ranks(space, self.k):
-            ranks = _profile_ranks(space, self.basis)
-            return space.dim - max(t for t, r in zip(_profile_totals(space), ranks)
-                                   if r < self.k)
-        import numpy as np
-        from . import bulk
-
-        hist = bulk.span_weight_histogram(space.gf, self.basis, space.n,
-                                          space.s, metric)
+        counts = span_weight_counts(space, self.basis, metric)
         # the basis is independent, so w_0 = 1 counts the zero word only
-        return int(np.flatnonzero(hist[1:])[0]) + 1
+        return next(w for w in range(1, space.dim + 1) if counts[w])
 
     def _complement(self) -> list[list[int]]:
         """A basis of the plain complement {x : b . x = 0 for every basis
@@ -395,7 +383,7 @@ def duality_ok(code: LinearCode, dual: LinearCode) -> bool:
     """The generalized MacWilliams identity of C = `code` and C' = `dual`,
     for every n: q^k phi_C'(b) = q^(ns - |b|) phi_C(s - b) for every b in
     {0..s}^n, phi(a) = q^(k - rank(a)) the codewords in the corner box of
-    side exponents a (`span_corner_counts`).  In the ranks of the prefix
+    side exponents a (`corner_box_counts`).  In the ranks of the prefix
     profiles it reads rank_C'(b) = |b| - k + rank_C(s - b), and profile
     s - b is the mirror of b in the C order of `_profile_ranks`, so one
     pass over the two rank lists decides it, with no words and no numpy.
@@ -415,41 +403,35 @@ def _counted_from_ranks(space: Space, k: int) -> bool:
     return (space.s + 1) ** space.n <= space.q ** k
 
 
-def span_corner_counts(space: Space, rows):
-    """(s+1)^n int table whose entry a is the number of combinations of
-    the flat `rows` (all q^k, with multiplicity, as the `Distribution`
-    they generate counts them) that lie in the corner box of side
-    exponents a: those whose row weights are at most s - a_j.  They are
-    the combinations orthogonal to the columns of prefix profile a of the block-reversed
-    rows, q^(k - rank) of them.  int64 while q^k < 2^63, else Python
-    ints."""
-    import numpy as np
+def span_weight_counts(space: Space, rows, metric: str = "nrt") -> list[int]:
+    """Counts (w_0, ..., w_ns) of the weights of all q^k combinations of
+    the flat `rows` (with multiplicity, as the `Distribution` they
+    generate counts them), in Python ints.  NRT counts, when
+    `_counted_from_ranks`, come from the ranks of the prefix profiles: the
+    corner box of side exponents a holds the q^(k - rank(a)) combinations
+    with row weights at most s - a_j, orthogonal to the columns of profile
+    a of the block-reversed rows.  Profile s - b is the mirror of b in the
+    C order of `_profile_ranks`, so the mirrored corner counts count the
+    combinations with row weights at most b; their difference along each
+    axis counts those with row weights exactly b, and these summed by
+    b_1 + ... + b_n give w.  Otherwise the words are counted in blocks
+    (`bulk.span_weight_histogram`)."""
+    q, k, s = space.q, len(rows), space.s
+    if metric != "nrt" or not _counted_from_ranks(space, k):
+        from . import bulk
 
-    q, k = space.q, len(rows)
-    powers = np.array([q ** e for e in range(k + 1)],
-                      dtype=np.int64 if q ** k < 1 << 63 else object)
-    ranks = np.array(_profile_ranks(space, rows), dtype=np.intp)
-    return powers[k - ranks].reshape((space.s + 1,) * space.n)
-
-
-def span_nrt_histogram(space: Space, rows):
-    """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
-    of the flat `rows`, from their corner counts: read with every axis
-    reversed, the corner table counts the combinations with row weights
-    at most b; its difference along each axis counts those with row
-    weights exactly b, and these summed by b_1 + ... + b_n give w."""
-    import numpy as np
-
-    n, s = space.n, space.s
-    exact = span_corner_counts(space, rows)[(slice(None, None, -1),) * n]
-    totals = np.zeros(1, dtype=np.intp)
-    for axis in range(n):
-        # np.diff(exact, axis=axis, prepend=0), in place
-        lead = (slice(None),) * axis
-        exact[lead + (slice(1, None),)] -= exact[lead + (slice(None, -1),)]
-        totals = np.add.outer(totals, np.arange(s + 1)).ravel()
-    hist = np.zeros(n * s + 1, dtype=exact.dtype)
-    np.add.at(hist, totals, exact.ravel())
+        return bulk.span_weight_histogram(space.gf, rows, space.n, s, metric).tolist()
+    counts = [q ** (k - r) for r in reversed(_profile_ranks(space, rows))]
+    for _ in range(space.n):
+        # difference along the last axis while turning it to the front, one
+        # slice per digit: n turns difference every axis and restore the order
+        turned = counts[::s + 1]
+        for d in range(1, s + 1):
+            turned += map(sub, counts[d::s + 1], counts[d - 1::s + 1])
+        counts = turned
+    hist = [0] * (space.dim + 1)
+    for t, c in zip(_profile_totals(space), counts):
+        hist[t] += c
     return hist
 
 
@@ -475,8 +457,10 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     i.e. the coefficient table of the box enumerator phi(D).  There are
     (s+1)^n of them, at most ENUMERATION_BOUND.  A set with a generator
     (see `Distribution`) with no more boxes than its q^k points reads
-    them from the ranks of its k generator rows (`span_corner_counts`),
-    without its array; any other set counts its points."""
+    them from the ranks of its k generator rows, box a holding the
+    q^(k - rank(a)) combinations orthogonal to the columns of prefix
+    profile a (`_profile_ranks`), without its array, in Python ints;
+    any other set counts its points."""
     from itertools import product
     from . import bulk
 
@@ -487,7 +471,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
     rows = dist.generator
     if rows is not None and _counted_from_ranks(space, len(rows)):
-        counts = span_corner_counts(space, rows).ravel().tolist()
+        q, k = space.q, len(rows)
+        counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
         return dict(zip(product(range(s + 1), repeat=n), counts))
     # points with row weights <= b lie in the corner box with a_j = s - b_j
     cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)

@@ -1,8 +1,9 @@
 """Sphere and ball combinatorics of the NRT metric, exact distance spectra
 of point sets, and the closed-form spectra of MDS codes and zero-deficiency
 nets.  A spectrum is counted word by word, except that of a set built as a
-span, from the origin, which comes from its generator: from the ranks of
-its prefix profiles, or by counting its words in blocks.
+span, from the origin, which comes from its generator
+(`codes.span_weight_counts`): from the ranks of its prefix profiles, or by
+counting its words in blocks.
 
 All counting is done in unbounded Python integers; the closed forms can
 legitimately go negative outside the existence range (that negativity is
@@ -53,10 +54,8 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
     must itself belong to the distribution.  From the zero word, a set
     with a generator (see `Distribution`) is counted from it, without its
-    array: from the ranks of the generator's prefix profiles
-    (`codes.span_nrt_histogram`) when `codes._counted_from_ranks`, else
-    word by word in blocks (`bulk.span_weight_histogram`).  Any other set
-    or anchor reads the array."""
+    array, by `codes.span_weight_counts`.  Any other set or anchor reads
+    the array."""
     import numpy as np
     from . import bulk, codes
 
@@ -65,9 +64,7 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     flat_anchor = space.flatten(anchor)
     rows = dist.generator
     if rows is not None and not any(flat_anchor):
-        if codes._counted_from_ranks(space, len(rows)):
-            return codes.span_nrt_histogram(space, rows).tolist()
-        return bulk.span_weight_histogram(space.gf, rows, space.n, space.s).tolist()
+        return codes.span_weight_counts(space, rows)
     arr = dist.array().reshape(len(dist), space.dim)
     diffs = bulk.sub_anchor(space.gf, arr, flat_anchor)
     rho = bulk.nrt_weights(diffs, space.n, space.s)

@@ -1,13 +1,14 @@
 """NRT weight spectra and corner box counts of spans from the ranks of
-their prefix profiles (`codes.span_nrt_histogram`,
-`codes.span_corner_counts`), against the k-pass enumeration and against
+their prefix profiles (`codes.span_weight_counts`,
+`codes.corner_box_counts`), against the k-pass enumeration and against
 one rank per profile, and the rule (s+1)^n <= q^k
-(`codes._counted_from_ranks`) by which `spectra.distance_spectrum`,
-`codes.corner_box_counts` and `LinearCode.min_weight` take that route
-instead of counting words."""
+(`codes._counted_from_ranks`) by which `codes.span_weight_counts` (so
+`spectra.distance_spectrum` and `LinearCode.min_weight`) and
+`codes.corner_box_counts` take that route instead of counting words."""
 
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nrtcodes.gf import GF
 from nrtcodes.spectra import distance_spectrum, mds_spectrum
 from nrtcodes.words import Distribution, Space
 
-from _helpers import rref_by_columns, span_array_by_passes
+from _helpers import rref_by_columns, run_without_numpy, span_array_by_passes
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
 
@@ -35,6 +36,13 @@ def profile_ranks_one_by_one(space, rows):
                 for j, d in enumerate(depths) for i in range(d)]
         out.append(len(rref_by_columns(space.gf, cols)) if rows else 0)
     return out
+
+
+def rank_route_counts(space, rows):
+    """`codes.span_weight_counts` of the rows by the rank route, whichever
+    side of `codes._counted_from_ranks` their shape is on."""
+    with mock.patch.object(codes, "_counted_from_ranks", lambda space, k: True):
+        return codes.span_weight_counts(space, rows)
 
 
 def refuse(name):
@@ -64,11 +72,16 @@ def test_rank_histogram_matches_the_k_pass_enumeration(data):
         c = data.draw(st.integers(1, gf.q - 1))
         rows[j] = [int(gf.mul_table[c, v]) for v in rows[i]]
     space = Space(gf, n, s)
-    hist = codes.span_nrt_histogram(space, rows)
     eager = span_array_by_passes(gf, rows, width)
-    expected = np.bincount(bulk.nrt_weights(eager, n, s), minlength=width + 1)
-    assert hist.dtype == np.int64
-    assert np.array_equal(hist, expected)
+    expected = {metric: np.bincount(bulk.weights(eager, n, s, metric),
+                                    minlength=width + 1).tolist()
+                for metric in ("nrt", "hamming")}
+    for metric, want in expected.items():
+        counts = codes.span_weight_counts(space, rows, metric)
+        assert counts == want
+        assert all(type(c) is int for c in counts)
+    # the rank route on every drawn shape, whichever side of the rule it is on
+    assert rank_route_counts(space, rows) == expected["nrt"]
 
 
 def test_profile_ranks_saturate_in_the_middle_of_a_block():
@@ -82,7 +95,7 @@ def test_profile_ranks_saturate_in_the_middle_of_a_block():
     assert ranks[2 * 4:] == [2] * 8 and ranks[1 * 4 + 1] == 2
     expected = np.bincount(bulk.nrt_weights(span_array_by_passes(space.gf, rows, 6),
                                             2, 3), minlength=7)
-    assert np.array_equal(codes.span_nrt_histogram(space, rows), expected)
+    assert rank_route_counts(space, rows) == expected.tolist()
 
 
 @pytest.mark.parametrize("q, n, s, k", [(2, 3, 2, 3), (3, 2, 4, 5), (4, 4, 2, 4),
@@ -151,6 +164,33 @@ def test_spans_beyond_int64_are_counted_in_python_integers():
     spectrum = distance_spectrum(dist, space.zero())
     assert spectrum == mds_spectrum(5, 4, 16, 16)
     assert sum(spectrum) == 2 ** 64 and all(type(w) is int for w in spectrum)
+    counts = corner_box_counts(dist)
+    assert counts[(0,) * 5] == 2 ** 64
+    assert all(type(c) is int for c in counts.values())
+
+
+def test_built_counts_and_minimum_weight_need_no_numpy():
+    # 4^4 profiles and 5^6 words: the rank route, in Python integers only
+    out = run_without_numpy(
+        "from nrtcodes.codes import span_weight_counts\n"
+        "from nrtcodes.construct import build_mds_code\n"
+        "from nrtcodes.spectra import mds_spectrum\n"
+        "from nrtcodes.words import Space\n"
+        "code = build_mds_code(Space(gf.GF(5), 4, 3), 6)\n"
+        "assert span_weight_counts(code.space, code.basis) == mds_spectrum(4, 3, 6, 5)\n"
+        "print(code.min_weight('nrt'))\n")
+    assert out.split() == ["7"]
+
+
+@pytest.mark.parametrize("q, n, s, k", [(5, 2, 2, 2), (2, 3, 2, 2)])
+def test_minimum_weights_are_python_ints_on_both_routes(q, n, s, k):
+    # 3^2 profiles and 5^2 words read the ranks; 3^3 profiles and 2^2
+    # words count the words in blocks
+    code = build_mds_code(Space({2: GF(2), 5: GF(5)}[q], n, s), k)
+    for metric in ("nrt", "hamming"):
+        weight = code.min_weight(metric, "enumerate")
+        assert type(weight) is int
+    assert code.min_weight("nrt") == n * s - k + 1
 
 
 def test_a_long_block_is_walked_without_deep_recursion(monkeypatch):
