@@ -3,8 +3,9 @@ digit-block transforms, base change, and discrepancy, over the text file
 formats of the library.
 
 Exit codes: 0 success / verified, 1 a verification answered "no",
-2 usage, parse or resource errors and internal faults, reported on stderr,
-or under --format json as one {"schema": 1, "error": ...} object on stdout.
+2 usage, parse or resource errors (among them "out of memory") and
+internal faults, reported on stderr, or under --format json as one
+{"schema": 1, "error": ...} object on stdout.
 Each command accepts only the options it reads (the `COMMANDS` table);
 any other option is a usage error.
 """
@@ -469,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS starts one thread per core, each with its own buffers, when
+    # numpy loads; under an address-space limit that start fails with exit 1,
+    # the "verified false" code.  Nothing here calls BLAS.  Set before any
+    # command imports numpy; a value the caller set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     fmt = _requested_format(argv)
     try:
@@ -484,6 +490,8 @@ def main(argv=None) -> int:
         error = {"error": str(exc)}
         if isinstance(exc, PointFileError):
             error["line"] = exc.line
+    except MemoryError as exc:  # a resource refusal, not a fault
+        error = {"error": f"out of memory: {exc}" if str(exc) else "out of memory"}
     except Exception as exc:  # a fault of the program, still never a traceback
         error = {"error": f"internal: {type(exc).__name__}: {exc}"}
     if fmt == "json":

@@ -152,9 +152,10 @@ class LinearCode:
         over the codewords in blocks).  Beyond the enumeration bound the
         NRT weight comes from the complement rows (`_complement`), a
         check matrix: one `_dependent_profile` walk up to total ns - k
-        finds the least dependent total of their prefix profiles, as
-        `parity_nrt_weight` does for a check code.  The Hamming weight is
-        refused there.
+        finds the least dependent total of their prefix profiles.  Given
+        only a check code H, C's weight is
+        `H.parity_check().min_weight("nrt", method="parity")`.  The
+        Hamming weight is refused there.
         """
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
@@ -270,9 +271,9 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     (0 <= d_j <= s) whose columns, the first d_j of each block of the
     flat `rows`, are linearly dependent, else `total` + 1; the walk ends
     early at a dependent total <= `enough`.  The rows are a check matrix
-    (a check code's basis for `parity_nrt_weight`, the complement rows
-    for `LinearCode.min_weight` and `is_mds` when 2k > ns), or the
-    block-reversed basis for `is_mds` when 2k <= ns.  The walk goes depth
+    (the complement rows for `LinearCode.min_weight` and `is_mds` when
+    2k > ns; any rows that span a check have its dependent columns), or
+    the block-reversed basis for `is_mds` when 2k <= ns.  The walk goes depth
     first through the profile tree, recursing only across blocks: a node
     adds the next column of its last block or the first of a later block,
     and reduces it against the echelon rows of its ancestors' columns.  A
@@ -433,21 +434,6 @@ def span_weight_counts(space: Space, rows, metric: str = "nrt") -> list[int]:
     for t, c in zip(_profile_totals(space), counts):
         hist[t] += c
     return hist
-
-
-def parity_nrt_weight(check: LinearCode) -> int:
-    """NRT weight of the code that the basis rows H of `check` cut out
-    (`LinearCode.parity_check`): the smallest total d_1 + ... + d_n over
-    prefix profiles (0 <= d_j <= s) whose columns, the first d_j of each
-    block H_j, are linearly dependent.  As any check.k + 1 columns are
-    dependent (the Singleton bound), one `_dependent_profile` walk up to
-    total check.k finds it, or answers check.k + 1: the MDS case."""
-    space, rank_h = check.space, check.k
-    if rank_h == 0:
-        raise ValueError("need a check matrix of rank >= 1")
-    if rank_h == space.dim:
-        raise ValueError("zero code has no nonzero word")
-    return _dependent_profile(space, check.basis, rank_h, 0)
 
 
 # --- enumerators and character sums ---

@@ -32,18 +32,6 @@ def merge_rows(word: Word, g: int) -> Word:
     return tuple(out)
 
 
-def split_rows(word: Word, g: int) -> Word:
-    """Inverse bijection: cut every row of length g*s into g rows."""
-    out = []
-    for row in word:
-        if len(row) % g:
-            raise ValueError("row length not divisible by g")
-        s = len(row) // g
-        for j in range(g):
-            out.append(tuple(row[j * s:(j + 1) * s]))
-    return tuple(out)
-
-
 def block_reverse_rows(word: Word, g: int) -> Word:
     """The involution reversing row order inside each block of g rows."""
     if len(word) % g:
@@ -160,17 +148,6 @@ class BaseChangeWeights(namedtuple("BaseChangeWeights",
         if not lo <= self.nrt_p <= e * self.nrt_q:
             return False
         return self.hamming_q <= self.hamming_p <= e * self.hamming_q
-
-
-def base_change_word(space: Space, word: Word) -> tuple[Space, Word]:
-    return space.base_p_space(), space.word_to_base_p(word)
-
-
-def word_base_change_weights(space: Space, word: Word) -> BaseChangeWeights:
-    _, word_p = base_change_word(space, word)
-    return BaseChangeWeights(nrt_weight(word), nrt_weight(word_p),
-                             hamming_weight(word), hamming_weight(word_p),
-                             space.gf.e, space.n)
 
 
 def _min_weights(dist: Distribution) -> tuple[int, int]:

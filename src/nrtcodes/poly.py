@@ -34,30 +34,6 @@ def normalize(f: list[int]) -> list[int]:
     return f
 
 
-def poly_add(gf: GF, f, g):
-    out = [gf.add(a, b) for a, b in zip(f, g)]
-    longer = f if len(f) > len(g) else g
-    out.extend(longer[len(out):])
-    return normalize(out)
-
-
-def poly_scale(gf: GF, f, c: int):
-    if c == 0:
-        return []
-    return [gf.mul(c, a) for a in f]
-
-
-def poly_mul(gf: GF, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
-    return normalize(out)
-
-
 def binom_mod(m: int, j: int, p: int) -> int:
     """Binomial coefficient C(m, j) mod p by Lucas' rule."""
     if j < 0 or j > m:
@@ -106,31 +82,6 @@ def hyper_eval(gf: GF, f, beta, j: int = 0, ambient: int | None = None) -> int:
             return 0
         return f[idx]
     return eval_poly(gf, hasse_derivative(gf, f, j), beta)
-
-
-def taylor_expand(gf: GF, f, beta: int) -> list[int]:
-    """Hyperderivative values (d^0 f(beta), ..., d^deg(f) f(beta))."""
-    return [hyper_eval(gf, f, beta, j) for j in range(len(f))]
-
-
-def linear_factor_power(gf: GF, beta: int, t: int):
-    """(z - beta)^t as a coefficient list."""
-    out = [1]
-    factor = [gf.neg(beta), 1]
-    for _ in range(t):
-        out = poly_mul(gf, out, factor)
-    return out
-
-
-def from_taylor(gf: GF, values, beta: int):
-    """Rebuild sum_j values[j] (z - beta)^j."""
-    out = []
-    power = [1]
-    factor = [gf.neg(beta), 1]
-    for v in values:
-        out = poly_add(gf, out, poly_scale(gf, power, v))
-        power = poly_mul(gf, power, factor)
-    return out
 
 
 def hermite_interpolate(gf: GF, nodes, mults, targets):

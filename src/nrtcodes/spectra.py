@@ -150,9 +150,3 @@ def nets_exist(n: int, q: int) -> bool:
     distributions / zero-deficiency nets in dimension n over F_q."""
     return q >= n - 1
 
-
-def ball_packing_ok(count: int, t: int, n: int, s: int, q: int) -> bool:
-    """Packing bound: `count` disjoint balls of radius t fit in q^(ns)."""
-    if t < 0:
-        raise ValueError("radius must be nonnegative")
-    return count * ball_size(t, n, s, q) <= q ** (n * s)

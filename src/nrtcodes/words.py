@@ -43,25 +43,6 @@ def exponent(q: int, count: int) -> int:
     return r
 
 
-def truncate_digits(x: Fraction, q: int, s: int) -> Fraction:
-    """Projection onto Q(q^s): keep the first s base-q digits of x."""
-    from fractions import Fraction
-
-    if not 0 <= x < 1:
-        raise ValueError("coordinate must lie in [0, 1)")
-    scaled = x * q ** s
-    return Fraction(int(scaled), q ** s)
-
-
-def digits_of(x: Fraction, q: int, s: int) -> tuple[int, ...]:
-    """First s base-q digits of x, most significant first."""
-    num = int(x * q ** s)
-    out = []
-    for i in range(s - 1, -1, -1):
-        out.append(num // q ** i % q)
-    return tuple(out)
-
-
 class Space:
     """Parameters (q, n, s) plus the field-aware word operations."""
 

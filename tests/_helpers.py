@@ -13,9 +13,11 @@ import nrtcodes
 from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
 from nrtcodes.construct import _check_nodes
 from nrtcodes.gf import DIGIT_CHARS, GF
-from nrtcodes.poly import INF, binom_mod
-from nrtcodes.words import (Distribution, PointFileError, _read_header, hamming_weight,
-                            nrt_weight)
+from nrtcodes.peano import BaseChangeWeights
+from nrtcodes.poly import INF, binom_mod, hyper_eval, normalize
+from nrtcodes.spectra import ball_size
+from nrtcodes.words import (Distribution, PointFileError, Space, Word, _read_header,
+                            hamming_weight, nrt_weight)
 
 
 def run_fresh(script, cwd=None):
@@ -25,6 +27,47 @@ def run_fresh(script, cwd=None):
                             cwd=cwd, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+# the child caps its own address space before anything else: a preexec_fn
+# would run Python code between fork and exec of this threaded process
+_CAP = "import resource\nresource.setrlimit(resource.RLIMIT_AS, ({0}, {0}))\n"
+
+
+@functools.cache
+def _address_space_cap_enforced() -> bool:
+    """Whether a child asking for 512 MB under a 100 MB RLIMIT_AS fails."""
+    try:
+        import resource  # noqa: F401  (absent off POSIX)
+    except ImportError:
+        return False
+    probe = subprocess.run([sys.executable, "-c", _CAP.format(100 << 20) + "bytearray(512 << 20)"],
+                           capture_output=True)
+    return probe.returncode != 0
+
+
+def run_cli_capped(args, cap_mb, cwd):
+    """Run `nrtcodes.cli` as `python -m` would, with `args`, in a child
+    whose address space is capped at `cap_mb` MB (RLIMIT_AS, on that child
+    only), with OPENBLAS_NUM_THREADS cleared so that numpy starts as it
+    does by default.  Checks the exit contract under the cap: no signal,
+    no traceback, no internal fault and no OpenBLAS abort (which exits 1,
+    the "verified false" code).  Skips where RLIMIT_AS is not enforced."""
+    import pytest
+
+    if not _address_space_cap_enforced():
+        pytest.skip("RLIMIT_AS is not enforced on this platform")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nrtcodes.__file__))
+    script = _CAP.format(cap_mb << 20) + (
+        "import runpy\nrunpy.run_module('nrtcodes.cli', run_name='__main__', alter_sys=True)\n")
+    result = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                            text=True, cwd=cwd, env=env, timeout=300)
+    said = result.stdout + result.stderr
+    assert result.returncode in (0, 1, 2), (args, result.returncode, said)
+    for mark in ("Traceback", "internal:", "OpenBLAS error"):
+        assert mark not in said, (args, said)
+    return result
 
 
 def run_without_numpy(script, cwd=None):
@@ -292,8 +335,9 @@ def bounded_compositions(total: int, parts: int, bound: int):
 
 
 def parity_weight_by_composition(check):
-    """The per-composition search, the oracle of `parity_nrt_weight`:
-    totals ascending, one fresh rank per composition of each total."""
+    """The per-composition search, the oracle of the parity walk
+    (`codes._dependent_profile` over check rows): totals ascending, one
+    fresh rank per composition of each total."""
     space = check.space
     gf = space.gf
     n, s = space.n, space.s
@@ -502,3 +546,81 @@ def macwilliams_n1_ok(dist: Distribution, dual_dist: Distribution) -> bool:
         deg = s + 2 - r
         rhs[deg] += len(dist) * c * q ** deg
     return lhs == rhs
+
+
+# --- polynomial, digit-block and packing oracles: no command and no
+# statement of the paper needs them, so they live with the tests ---
+
+def poly_add(gf: GF, f, g):
+    out = [gf.add(a, b) for a, b in zip(f, g)]
+    longer = f if len(f) > len(g) else g
+    out.extend(longer[len(out):])
+    return normalize(out)
+
+
+def poly_scale(gf: GF, f, c: int):
+    if c == 0:
+        return []
+    return [gf.mul(c, a) for a in f]
+
+
+def poly_mul(gf: GF, f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
+    return normalize(out)
+
+
+def taylor_expand(gf: GF, f, beta: int) -> list[int]:
+    """Hyperderivative values (d^0 f(beta), ..., d^deg(f) f(beta))."""
+    return [hyper_eval(gf, f, beta, j) for j in range(len(f))]
+
+
+def linear_factor_power(gf: GF, beta: int, t: int):
+    """(z - beta)^t as a coefficient list."""
+    out = [1]
+    factor = [gf.neg(beta), 1]
+    for _ in range(t):
+        out = poly_mul(gf, out, factor)
+    return out
+
+
+def from_taylor(gf: GF, values, beta: int):
+    """Rebuild sum_j values[j] (z - beta)^j."""
+    out = []
+    power = [1]
+    factor = [gf.neg(beta), 1]
+    for v in values:
+        out = poly_add(gf, out, poly_scale(gf, power, v))
+        power = poly_mul(gf, power, factor)
+    return out
+
+
+def split_rows(word: Word, g: int) -> Word:
+    """Inverse bijection: cut every row of length g*s into g rows."""
+    out = []
+    for row in word:
+        if len(row) % g:
+            raise ValueError("row length not divisible by g")
+        s = len(row) // g
+        for j in range(g):
+            out.append(tuple(row[j * s:(j + 1) * s]))
+    return tuple(out)
+
+
+def word_base_change_weights(space: Space, word: Word) -> BaseChangeWeights:
+    word_p = space.word_to_base_p(word)
+    return BaseChangeWeights(nrt_weight(word), nrt_weight(word_p),
+                             hamming_weight(word), hamming_weight(word_p),
+                             space.gf.e, space.n)
+
+
+def ball_packing_ok(count: int, t: int, n: int, s: int, q: int) -> bool:
+    """Packing bound: `count` disjoint balls of radius t fit in q^(ns)."""
+    if t < 0:
+        raise ValueError("radius must be nonnegative")
+    return count * ball_size(t, n, s, q) <= q ** (n * s)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from nrtcodes import bulk
-from nrtcodes.codes import LinearCode, character_sum_report, parity_nrt_weight
+from nrtcodes.codes import LinearCode, character_sum_report
 from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import (_box_report, base_reduce_net, is_net, optimum_report,
                                star_discrepancy)
@@ -215,7 +215,7 @@ def test_criterion_11_parity_check_weight():
         space = Space(FIELDS[q], n, s)
         k = rng.randrange(1, n * s)
         code = random_code(space, k, rng)
-        assert parity_nrt_weight(code.parity_check()) == \
+        assert code.min_weight("nrt", method="parity") == \
             code.min_weight("nrt", method="enumerate"), (q, n, s, k)
     _report(11, "100 random codes: prefix-rank weight equals the "
                 "enumerated weight", t0)

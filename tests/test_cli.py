@@ -16,7 +16,7 @@ from nrtcodes.codes import (LinearCode, corner_box_counts, read_code,
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
-from _helpers import run_fresh, run_without_numpy, same_multiset
+from _helpers import run_cli_capped, run_fresh, run_without_numpy, same_multiset
 
 
 def run(args, capsys):
@@ -713,19 +713,22 @@ def test_internal_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch)
 
     pts = tmp_path / "two.points"
     pts.write_text("2 1 1 2\n0\n1\n")
-    for exc, text in ((RuntimeError("boom"), "RuntimeError: boom"),
-                      (MemoryError(), "MemoryError: "),
+    # running out of memory is a resource refusal, not a fault of the program
+    for exc, text in ((RuntimeError("boom"), "internal: RuntimeError: boom"),
+                      (MemoryError(), "out of memory"),
+                      (MemoryError("Unable to allocate 20.3 MiB"),
+                       "out of memory: Unable to allocate 20.3 MiB"),
                       (AssertionError("cross-check failed"),
-                       "AssertionError: cross-check failed")):
+                       "internal: AssertionError: cross-check failed")):
         def fail(dist, exc=exc):
             raise exc
 
         monkeypatch.setattr(cli, "star_discrepancy", fail)
         code, out, err = run(["discrepancy", "--in", str(pts)], capsys)
-        assert code == 2 and out == "" and err == f"error: internal: {text}\n"
+        assert code == 2 and out == "" and err == f"error: {text}\n"
         code, out, err = run(["discrepancy", "--in", str(pts), "--format", "json"], capsys)
         assert code == 2 and err == ""
-        assert json.loads(out) == {"schema": 1, "error": f"internal: {text}"}
+        assert json.loads(out) == {"schema": 1, "error": text}
 
 
 def test_verify_mds_finds_the_minimum_weight_once(tmp_path, capsys, monkeypatch):
@@ -919,3 +922,49 @@ def test_file_commands_keep_the_exit_contract_on_malformed_input(data):
             assert "error" in json.loads(out.getvalue())
     else:
         assert left == {"in.file"} | {"out.file"} & set(args)
+
+
+def test_commands_keep_the_exit_contract_under_a_memory_cap(tmp_path, capsys):
+    # a small file runs under 110 MB; on several cores, OpenBLAS's default of
+    # a thread per core would fail numpy's start there with exit 1 ("no")
+    run(["generate", "--q", "4", "--n", "3", "--s", "2", "--k", "3",
+         "--out", str(tmp_path / "small")], capsys)
+    result = run_cli_capped(["verify", "--kind", "optimum", "--in", "small.points"],
+                            110, tmp_path)
+    assert (result.returncode, result.stdout) == (0, "optimum: True\n")
+    # 531441 points under 120 MB: an out-of-memory refusal that writes nothing
+    run(["generate", "--q", "9", "--n", "5", "--s", "4", "--k", "6",
+         "--out", str(tmp_path / "big")], capsys)
+    files = set(os.listdir(tmp_path))
+    for args in (["verify", "--kind", "optimum"],
+                 ["verify", "--kind", "net", "--delta", "2", "--format", "json"],
+                 ["basechange", "--out", "out.points"],
+                 ["peano", "--type", "points", "--g", "5", "--out", "out.points"]):
+        result = run_cli_capped(args + ["--in", "big.points"], 120, tmp_path)
+        assert result.returncode == 2, (args, result.stdout, result.stderr)
+        if "json" in args:
+            assert json.loads(result.stdout)["error"].startswith("out of memory")
+        else:
+            assert result.stderr.startswith("error: out of memory"), result.stderr
+        assert set(os.listdir(tmp_path)) == files
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_malformed_input_answers_the_same_under_a_memory_cap(data):
+    argv, kind = data.draw(st.sampled_from(FILE_COMMANDS))
+    args = argv + ["--in", "in.file"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "in.file"), "w") as fh:
+            fh.write(data.draw(malformed_text(kind)))
+        capped = run_cli_capped(args, 110, tmp)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        finally:
+            os.chdir(cwd)
+    assert (capped.returncode, capped.stdout, capped.stderr) == \
+        (code, out.getvalue(), err.getvalue())

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nrtcodes import bulk
-from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, character_sum_report,
-                            corner_box_counts, duality_ok, is_mds, parity_nrt_weight,
+from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, _dependent_profile,
+                            character_sum_report, corner_box_counts, duality_ok, is_mds,
                             rank, read_code, rref, weight_enumerator, write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
@@ -227,16 +227,16 @@ def test_parity_weight_examples():
     sp = Space(gf, 2, 2)
     # first column of the first block is zero: weight 1
     check = LinearCode(sp, [[0, 1, 0, 1], [0, 0, 1, 1]])
-    assert parity_nrt_weight(check) == 1
-    # the whole space has an empty check matrix, which the walk refuses
+    assert _dependent_profile(sp, check.basis, check.k, 0) == 1
+    # the whole space has an empty check matrix
     empty = LinearCode.whole_space(sp).parity_check()
     assert empty == LinearCode.zero(sp)
-    with pytest.raises(ValueError, match="rank >= 1"):
-        parity_nrt_weight(empty)
     # the worked MDS code has weight 3 through its check matrix too
     sp3 = Space(GF(3), 2, 2)
     code = build_mds_code(sp3, 2)
-    assert parity_nrt_weight(code.parity_check()) == 3
+    check = code.parity_check()
+    assert _dependent_profile(sp3, check.basis, check.k, 0) == 3
+    assert code.min_weight("nrt", method="parity") == 3
 
 
 def test_parity_weight_matches_bruteforce():
@@ -247,27 +247,31 @@ def test_parity_weight_matches_bruteforce():
         sp = Space(GF(q), n, s)
         k = rng.randrange(1, n * s)
         code = random_code(sp, k, rng)
-        assert parity_nrt_weight(code.parity_check()) == code.min_weight("nrt")
+        check = code.parity_check()
+        assert _dependent_profile(sp, check.basis, check.k, 0) == code.min_weight("nrt")
         assert code.min_weight("nrt", method="parity") == \
             code.min_weight("nrt", method="enumerate")
 
 
 def _check_parity_weight(check, enumerate_up_to=1 << 12, rows=None):
-    """The tree walk agrees with the per-composition oracle, run on `rows`
-    (default the check's basis; any rows that span it have the same
-    dependent column sets), and with enumeration when the code has at
-    most `enumerate_up_to` words."""
+    """The tree walk over `rows` (default the check's basis; any rows that
+    span it have the same dependent column sets) agrees with the
+    per-composition oracle on them, with `min_weight`'s parity route over
+    the complement rows of the code the check cuts out, and with
+    enumeration when that code has at most `enumerate_up_to` words."""
     space = check.space
-    oracle_check = check if rows is None else SimpleNamespace(space=space, basis=rows)
-    if check.k == space.dim:  # the zero code
-        for search, arg in ((parity_nrt_weight, check),
-                            (parity_weight_by_composition, oracle_check)):
-            with pytest.raises(ValueError, match="zero code"):
-                search(arg)
-        return None
-    weight = parity_nrt_weight(check)
-    assert weight == parity_weight_by_composition(oracle_check)
+    rows = check.basis if rows is None else rows
+    oracle_check = SimpleNamespace(space=space, basis=rows)
     code = check.parity_check()
+    if check.k == space.dim:  # the zero code
+        for search in (lambda: code.min_weight("nrt", method="parity"),
+                       lambda: parity_weight_by_composition(oracle_check)):
+            with pytest.raises(ValueError, match="zero code"):
+                search()
+        return None
+    weight = _dependent_profile(space, rows, check.k, 0)
+    assert weight == parity_weight_by_composition(oracle_check)
+    assert weight == code.min_weight("nrt", method="parity")
     if len(code) <= enumerate_up_to:
         assert weight == code.min_weight("nrt", method="enumerate")
     return weight
@@ -364,7 +368,7 @@ def _check_rank_route_weight(code):
     space = code.space
     assert (space.s + 1) ** space.n <= len(code) <= ENUMERATION_BOUND
     weight = code.min_weight("nrt")
-    assert weight == _blocked_nrt_weight(code) == parity_nrt_weight(code.parity_check())
+    assert weight == _blocked_nrt_weight(code) == code.min_weight("nrt", method="parity")
     return weight
 
 
@@ -439,7 +443,7 @@ def test_is_mds_beyond_the_bound_walks_once(monkeypatch):
             assert (weight == space.dim - k + 1) is want
             # and the weight is one walk over the check matrix, at total k'
             walks.clear()
-            assert parity_nrt_weight(check) == weight
+            assert code.min_weight("nrt", method="parity") == weight
             assert walks == [check.k]
 
 

@@ -10,11 +10,10 @@ from nrtcodes.peano import (block_reverse_rows, build_composite,
                             composite_base_p_report, distribution_base_change_weights,
                             dual_transport, merge_code, merge_distribution,
                             merge_rows, merged_block_weight, optimum_base_p_bound,
-                            split_rows, weight_transport,
-                            word_base_change_weights)
+                            weight_transport)
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import rref_by_columns
+from _helpers import rref_by_columns, split_rows, word_base_change_weights
 
 
 def test_merge_rows():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes.gf import GF
-from nrtcodes.poly import (INF, binom_mod, eval_poly, from_taylor,
-                           hasse_derivative, hermite_interpolate, hyper_eval,
-                           linear_factor_power, normalize, poly_add,
-                           poly_mul, poly_scale, taylor_expand)
+from nrtcodes.poly import (INF, binom_mod, eval_poly, hasse_derivative, hermite_interpolate,
+                           hyper_eval, normalize)
+
+from _helpers import from_taylor, linear_factor_power, poly_add, poly_scale, taylor_expand
 
 
 def pascal_mod(p, rows):

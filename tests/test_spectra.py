@@ -8,14 +8,14 @@ import pytest
 
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.gf import GF
-from nrtcodes.spectra import (ball_packing_ok, ball_size, composition_count,
-                              distance_spectrum, mds_first_weight,
-                              mds_next_weight, mds_spectrum, net_excess_weight,
-                              net_spectrum, net_spectrum_tail, nets_exist,
-                              sphere_size, weak_composition_count)
+from nrtcodes.spectra import (ball_size, composition_count, distance_spectrum,
+                              mds_first_weight, mds_next_weight, mds_spectrum,
+                              net_excess_weight, net_spectrum, net_spectrum_tail,
+                              nets_exist, sphere_size, weak_composition_count)
 from nrtcodes.words import Distribution, Space, nrt_weight, row_weight
 
-from _helpers import bounded_compositions, mds_spectrum_alt, net_spectrum_alt
+from _helpers import (ball_packing_ok, bounded_compositions, mds_spectrum_alt,
+                      net_spectrum_alt)
 
 
 def compositions_brute(parts, total, bound):

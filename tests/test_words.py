@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrtcodes.gf import DIGIT_CHARS, GF
-from nrtcodes.words import (_WIDE_SPACE, Distribution, PointFileError, Space, digits_of,
+from nrtcodes.words import (_WIDE_SPACE, Distribution, PointFileError, Space,
                             hamming_weight, nrt_weight, read_point_set,
-                            row_weight, truncate_digits, write_point_set)
+                            row_weight, write_point_set)
 
 from _helpers import min_distance, read_point_array_by_line, same_multiset
 
@@ -59,16 +59,6 @@ def test_inner_product_nondegenerate():
     for w in words:
         if all(sp.inner(w, other) == 0 for other in words):
             assert w == sp.zero()
-
-
-def test_truncation():
-    assert truncate_digits(Fraction(3, 4), 2, 1) == Fraction(1, 2)
-    assert truncate_digits(Fraction(0), 3, 4) == 0
-    # fixed points of the projection
-    for num in range(8):
-        x = Fraction(num, 8)
-        assert truncate_digits(x, 2, 3) == x
-    assert digits_of(Fraction(5, 8), 2, 3) == (1, 0, 1)
 
 
 def test_metric_axioms_exhaustive_small():
@@ -172,8 +162,8 @@ def test_distribution_projection():
     d = Distribution.from_points(sp, [(Fraction(m, 27),) for m in (0, 5, 26)])
     proj = d.project(2)
     assert proj.space.s == 2
-    assert proj.points() == [(truncate_digits(Fraction(m, 27), 3, 2),)
-                             for m in (0, 5, 26)]
+    # keeping the first two ternary digits of m/27 gives floor(m/3)/9
+    assert proj.points() == [(Fraction(m // 3, 9),) for m in (0, 5, 26)]
 
 
 def test_base_p_expansion():
