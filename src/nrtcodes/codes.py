@@ -11,7 +11,8 @@ major), which makes canonical comparisons and double duals bit-exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import attrgetter, sub
+from functools import cache
+from operator import attrgetter, itemgetter, sub
 
 from .gf import GF
 from .words import Distribution, Space
@@ -25,35 +26,41 @@ _lookups = attrgetter("add_lookup", "mul_lookup", "neg_lookup", "inv_lookup")
 
 def _push(lookups, echelon: list, vec) -> bool:
     """The one elimination step: reduce `vec` against the stack of
-    (pivot, row) entries `echelon`, each row 1 at its pivot and 0 at the
-    pivots stacked before it.  If anything nonzero is left, push it
-    scaled to a leading 1 and return True; else return False."""
+    (pivot, row, clear) entries `echelon`, each row nonzero at its pivot
+    and 0 at the pivots stacked before it, and clear[c] the multiplier
+    -c / row[pivot] that clears an entry c at the pivot.  If anything
+    nonzero is left, push it unscaled and return True; else return
+    False."""
     add, mul, neg, inv = lookups
-    for pivot, row in echelon:
+    for pivot, row, clear in echelon:
         c = vec[pivot]
         if c:
-            # vec - c * row, as vec + (-c) * row
-            times = mul[neg[c]]
+            # vec + (-c / row[pivot]) * row
+            times = mul[clear[c]]
             vec = [add[a][times[b]] for a, b in zip(vec, row)]
     for pivot, v in enumerate(vec):
         if v:
-            scale = mul[inv[v]]
-            echelon.append((pivot, [scale[x] for x in vec]))
+            echelon.append((pivot, vec, mul[neg[inv[v]]]))
             return True
     return False
 
 
 def rref(gf: GF, rows) -> list[list[int]]:
-    """Reduced row echelon form; returns only the nonzero rows.  The rows
-    are pushed onto one echelon stack (`_push`), which sorted by pivot is
-    an echelon form; clearing each pivot column above its pivot, the
-    latest pivot first, reduces it."""
+    """Reduced row echelon form; returns only the nonzero rows, of Python
+    ints.  The rows are pushed onto one echelon stack (`_push`), which
+    sorted by pivot and each row scaled to a leading 1 is an echelon
+    form; clearing each pivot column above its pivot, the latest pivot
+    first, reduces it."""
     echelon, lookups = [], _lookups(gf)
     for r in rows:
         _push(lookups, echelon, r)
     echelon.sort()  # the pivots differ, so no two rows are compared
-    pivots, out = [p for p, _ in echelon], [row for _, row in echelon]
-    add, mul, neg, _ = lookups
+    add, mul, neg, inv = lookups
+    pivots = [p for p, _, _ in echelon]
+    out = []
+    for pivot, row, _ in echelon:
+        scale = mul[inv[row[pivot]]]
+        out.append([scale[x] for x in row])
     for i in reversed(range(len(out))):
         for r in range(i):
             c = out[r][pivots[i]]
@@ -67,11 +74,13 @@ def rank(gf: GF, rows) -> int:
     return len(rref(gf, rows))
 
 
-def _block_reverse(flat, n: int, s: int):
-    out = []
-    for j in range(n):
-        out.extend(reversed(flat[j * s:(j + 1) * s]))
-    return out
+@cache
+def _block_reverser(n: int, s: int):
+    """The one gather that reverses each of the n blocks of s entries of
+    a flat row, into a tuple."""
+    if s == 1:  # nothing to reverse, and an itemgetter of one index returns no tuple
+        return tuple
+    return itemgetter(*[j * s + i for j in range(n) for i in reversed(range(s))])
 
 
 class LinearCode:
@@ -80,10 +89,11 @@ class LinearCode:
 
     def __init__(self, space: Space, basis_rows):
         self.space = space
-        rows = [[int(v) for v in r] for r in basis_rows]
+        rows = [list(r) for r in basis_rows]
         if any(len(r) != space.dim for r in rows):
             raise ValueError("basis row length mismatch")
-        self.basis = tuple(tuple(r) for r in rref(space.gf, rows))
+        # rref builds its rows from the field's lookups: Python ints
+        self.basis = tuple(map(tuple, rref(space.gf, rows)))
 
     @classmethod
     def _reduced(cls, space: Space, basis) -> "LinearCode":
@@ -202,8 +212,7 @@ class LinearCode:
         """Orthogonal complement under the reversed inner product: the
         plain complement with each block reversed."""
         space = self.space
-        return LinearCode(space, [_block_reverse(r, space.n, space.s)
-                                  for r in self._complement()])
+        return LinearCode(space, map(_block_reverser(space.n, space.s), self._complement()))
 
     def parity_check(self) -> "LinearCode":
         """The code H whose basis rows, as the block row (H_1, ..., H_n) of
@@ -226,7 +235,7 @@ def is_mds(code: LinearCode) -> bool:
     if k in (0, space.dim):
         return code.min_weight("nrt") == space.dim - k + 1
     if 2 * k <= space.dim:
-        rows, total = [_block_reverse(r, space.n, space.s) for r in code.basis], k
+        rows, total = list(map(_block_reverser(space.n, space.s), code.basis)), k
     else:
         rows, total = code._complement(), space.dim - k
     return _dependent_profile(space, rows, total, total) > total
@@ -339,7 +348,7 @@ def _profile_ranks(space: Space, rows) -> list[int]:
     contiguous run of the table, filled by one slice assignment, and the
     walk does not descend into them."""
     n, s, k, lookups = space.n, space.s, len(rows), _lookups(space.gf)
-    columns = list(zip(*(_block_reverse(r, n, s) for r in rows)))
+    columns = list(zip(*map(_block_reverser(n, s), rows)))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
     stride = [(s + 1) ** (n - 1 - j) for j in range(n)]
     ranks = [0] * (s + 1) ** n
@@ -400,8 +409,10 @@ def duality_ok(code: LinearCode, dual: LinearCode) -> bool:
 
 def _counted_from_ranks(space: Space, k: int) -> bool:
     """Whether NRT counts over the span of k rows are read from the ranks
-    of the (s+1)^n prefix profiles: when they are no more than the q^k words."""
-    return (space.s + 1) ** space.n <= space.q ** k
+    of the (s+1)^n prefix profiles: when they are no more than the q^k
+    words, or than 16, below which numpy's fixed cost per call is more
+    than the whole rank walk."""
+    return (space.s + 1) ** space.n <= max(space.q ** k, 16)
 
 
 def span_weight_counts(space: Space, rows, metric: str = "nrt") -> list[int]:
@@ -543,7 +554,8 @@ def write_code(stream, code: LinearCode, comments=()) -> None:
     from .words import _write
 
     space = code.space
-    rows = (" ".join(map(str, _block_reverse(row, space.n, space.s))) for row in code.basis)
+    reverse = _block_reverser(space.n, space.s)
+    rows = (" ".join(map(str, reverse(row))) for row in code.basis)
     _write(stream, space, code.k, comments, "".join(f"{r}\n" for r in rows).encode())
 
 
@@ -553,7 +565,7 @@ def read_code(stream) -> LinearCode:
     lines = _byte_lines(stream.read(), [])
     field, n, s, k, lineno = _read_header(lines, "code")
     space = Space(field, n, s)
-    rows = []
+    rows, reverse = [], _block_reverser(n, s)
     for _ in range(k):
         lineno, text = next(lines, (lineno, None))
         if text is None:
@@ -567,7 +579,7 @@ def read_code(stream) -> LinearCode:
             raise PointFileError("labels must be integers", lineno) from None
         if any(not 0 <= v < space.q for v in vals):
             raise PointFileError("label out of range", lineno)
-        rows.append(_block_reverse(vals, n, s))
+        rows.append(reverse(vals))
     code = LinearCode(space, rows)
     if code.k != k:
         raise PointFileError("basis rows are linearly dependent", lineno)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .codes import ENUMERATION_BOUND, LinearCode
 from .gf import GF
-from .poly import INF, binom_mod, hyper_eval
+from .poly import INF, hyper_eval
 from .words import Distribution, Space, Word
 
 
@@ -69,10 +69,15 @@ def _monomial_rows(space: Space, k: int, nodes) -> list:
         nodes = _check_nodes(gf, nodes)
         if len(nodes) != space.n:
             raise ValueError("node count must equal n")
-    mul = gf.mul_lookup
+    mul, p, s = gf.mul_lookup, gf.p, space.s
     # entry i of a row holds the derivative of order s - 1 - i
-    orders = range(space.s - 1, -1, -1)
-    binom = [[binom_mod(m, r, gf.p) for r in orders] for m in range(k)]
+    orders = range(s - 1, -1, -1)
+    # C(m, r) mod p for r = s - 1, ..., 0, carried from m to m + 1 by
+    # Pascal's rule C(m + 1, r) = C(m, r) + C(m, r - 1)
+    binom, pascal = [], [0] * (s - 1) + [1]
+    for _ in range(k):
+        binom.append(pascal)
+        pascal = [(a + b) % p for a, b in zip(pascal, pascal[1:])] + [1]
     rows = [[] for _ in range(k)]
     for beta in nodes:
         if beta == INF:

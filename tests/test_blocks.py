@@ -51,6 +51,18 @@ def test_large_fields_match_the_k_pass_enumeration(e, width):
                                                 minlength=width + 1))
 
 
+@pytest.mark.parametrize("n, s, count", [(1, 1, 1000), (1, 5, 1000), (4, 1, 1000),
+                                         (3, 2, 1000), (4, 4, 1000), (2, 2, 0)])
+def test_hamming_weights_count_the_nonzero_digits(n, s, count):
+    rng = np.random.default_rng(10 * n + s)
+    arr = rng.integers(0, 4, size=(count, n * s), dtype=np.int16)
+    expected = (arr.reshape(count, n, s) != 0).sum(axis=(1, 2))
+    for shaped in (arr, arr.reshape(count, n, s)):
+        weights = bulk.hamming_weights(shaped, n, s)
+        assert weights.dtype == np.int64
+        assert np.array_equal(weights, expected)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_blocked_histogram_matches_the_k_pass_enumeration(data):

@@ -53,11 +53,20 @@ def test_rref_matches_gauss_jordan_by_columns(data):
                                   unique=True))
         c = data.draw(st.integers(0, gf.q - 1))
         rows[j] = [gf.mul(c, v) for v in rows[i]]
-    if data.draw(st.booleans()):
-        rows = [tuple(r) for r in rows]
+    # as lists, tuples or numpy int16 rows: the output holds Python ints
+    form = data.draw(st.sampled_from(["list", "tuple", "int16"]))
+    given_rows = {"list": rows, "tuple": [tuple(r) for r in rows],
+                  "int16": np.array(rows, dtype=np.int16).reshape(count, width)}[form]
     expected = rref_by_columns(gf, rows)
-    assert rref(gf, rows) == expected
-    assert rank(gf, rows) == len(expected)
+    reduced = rref(gf, given_rows)
+    assert reduced == expected
+    assert all(type(v) is int for row in reduced for v in row)
+    assert rank(gf, given_rows) == len(expected)
+    if width:
+        space = Space(gf, 1, width)
+        code, plain = LinearCode(space, given_rows), LinearCode(space, rows)
+        assert all(type(v) is int for row in code.basis for v in row)
+        assert code == plain and hash(code) == hash(plain)
 
 
 def test_nullspace_orthogonality():

@@ -1,7 +1,7 @@
 """NRT weight spectra and corner box counts of spans from the ranks of
 their prefix profiles (`codes.span_weight_counts`,
 `codes.corner_box_counts`), against the k-pass enumeration and against
-one rank per profile, and the rule (s+1)^n <= q^k
+one rank per profile, and the rule (s+1)^n <= max(q^k, 16)
 (`codes._counted_from_ranks`) by which `codes.span_weight_counts` (so
 `spectra.distance_spectrum` and `LinearCode.min_weight`) and
 `codes.corner_box_counts` take that route instead of counting words."""
@@ -178,8 +178,31 @@ def test_built_counts_and_minimum_weight_need_no_numpy():
         "from nrtcodes.words import Space\n"
         "code = build_mds_code(Space(gf.GF(5), 4, 3), 6)\n"
         "assert span_weight_counts(code.space, code.basis) == mds_spectrum(4, 3, 6, 5)\n"
-        "print(code.min_weight('nrt'))\n")
-    assert out.split() == ["7"]
+        "print(code.min_weight('nrt'))\n"
+        # 9 profiles and 2^2 words: below 16 profiles the ranks are read
+        "print(build_mds_code(Space(gf.GF(2), 1, 8), 2).min_weight('nrt'))\n")
+    assert out.split() == ["7", "7"]
+
+
+def test_spans_of_at_most_16_profiles_read_their_ranks(monkeypatch):
+    fields = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
+              9: GF(3, 2), 16: GF(2, 4)}
+    for q, field in fields.items():
+        for n, s in product(range(1, 9), repeat=2):
+            space, profiles = Space(field, n, s), (s + 1) ** n
+            for k in range(space.dim + 1):
+                assert codes._counted_from_ranks(space, k) is (profiles <= max(q ** k, 16))
+    # 16 profiles and 4 words read the ranks; 27 profiles and 4 words do not
+    monkeypatch.setattr(bulk, "_span_blocks", refuse("_span_blocks"))
+    rng = np.random.default_rng(3)
+    for n, s, ranks in ((2, 3, True), (4, 1, True), (3, 2, False)):
+        space = Space(GF(2), n, s)
+        assert codes._counted_from_ranks(space, 2) is ranks
+        if ranks:
+            rows = rng.integers(0, 2, size=(2, n * s)).tolist()
+            words = span_array_by_passes(space.gf, rows, n * s)
+            expected = np.bincount(bulk.nrt_weights(words, n, s), minlength=n * s + 1)
+            assert codes.span_weight_counts(space, rows) == expected.tolist()
 
 
 @pytest.mark.parametrize("q, n, s, k", [(5, 2, 2, 2), (2, 3, 2, 2)])
