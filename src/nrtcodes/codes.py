@@ -247,10 +247,11 @@ def own_span(dist: Distribution) -> Distribution | None:
     None.  The pivot columns of B are an information set: a point lies in
     span(B) iff it is word `key` of `bulk.span_array(B)`, key the Horner
     value of its pivot digits, and the points are span(B) once each iff
-    moreover the keys are a permutation.  B starts from the rows
-    j * 1000003 mod N, distinct as that prime is prime to N = q^r; a
-    point outside span(B) joins B, at most r + 1 times, so the sample
-    sets the speed only."""
+    moreover the keys are a permutation.  B starts from the rows q^0,
+    ..., q^(r-1), the generator rows of a set in the colex order of
+    `Distribution`, then the rows j * 1000003 mod N, distinct as that
+    prime is prime to N = q^r; a point outside span(B) joins B, at most
+    r + 1 times, so the sample sets the speed only."""
     import numpy as np
     from . import bulk
 
@@ -258,7 +259,8 @@ def own_span(dist: Distribution) -> Distribution | None:
     if r is None or r > space.dim:
         return None
     flat = dist.array().reshape(count, space.dim)
-    sample = np.arange(min(count, 4 * r + 16)) * 1000003 % count
+    stride = np.arange(min(count, 4 * r + 16)) * 1000003 % count
+    sample = np.concatenate([space.q ** np.arange(r, dtype=np.int64), stride])
     basis = rref(space.gf, flat[sample].tolist())
     while len(basis) <= r:
         keys = np.zeros(count, dtype=np.int64)
@@ -470,11 +472,11 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     if rows is not None and _counted_from_ranks(space, len(rows)):
         q, k = space.q, len(rows)
         counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
-        return dict(zip(product(range(s + 1), repeat=n), counts))
-    # points with row weights <= b lie in the corner box with a_j = s - b_j
-    cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
-    return {a_vec: int(cum[tuple(s - a for a in a_vec)])
-            for a_vec in product(range(s + 1), repeat=n)}
+    else:
+        # points with row weights <= b lie in the corner box with a_j = s - b_j
+        cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
+        counts = cum[(slice(None, None, -1),) * n].ravel().tolist()
+    return dict(zip(product(range(s + 1), repeat=n), counts))
 
 
 def weight_enumerator(dist: Distribution) -> list[int]:

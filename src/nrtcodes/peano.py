@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codes import LinearCode
-from .construct import build_mds_code, build_optimum_distribution, default_nodes
+from .construct import build_optimum_distribution, default_nodes
 from .words import (Distribution, Space, Word, hamming_weight, nrt_weight,
                     row_weight)
 
@@ -118,7 +118,9 @@ class CompositeBuild(namedtuple("CompositeBuild",
 
 def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> CompositeBuild:
     """Merged images of the gn-row construction with k = s*t; requires
-    1 <= t <= n-1 and q >= gn - 1."""
+    1 <= t <= n-1 and q >= gn - 1.  The tall code is spanned by the tall
+    set's generator, so the rows are built once; one
+    `geometry.optimum_report` of the merged set decides if it is MDS."""
     if not 1 <= t <= n - 1:
         raise ValueError("need 1 <= t <= n-1")
     k = s * t
@@ -127,7 +129,7 @@ def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> Composite
         nodes = default_nodes(gf, g * n)
     # the distribution first: it refuses q^(gk) points before any row is built
     dist_tall = build_optimum_distribution(tall, g * k, nodes=nodes)
-    code_tall = build_mds_code(tall, g * k, nodes=nodes)
+    code_tall = LinearCode(tall, dist_tall.generator)
     return CompositeBuild(g, t, code_tall, dist_tall,
                           merge_code(code_tall, g),
                           merge_distribution(dist_tall, g))

@@ -13,6 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 from nrtcodes.cli import build_parser, main
 from nrtcodes.codes import (LinearCode, corner_box_counts, read_code,
                             weight_enumerator, write_code)
+from nrtcodes.construct import build_mds_code
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
@@ -742,11 +743,65 @@ def test_verify_mds_finds_the_minimum_weight_once(tmp_path, capsys, monkeypatch)
         return min_weight(self, *args, **kwargs)
 
     monkeypatch.setattr(LinearCode, "min_weight", counted)
+    # a yes is the certificate's: the bound is the weight, and nothing counts it
     code_file = tmp_path / "c.code"
     code_file.write_text("3 2 2 2\n0 1 1 1\n1 0 1 0\n")
     code, out, _ = run(["verify", "--kind", "mds", "--in", str(code_file)], capsys)
     assert code == 0 and out == "MDS: True (weight 3, bound 3)\n"
-    assert len(calls) == 1
+    assert calls == []
+    # a "no" counts the weight once
+    code_file.write_text("2 2 2 2\n1 0 0 0\n0 1 0 0\n")
+    code, out, _ = run(["verify", "--kind", "mds", "--in", str(code_file)], capsys)
+    assert code == 1 and out == "MDS: False (weight 1, bound 3)\n"
+    assert calls == [("nrt",)]
+
+
+def test_verify_mds_says_yes_without_numpy(tmp_path):
+    # 27 profiles and 4 words: a counted weight would take the word blocks
+    space = Space(GF(2), 3, 2)
+    with open(tmp_path / "ciw.code", "w") as fh:
+        write_code(fh, build_mds_code(space, 2))
+    out = run_without_numpy("assert cli.main(['verify', '--kind', 'mds', '--in', "
+                            "'ciw.code']) == 0\n", cwd=tmp_path)
+    assert out == "MDS: True (weight 5, bound 5)\n"
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_generate_builds_its_rows_once_and_decides_once(tmp_path, capsys, monkeypatch, k):
+    from nrtcodes import codes, construct
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((construct, "_monomial_rows"), (codes, "_dependent_profile")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run(["generate", "--q", "4", "--n", "3", "--s", "2", "--k", str(k),
+                        "--out", str(tmp_path / "g")], capsys)
+    assert code == 0 and "MDS verified: True" in out and "optimum verified: True" in out
+    assert sorted(calls) == ["_dependent_profile", "_monomial_rows"]
+
+
+def test_composite_generate_counts_only_hamming_weights_on_a_yes(tmp_path, capsys,
+                                                                  monkeypatch):
+    metrics = []
+    min_weight = LinearCode.min_weight
+
+    def counted(self, metric="nrt", *args, **kwargs):
+        metrics.append(metric)
+        return min_weight(self, metric, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "min_weight", counted)
+    code, out, _ = run(["generate", "--q", "5", "--n", "2", "--s", "3", "--g", "2",
+                        "--t", "1", "--format", "json", "--out", str(tmp_path / "c")], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["optimum_verified"] and report["weight_relations_ok"]
+    assert report["weights"] == {"nrt": 7, "hamming": 3, "dual_nrt": 7, "dual_hamming": 4}
+    assert metrics == ["hamming", "hamming"]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

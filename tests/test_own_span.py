@@ -5,7 +5,7 @@ two commands that call it: `spectrum` and `verify --kind optimum`."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nrtcodes import bulk, geometry
+from nrtcodes import bulk, codes, geometry
 from nrtcodes.cli import main
 from nrtcodes.codes import LinearCode, own_span
 from nrtcodes.construct import build_optimum_distribution
@@ -112,6 +112,34 @@ def test_own_span_in_orders_that_defeat_a_prefix(monkeypatch):
                 calls.clear()
                 assert check(space, moved) is None
                 assert len(calls) <= 2
+
+
+def test_built_sets_are_proven_with_one_elimination(monkeypatch):
+    """A built set read back as an array, in the colex order `generate`
+    writes, holds its generator rows at indices q^0, ..., q^(k-1), so the
+    first sample spans it.  The stride alone, 3 mod 5^6, reaches only the
+    low rows of a q = 5 set of at most 5^6 points."""
+    calls = []
+    rref = codes.rref
+
+    def counted(*args):
+        calls.append(1)
+        return rref(*args)
+
+    monkeypatch.setattr(codes, "rref", counted)
+    fields = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
+              9: GF(3, 2), 16: GF(2, 4)}
+    for q, gf in fields.items():
+        for n in range(1, min(4, q + 1) + 1):
+            for s in range(1, 5):
+                space = Space(gf, n, s)
+                for k in range(1, n * s + 1):
+                    if q ** k > 1 << 16:
+                        break
+                    built = build_optimum_distribution(space, k)
+                    calls.clear()
+                    got = own_span(Distribution(space, array=built.array()))
+                    assert got is not None and len(calls) == 1, (q, n, s, k)
 
 
 def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
