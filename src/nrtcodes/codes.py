@@ -222,20 +222,30 @@ class LinearCode:
         return LinearCode(self.space, self._complement())
 
 
+def _turned(rows) -> list:
+    """The flat `rows` turned end to end, the last row first and each row
+    reversed: each block reversed, its top digits first, and the blocks in
+    reverse order, which changes no profile's total.  An RREF basis
+    [I | A] turns to [A' | I], so a walk over its columns pushes the unit
+    columns last, and no dense column pays a row operation per unit row
+    pushed before it."""
+    return [row[::-1] for row in reversed(rows)]
+
+
 def is_mds(code: LinearCode) -> bool:
     """Weight meets the Singleton-type bound ns - k + 1, so that the q^k
     codewords are an optimum distribution (the paper's equivalence).  For
     0 < k < ns one `_dependent_profile` walk decides it on the smaller
-    side: at total k over the block-reversed basis, whose prefix profiles
-    of total k are Niederreiter's k x k minors on the top digits, when
-    2k <= ns; else at total ns - k over the complement rows, as C is MDS
-    iff its dual is.  The zero code has no weight (ValueError) and the
-    whole space is MDS."""
+    side: at total k over the basis turned end to end (`_turned`), whose
+    prefix profiles of total k are Niederreiter's k x k minors on the top
+    digits, when 2k <= ns; else at total ns - k over the complement rows,
+    as C is MDS iff its dual is.  The zero code has no weight (ValueError)
+    and the whole space is MDS."""
     space, k = code.space, code.k
     if k in (0, space.dim):
         return code.min_weight("nrt") == space.dim - k + 1
     if 2 * k <= space.dim:
-        rows, total = list(map(_block_reverser(space.n, space.s), code.basis)), k
+        rows, total = _turned(code.basis), k
     else:
         rows, total = code._complement(), space.dim - k
     return _dependent_profile(space, rows, total, total) > total
@@ -284,11 +294,13 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     early at a dependent total <= `enough`.  The rows are a check matrix
     (the complement rows for `LinearCode.min_weight` and `is_mds` when
     2k > ns; any rows that span a check have its dependent columns), or
-    the block-reversed basis for `is_mds` when 2k <= ns.  The walk goes depth
-    first through the profile tree, recursing only across blocks: a node
-    adds the next column of its last block or the first of a later block,
-    and reduces it against the echelon rows of its ancestors' columns.  A
-    column reducing to 0 sets the best total; only profiles below it come after.
+    the basis turned end to end (`_turned`) for `is_mds` when 2k <= ns:
+    either way, [X | I] or [A' | I], the unit columns come last.  The
+    walk goes depth first through the profile tree, recursing only
+    across blocks: a node adds the next column of its last block or the
+    first of a later block, and reduces it against the echelon rows of
+    its ancestors' columns.  A column reducing to 0 sets the best total;
+    only profiles below it come after.
 
     A first walk decides whether any profile of total <= `total` is
     dependent, and visits only profiles that extend to total `total`: a
@@ -344,16 +356,20 @@ def _profile_ranks(space: Space, rows) -> list[int]:
     C order over the (s+1)^n profiles.  The walk goes over the profile
     tree of `_dependent_profile`, where a node adds the next column of
     its last block or the first of a later block, and reduces that
-    column against the echelon rows of its ancestors' columns.  Once the
+    column against the echelon rows of its ancestors' columns.  It walks
+    the rows turned end to end (`_turned`), so that an RREF basis pushes
+    its unit columns last: the walk's block j (from 0) is block n - 1 - j
+    of the rows, whose depth has stride (s+1)^j in C order.  Once the
     rank reaches k = len(rows), every profile that extends the node in
-    its last block and the later ones has rank k; they form one
-    contiguous run of the table, filled by one slice assignment, and the
-    walk does not descend into them."""
+    its last block and the later ones has rank k; those of one depth in
+    the last block, the later blocks' depths free, are one strided slice
+    of the table, filled by one slice assignment, and the walk does not
+    descend into them."""
     n, s, k, lookups = space.n, space.s, len(rows), _lookups(space.gf)
-    columns = list(zip(*map(_block_reverser(n, s), rows)))
+    columns = list(zip(*_turned(rows)))
     blocks = [columns[j * s:(j + 1) * s] for j in range(n)]
-    stride = [(s + 1) ** (n - 1 - j) for j in range(n)]
-    ranks = [0] * (s + 1) ** n
+    stride = [(s + 1) ** j for j in range(n + 1)]
+    ranks = [0] * stride[n]
     echelon = []  # the `_push` stack of the current profile's columns
 
     def walk(first: int, at: int) -> None:
@@ -368,9 +384,11 @@ def _profile_ranks(space: Space, rows) -> list[int]:
                 _push(lookups, echelon, blocks[j][i])
                 node = at + stride[j] * (i + 1)
                 if len(echelon) == k:
-                    # the profiles with this prefix and d_j > i
-                    end = at + stride[j] * (s + 1)
-                    ranks[node:end] = [k] * (end - node)
+                    # the profiles with this prefix and d_j > i: the depths
+                    # of blocks j + 1, ..., strides above stride[j], are free
+                    run = [k] * (stride[n] // stride[j + 1])
+                    for d in range(i + 1, s + 1):
+                        ranks[at + stride[j] * d::stride[j + 1]] = run
                     break
                 ranks[node] = len(echelon)
                 if j + 1 < n:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -320,6 +321,19 @@ def rref_by_columns(gf, rows):
         if pivot_row == len(mat):
             break
     return [r for r in mat[:pivot_row]]
+
+
+def profile_ranks_one_by_one(space, rows):
+    """The rank of the columns of each prefix profile, one fresh rank per
+    profile: the top d_j digits of coordinate j, over all rows.  The
+    oracle of `codes._profile_ranks`, in its C order."""
+    n, s = space.n, space.s
+    out = []
+    for depths in product(range(s + 1), repeat=n):
+        cols = [[row[j * s + s - 1 - i] for row in rows]
+                for j, d in enumerate(depths) for i in range(d)]
+        out.append(len(rref_by_columns(space.gf, cols)) if rows else 0)
+    return out
 
 
 def bounded_compositions(total: int, parts: int, bound: int):

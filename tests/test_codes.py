@@ -16,9 +16,9 @@ from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
 from _helpers import (all_subspaces, bounded_compositions, box_count, box_duality_ok,
-                      macwilliams_n1_ok, parity_weight_by_composition, random_code,
-                      rref_by_columns, run_without_numpy, span_array_by_passes,
-                      weight_enum_identity_n1)
+                      macwilliams_n1_ok, parity_weight_by_composition,
+                      profile_ranks_one_by_one, random_code, rref_by_columns,
+                      run_without_numpy, span_array_by_passes, weight_enum_identity_n1)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2), 16: GF(2, 4)}
@@ -494,6 +494,102 @@ def test_mds_walks_push_only_profiles_that_reach_the_walked_total(monkeypatch):
         assert dual.min_weight("nrt", method="parity") == k + 1
         assert len(pushes) == reach(n, s, k)
     assert counts == [403, 545, 979, 274]
+
+
+# the row operations of `is_mds` at CERT_SHAPES when the tie shapes walked
+# the basis block-reversed only, its unit columns first
+BLOCK_REVERSED_ROW_OPS = (662, 2578, 5855, 1095)
+
+
+def test_mds_walks_over_the_turned_basis_reduce_against_its_unit_columns_last(monkeypatch):
+    from nrtcodes import codes
+
+    built = [build_mds_code(Space(FIELDS[q], n, s), k) for q, n, s, k in CERT_SHAPES]
+    counts = {"mul": 0, "push": 0}
+    lookups, push = codes._lookups, codes._push
+
+    class CountedRows(tuple):
+        def __getitem__(self, c):
+            counts["mul"] += 1
+            return super().__getitem__(c)
+
+    def counted_lookups(gf):
+        add, mul, neg, inv = lookups(gf)
+        return add, CountedRows(mul), neg, inv
+
+    def counted_push(*args):
+        counts["push"] += 1
+        return push(*args)
+
+    monkeypatch.setattr(codes, "_lookups", counted_lookups)
+    monkeypatch.setattr(codes, "_push", counted_push)
+    for code, before in zip(built, BLOCK_REVERSED_ROW_OPS):
+        counts.update(mul=0, push=0)
+        assert is_mds(code)
+        # every push of an MDS walk leaves a column, whose clearing row it
+        # looks up once; every other lookup is one row operation
+        row_ops = counts["mul"] - counts["push"]
+        if 2 * code.k == code.space.dim:
+            # a tie shape walks the basis turned end to end
+            assert 2 * row_ops <= before
+        else:  # the complement rows, walked as they were
+            assert row_ops == before
+
+
+def _oriented_rows(data, space):
+    """Rows for the orientation checks: k from 0 to ns, some columns
+    zeroed, and at times one row a combination of two others."""
+    gf, dim = space.gf, space.dim
+    k = data.draw(st.one_of(st.sampled_from([0, dim]), st.integers(0, dim)))
+    entry = st.integers(0, gf.q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                              min_size=k, max_size=k))
+    for c in data.draw(st.sets(st.integers(0, dim - 1), max_size=dim // 2)):
+        for row in rows:
+            row[c] = 0
+    if k > 2 and data.draw(st.booleans()):
+        i, j, m = data.draw(st.lists(st.integers(0, k - 1), min_size=3, max_size=3,
+                                     unique=True))
+        times = gf.mul_lookup[data.draw(st.integers(1, gf.q - 1))]
+        rows[m] = [gf.add_lookup[times[a]][b] for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+# shapes with one coordinate (n = 1) and with one digit (s = 1), where the
+# block reverser is `tuple`, and a few with both above 1
+ORIENTED_SHAPES = ([(1, s) for s in range(1, 7)] + [(n, 1) for n in range(2, 7)]
+                   + [(n, s) for n in range(2, 5) for s in range(2, 5)])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rows_turned_end_to_end_keep_every_profile_answer(data):
+    from nrtcodes import codes
+
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    n, s = data.draw(st.sampled_from(ORIENTED_SHAPES))
+    space = Space(FIELDS[q], n, s)
+    rows = _oriented_rows(data, space)
+    assert codes._profile_ranks(space, rows) == profile_ranks_one_by_one(space, rows)
+    if not rows:
+        return  # a walk reduces columns of at least one row
+    # the top digits of each block, in block order and in reverse block order
+    flipped = list(map(codes._block_reverser(n, s), rows))
+    turned = codes._turned(rows)
+    try:
+        least = parity_weight_by_composition(SimpleNamespace(space=space, basis=flipped))
+    except ValueError:  # every prefix profile is independent
+        least = space.dim + 1
+    for total in range(space.dim + 1):
+        # the least dependent total up to `total`, else `total` + 1
+        exact = min(least, total + 1)
+        for enough in range(total + 2):
+            for walked in (flipped, turned):
+                found = _dependent_profile(space, walked, total, enough)
+                if exact > enough:
+                    assert found == exact
+                else:  # the walk may end at any dependent total up to `enough`
+                    assert exact <= found <= enough
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

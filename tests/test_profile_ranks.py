@@ -21,21 +21,9 @@ from nrtcodes.gf import GF
 from nrtcodes.spectra import distance_spectrum, mds_spectrum
 from nrtcodes.words import Distribution, Space
 
-from _helpers import rref_by_columns, run_without_numpy, span_array_by_passes
+from _helpers import profile_ranks_one_by_one, run_without_numpy, span_array_by_passes
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
-
-
-def profile_ranks_one_by_one(space, rows):
-    """The rank of the columns of each prefix profile, one fresh rank per
-    profile: the top d_j digits of coordinate j, over all rows."""
-    n, s = space.n, space.s
-    out = []
-    for depths in product(range(s + 1), repeat=n):
-        cols = [[row[j * s + s - 1 - i] for row in rows]
-                for j, d in enumerate(depths) for i in range(d)]
-        out.append(len(rref_by_columns(space.gf, cols)) if rows else 0)
-    return out
 
 
 def rank_route_counts(space, rows):
