@@ -74,54 +74,39 @@ def span_array(gf: GF, rows, width: int) -> np.ndarray:
     return out
 
 
-def span_weight_histogram(gf: GF, rows, n: int, s: int,
-                          metric: str = "nrt") -> np.ndarray:
-    """Counts (w_0, ..., w_ns) of the weights of all q^k combinations of
-    the flat rows, summed over the words block by block, so no q^k-word
-    array is built."""
+def span_weight_histogram(gf: GF, rows, n: int, s: int) -> np.ndarray:
+    """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
+    of the flat rows, summed over the words block by block, so no
+    q^k-word array is built.  Hamming counts are NRT counts at depth 1:
+    pass (n*s, 1)."""
     hist = np.zeros(n * s + 1, dtype=np.int64)
     for block in _span_blocks(gf, rows, n * s):
-        hist += np.bincount(weights(block, n, s, metric), minlength=n * s + 1)
+        hist += np.bincount(nrt_weights(block, n, s), minlength=n * s + 1)
     return hist
 
 
 def _row_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
     """(N, n) NRT row weights of an (N, n*s) or (N, n, s) label array."""
     a = arr.reshape(arr.shape[0], n, s)
-    rw = np.zeros((a.shape[0], n), dtype=np.int8 if s <= 127 else np.int64)
-    for i in range(s):
+    # the first digit's nonzero mask is the weight so far, 0 or 1
+    rw = (a[:, :, 0] != 0).view(np.int8)
+    if s > 127:
+        rw = rw.astype(np.int64)
+    for i in range(1, s):
         # positions grow with i, so a row keeps that of its last nonzero digit
         np.maximum(rw, (a[:, :, i] != 0) * rw.dtype.type(i + 1), out=rw)
     return rw
 
 
 def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
-    """NRT weight of every word: the sum of its `_row_weights`."""
+    """NRT weight of every word: the sum of its `_row_weights`.  At s = 1
+    it is the Hamming weight."""
     rw = _row_weights(arr, n, s)
     # n column adds; a sum over the short row axis is about twice as slow
     out = rw[:, 0].astype(np.int64)
     for j in range(1, n):
         out += rw[:, j]
     return out
-
-
-def hamming_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
-    """Nonzero digits of every word of an (N, n*s) or (N, n, s) label array."""
-    nonzero = arr.reshape(arr.shape[0], n * s) != 0
-    # n*s column adds; a sum over the short digit axes is 1.4-3.4x as slow
-    # at 2^20 words
-    out = nonzero[:, 0].astype(np.int64)
-    for c in range(1, n * s):
-        out += nonzero[:, c]
-    return out
-
-
-def weights(arr: np.ndarray, n: int, s: int, metric: str) -> np.ndarray:
-    if metric == "nrt":
-        return nrt_weights(arr, n, s)
-    if metric == "hamming":
-        return hamming_weights(arr, n, s)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _cumulative_counts(index, shape):

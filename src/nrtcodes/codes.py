@@ -1,8 +1,9 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
-the reversed inner product and its MacWilliams identity, minimum weights,
-check matrices (the codes their rows span), the weight counts of a span
-(`span_weight_counts`, the one route for spectra and enumerated minimum
-weights), box and weight enumerators, and character-sum verification.
+the reversed inner product and its MacWilliams identity, minimum weights
+(a Hamming weight is the NRT weight at depth 1), check matrices (the codes
+their rows span), the NRT weight counts of a span (`span_weight_counts`,
+the one route for spectra and enumerated NRT minimum weights), box and
+weight enumerators, and character-sum verification.
 
 Codes are stored as RREF bases over the flattened n*s coordinates (row
 major), which makes canonical comparisons and double duals bit-exact.
@@ -154,39 +155,45 @@ class LinearCode:
         return Distribution(self.space, generator=self.basis)
 
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
-        """Minimum weight over the nonzero codewords.
+        """Minimum weight over the nonzero codewords.  The Hamming weight
+        is the NRT weight at depth 1, of the flat basis in Mat_{ns,1}.
 
         Within the enumeration bound it is the first nonzero entry after
-        w_0 of the weight counts of the basis's span
-        (`span_weight_counts`: from the ranks of the prefix profiles, or
-        over the codewords in blocks).  Beyond the enumeration bound the
-        NRT weight comes from the complement rows (`_complement`), a
-        check matrix: one `_dependent_profile` walk up to total ns - k
-        finds the least dependent total of their prefix profiles.  Given
-        only a check code H, C's weight is
-        `H.parity_check().min_weight("nrt", method="parity")`.  The
-        Hamming weight is refused there.
+        w_0 of the weight counts of the basis's span: NRT counts from
+        `span_weight_counts`, Hamming counts over the codewords in blocks
+        (`bulk.span_weight_histogram`).  Beyond the enumeration bound it
+        comes from the complement rows (`_complement`), a check matrix:
+        one `_dependent_profile` walk up to total ns - k finds the least
+        dependent total of their prefix profiles, at depth 1 the least
+        number of dependent columns.  Given only a check code H, C's
+        weight is `H.parity_check().min_weight(metric, method="parity")`.
         """
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
         if method not in ("auto", "enumerate", "parity"):
             raise ValueError(f"unknown method {method!r}")
-        if method == "parity" and metric != "nrt":
-            raise ValueError("parity-check method only computes the NRT weight")
         if self.k == 0:
             raise ValueError("zero code has no nonzero word")
         if self.k == self.space.dim:
             return 1
         space, size = self.space, self.space.q ** self.k  # len() stops at 2^63
+        if metric == "hamming":
+            space = Space(space.gf, space.dim, 1)
         if method == "auto":
-            method = ("parity" if metric == "nrt" and size > ENUMERATION_BOUND
-                      else "enumerate")
+            method = "parity" if size > ENUMERATION_BOUND else "enumerate"
         if method == "parity":
             # any basis of the check has the same dependent columns
             return _dependent_profile(space, self._complement(), space.dim - self.k, 0)
         if size > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        counts = span_weight_counts(space, self.basis, metric)
+        if metric == "hamming":
+            # words, not `span_weight_counts`: at depth 1 its rule picks a
+            # rank table about 10x slower than counting the words
+            from . import bulk
+
+            counts = bulk.span_weight_histogram(space.gf, self.basis, space.dim, 1)
+        else:
+            counts = span_weight_counts(space, self.basis)
         # the basis is independent, so w_0 = 1 counts the zero word only
         return next(w for w in range(1, space.dim + 1) if counts[w])
 
@@ -435,24 +442,24 @@ def _counted_from_ranks(space: Space, k: int) -> bool:
     return (space.s + 1) ** space.n <= max(space.q ** k, 16)
 
 
-def span_weight_counts(space: Space, rows, metric: str = "nrt") -> list[int]:
-    """Counts (w_0, ..., w_ns) of the weights of all q^k combinations of
-    the flat `rows` (with multiplicity, as the `Distribution` they
-    generate counts them), in Python ints.  NRT counts, when
-    `_counted_from_ranks`, come from the ranks of the prefix profiles: the
-    corner box of side exponents a holds the q^(k - rank(a)) combinations
-    with row weights at most s - a_j, orthogonal to the columns of profile
-    a of the block-reversed rows.  Profile s - b is the mirror of b in the
-    C order of `_profile_ranks`, so the mirrored corner counts count the
+def span_weight_counts(space: Space, rows) -> list[int]:
+    """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
+    of the flat `rows` (with multiplicity, as the `Distribution` they
+    generate counts them), in Python ints.  When `_counted_from_ranks`,
+    they come from the ranks of the prefix profiles: the corner box of
+    side exponents a holds the q^(k - rank(a)) combinations with row
+    weights at most s - a_j, orthogonal to the columns of profile a of
+    the block-reversed rows.  Profile s - b is the mirror of b in the C
+    order of `_profile_ranks`, so the mirrored corner counts count the
     combinations with row weights at most b; their difference along each
     axis counts those with row weights exactly b, and these summed by
     b_1 + ... + b_n give w.  Otherwise the words are counted in blocks
     (`bulk.span_weight_histogram`)."""
     q, k, s = space.q, len(rows), space.s
-    if metric != "nrt" or not _counted_from_ranks(space, k):
+    if not _counted_from_ranks(space, k):
         from . import bulk
 
-        return bulk.span_weight_histogram(space.gf, rows, space.n, s, metric).tolist()
+        return bulk.span_weight_histogram(space.gf, rows, space.n, s).tolist()
     counts = [q ** (k - r) for r in reversed(_profile_ranks(space, rows))]
     for _ in range(space.n):
         # difference along the last axis while turning it to the front, one

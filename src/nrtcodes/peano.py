@@ -164,7 +164,7 @@ def _min_weights(dist: Distribution) -> tuple[int, int]:
     if not nz.any():
         raise ValueError("zero distribution")
     rho = bulk.nrt_weights(arr, space.n, space.s)
-    kap = bulk.hamming_weights(arr, space.n, space.s)
+    kap = bulk.nrt_weights(arr, space.dim, 1)  # the Hamming weight
     return int(rho[nz].min()), int(kap[nz].min())
 
 

@@ -395,11 +395,16 @@ def read_point_set(stream) -> Distribution:
     space, limit = Space(field, n, s), min(field.q, len(DIGIT_CHARS))
     body = np.frombuffer(memoryview(data)[offsets[-1]:], dtype=np.uint8)
     table = np.frombuffer(_DIGITS, dtype=np.uint8).astype(np.int16)
-    size = count * n * (s + 1)
-    if size <= body.size:
-        # fixed width: n digit strings of s bytes a line, single spaces, LF ends
-        grid = body[:size].reshape(count, n, s + 1)
-        if (grid[:, :-1, s] == ord(" ")).all() and (grid[:, -1, s] == ord("\n")).all():
+    # fixed width: n digit strings of s bytes a line, single spaces, and
+    # every line ending as the first does, at LF or CRLF
+    width = n * (s + 1)
+    end = b"\r\n" if body[width - 1:width + 1].tobytes() == b"\r\n" else b"\n"
+    line = width - 1 + len(end)
+    if count * line <= body.size:
+        rows = body[:count * line].reshape(count, line)
+        grid = rows[:, :width].reshape(count, n, s + 1)
+        if ((grid[:, :-1, s] == ord(" ")).all()
+                and (rows[:, width - 1:] == np.frombuffer(end, np.uint8)).all()):
             digits = table[grid[:, :, s - 1::-1]]
             # a byte that is no digit (255) may be a comment: the classifier decides
             if np.max(digits, initial=0) < limit:

@@ -261,8 +261,10 @@ def _exhaustive_merge_weights_ok(q, g, n, s):
     arr = LinearCode.whole_space(tall).words_array()
     rho_tall = bulk.nrt_weights(arr, g * n, s)
     rho_merged = bulk.nrt_weights(arr, n, g * s)
-    if not (bulk.hamming_weights(arr, g * n, s)
-            == bulk.hamming_weights(arr, n, g * s)).all():
+    # Hamming: the NRT weight at depth 1 of the tall words against a count
+    # of the merged words' nonzero digits
+    if not (bulk.nrt_weights(arr, g * n * s, 1)
+            == np.count_nonzero(arr.reshape(-1, n, g * s), axis=(1, 2))).all():
         return False
     if not (rho_merged >= rho_tall).all():
         return False

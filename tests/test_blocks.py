@@ -45,20 +45,24 @@ def test_large_fields_match_the_k_pass_enumeration(e, width):
     expected = span_array_by_passes(gf, rows, width)
     assert np.array_equal(arr, expected)
     n, s = (1, width) if e == 8 else (width, 1)
-    for metric in ("nrt", "hamming"):
-        hist = bulk.span_weight_histogram(gf, rows, n, s, metric)
-        assert np.array_equal(hist, np.bincount(bulk.weights(expected, n, s, metric),
-                                                minlength=width + 1))
+    hist = bulk.span_weight_histogram(gf, rows, n, s)
+    assert np.array_equal(hist, np.bincount(bulk.nrt_weights(expected, n, s),
+                                            minlength=width + 1))
+    # Hamming counts are NRT counts at depth 1
+    hist = bulk.span_weight_histogram(gf, rows, width, 1)
+    assert np.array_equal(hist, np.bincount(np.count_nonzero(expected, axis=1),
+                                            minlength=width + 1))
 
 
 @pytest.mark.parametrize("n, s, count", [(1, 1, 1000), (1, 5, 1000), (4, 1, 1000),
                                          (3, 2, 1000), (4, 4, 1000), (2, 2, 0)])
 def test_hamming_weights_count_the_nonzero_digits(n, s, count):
+    # the Hamming weight is the NRT weight of the flat word at depth 1
     rng = np.random.default_rng(10 * n + s)
     arr = rng.integers(0, 4, size=(count, n * s), dtype=np.int16)
     expected = (arr.reshape(count, n, s) != 0).sum(axis=(1, 2))
-    for shaped in (arr, arr.reshape(count, n, s)):
-        weights = bulk.hamming_weights(shaped, n, s)
+    for shaped in (arr, arr.reshape(count, n, s), arr.reshape(count, n * s, 1)):
+        weights = bulk.nrt_weights(shaped, n * s, 1)
         assert weights.dtype == np.int64
         assert np.array_equal(weights, expected)
 
@@ -86,9 +90,10 @@ def test_blocked_histogram_matches_the_k_pass_enumeration(data):
     assert arr.dtype == np.int16
     assert np.array_equal(arr, eager)
     code = LinearCode(Space(gf, n, s), rows)
-    for metric in ("nrt", "hamming"):
-        hist = bulk.span_weight_histogram(gf, rows, n, s, metric)
-        expected = np.bincount(bulk.weights(eager, n, s, metric), minlength=width + 1)
+    for metric, shape, weights in (("nrt", (n, s), bulk.nrt_weights(eager, n, s)),
+                                   ("hamming", (width, 1), np.count_nonzero(eager, axis=1))):
+        hist = bulk.span_weight_histogram(gf, rows, *shape)
+        expected = np.bincount(weights, minlength=width + 1)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, expected)
         if 0 < code.k < width:

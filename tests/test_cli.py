@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from nrtcodes.cli import build_parser, main
-from nrtcodes.codes import (LinearCode, corner_box_counts, read_code,
+from nrtcodes.codes import (LinearCode, corner_box_counts, rank, read_code,
                             weight_enumerator, write_code)
 from nrtcodes.construct import build_mds_code
 from nrtcodes.gf import GF
@@ -300,15 +301,40 @@ def test_generate_composite(tmp_path, capsys):
     assert code == 2 and "g*n - 1" in err
 
 
-def test_generate_composite_refuses_a_dual_too_large_to_count(tmp_path, capsys):
-    # the [18, 12] dual over F_5 has 5^12 words: its Hamming weight is
-    # refused, not answered with the NRT weight, before any file is written
+def test_generate_composite_answers_a_dual_too_large_to_enumerate(tmp_path, capsys):
+    # the [18, 12] dual over F_5 has 5^12 words: its Hamming weight, the
+    # NRT weight at depth 1, is read off its check matrix
     prefix = str(tmp_path / "comp")
     code, out, err = run(["generate", "--q", "5", "--n", "3", "--s", "3", "--g", "2",
                           "--t", "1", "--out", prefix, "--format", "json"], capsys)
-    assert (code, err) == (2, "")
-    assert json.loads(out) == {"schema": 1, "error": "code too large to enumerate"}
-    assert not list(tmp_path.iterdir())
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["weights"] == {"nrt": 13, "hamming": 5, "dual_nrt": 7, "dual_hamming": 3}
+    assert report["weight_relations_ok"] is report["optimum_verified"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comp.code", "comp.points"]
+
+
+@pytest.mark.parametrize("q, n, s", [(8, 3, 2), (7, 4, 2), (5, 3, 3)])
+def test_composite_dual_hamming_weight_is_the_least_dependent_columns(tmp_path, capsys,
+                                                                       q, n, s):
+    # duals of more than 2^21 words: the reported weight against a count of
+    # the dependent columns of a check matrix of the dual, C's basis with
+    # each block reversed (the dual is orthogonal to C under the reversed pairing)
+    prefix = str(tmp_path / "c")
+    code, out, _ = run(["generate", "--q", str(q), "--n", str(n), "--s", str(s), "--g", "2",
+                        "--t", "1", "--out", prefix, "--format", "json"], capsys)
+    assert code == 0
+    with open(f"{prefix}.code") as fh:
+        built = read_code(fh)
+    space = built.space
+    assert space.q ** (space.dim - built.k) > 1 << 21
+    check = [[v for j in range(space.n) for v in reversed(row[j * space.s:(j + 1) * space.s])]
+             for row in built.basis]
+    columns = list(zip(*check))
+    least = next(d for d in range(1, len(columns) + 1)
+                 if any(rank(space.gf, [columns[i] for i in chosen]) < d
+                        for chosen in combinations(range(len(columns)), d)))
+    assert json.loads(out)["weights"]["dual_hamming"] == least
 
 
 def test_field_info(capsys):

@@ -163,25 +163,60 @@ def test_min_weight_validates_its_arguments_at_every_size(k):
     code = {0: LinearCode.zero(sp), 2: build_mds_code(sp, 2),
             4: LinearCode.whole_space(sp)}[k]
     for args, message in ((("bogus",), "unknown metric"),
-                          (("nrt", "bogus"), "unknown method"),
-                          (("hamming", "parity"), "only computes the NRT weight")):
+                          (("nrt", "bogus"), "unknown method")):
         with pytest.raises(ValueError, match=message):
             code.min_weight(*args)
-    if k == 4:
-        for metric in ("nrt", "hamming"):
-            for method in ("auto", "enumerate"):
-                assert code.min_weight(metric, method) == 1
-        assert code.min_weight("nrt", "parity") == 1
+    if k == 0:
+        with pytest.raises(ValueError, match="zero code"):
+            code.min_weight("hamming", "parity")
+    else:
+        # every method answers both metrics: the MDS [4, 2] code has NRT
+        # weight 3 and a word ((0, 1), (0, 1)) of Hamming weight 2
+        weights = {2: {"nrt": 3, "hamming": 2}, 4: {"nrt": 1, "hamming": 1}}[k]
+        for metric, weight in weights.items():
+            for method in ("auto", "enumerate", "parity"):
+                assert code.min_weight(metric, method) == weight
 
 
-def test_hamming_weight_beyond_the_bound_is_refused():
-    # 2^22 words: the NRT weight comes from the check matrix, the Hamming
-    # weight (1, a unit word of the low digits) has no such route
+def test_hamming_weight_beyond_the_bound_reads_the_check_matrix():
+    # 2^22 words: both weights come from the check matrix, the Hamming
+    # weight (1, a unit word of the low digits) at depth 1
     code = build_mds_code(Space(GF(2), 1, 30), 22)
-    for method in ("auto", "enumerate"):
-        with pytest.raises(ValueError, match="too large to enumerate"):
-            code.min_weight("hamming", method)
+    for method in ("auto", "parity"):
+        assert code.min_weight("hamming", method) == 1
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        code.min_weight("hamming", "enumerate")
     assert code.min_weight("nrt") == 9
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_hamming_weight_of_every_method_is_the_least_nonzero_count(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    n = data.draw(st.integers(1, 4))
+    space = Space(FIELDS[q], n, data.draw(st.integers(2 if n == 1 else 1, 8 // n)))
+    k = data.draw(st.integers(1, max(k for k in range(1, space.dim) if q ** k <= 4096)))
+    if q >= n - 1 and data.draw(st.booleans()):
+        code = build_mds_code(space, k)
+    else:
+        code = random_code(space, k, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    counts = np.count_nonzero(code.words_array(), axis=1)
+    least = int(counts[counts > 0].min())
+    for method in ("auto", "enumerate", "parity"):
+        assert code.min_weight("hamming", method) == least
+
+
+def test_composite_hamming_weights_read_no_profile_ranks(monkeypatch):
+    # 2^21 words or fewer count words in blocks, more walk the check
+    # matrix's columns; neither route reads the (s+1)^n profile ranks
+    from nrtcodes import codes
+    from nrtcodes.peano import build_composite
+
+    code = build_composite(GF(5), 2, 2, 3, 1).code
+    monkeypatch.setattr(codes, "_profile_ranks",
+                        lambda *a: pytest.fail("profile ranks read"))
+    assert code.min_weight("hamming") == 3
+    assert code.dual().min_weight("hamming") == 4
 
 
 def test_singleton_bound():

@@ -61,11 +61,13 @@ def test_rank_histogram_matches_the_k_pass_enumeration(data):
         rows[j] = [int(gf.mul_table[c, v]) for v in rows[i]]
     space = Space(gf, n, s)
     eager = span_array_by_passes(gf, rows, width)
-    expected = {metric: np.bincount(bulk.weights(eager, n, s, metric),
-                                    minlength=width + 1).tolist()
-                for metric in ("nrt", "hamming")}
+    expected = {metric: np.bincount(weights, minlength=width + 1).tolist()
+                for metric, weights in (("nrt", bulk.nrt_weights(eager, n, s)),
+                                        ("hamming", np.count_nonzero(eager, axis=1)))}
+    # Hamming counts are the NRT counts of the flat rows at depth 1
     for metric, want in expected.items():
-        counts = codes.span_weight_counts(space, rows, metric)
+        depth = space if metric == "nrt" else Space(gf, width, 1)
+        counts = codes.span_weight_counts(depth, rows)
         assert counts == want
         assert all(type(c) is int for c in counts)
     # the rank route on every drawn shape, whichever side of the rule it is on

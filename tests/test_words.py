@@ -388,13 +388,32 @@ def test_large_crlf_files_match_the_line_parser():
     _same_outcome("".join(f"{x}\r\n" for x in lines))
 
 
-def test_fixed_width_read_peaks_below_four_times_the_file(tmp_path):
+_ENDS = {"LF": "\n", "CRLF": "\r\n"}
+
+
+@pytest.mark.parametrize("end, other", [("LF", "CRLF"), ("CRLF", "LF")])
+def test_a_line_end_that_changes_after_the_first_point_matches_the_line_parser(end, other):
+    # the grid takes the first point's line end as every line's: a file
+    # that changes it later is read by the classifier, to the same points
+    space = Space(GF(3), 2, 2)
+    dist = Distribution(space, array=np.random.default_rng(5).integers(0, 3, size=(64, 2, 2)))
+    buf = io.StringIO()
+    write_point_set(buf, dist)
+    head, first, *rest = buf.getvalue().split("\n")[:-1]
+    text = f"{head}\n{first}{_ENDS[end]}" + "".join(f"{x}{_ENDS[other]}" for x in rest)
+    assert np.array_equal(_same_outcome(text), dist.array())
+
+
+@pytest.mark.parametrize("end", sorted(_ENDS))
+def test_fixed_width_read_peaks_below_four_times_the_file(tmp_path, end):
+    # a CRLF file, like an LF one, is read from its byte grid
     space = Space(GF(2, 4), 5, 3)
     rng = np.random.default_rng(16)
     dist = Distribution(space, array=rng.integers(0, 16, size=(1 << 16, 5, 3)))
     path = tmp_path / "large.points"
-    with open(path, "wb") as fh:
-        write_point_set(fh, dist)
+    buf = io.BytesIO()
+    write_point_set(buf, dist)
+    path.write_bytes(buf.getvalue().replace(b"\n", _ENDS[end].encode()))
     tracemalloc.start()
     try:
         with open(path, "rb") as fh:
