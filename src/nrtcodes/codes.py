@@ -1,9 +1,10 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
 the reversed inner product and its MacWilliams identity, minimum weights
 (a Hamming weight is the NRT weight at depth 1), check matrices (the codes
-their rows span), the NRT weight counts of a span (`span_weight_counts`,
-the one route for spectra and enumerated NRT minimum weights), box and
-weight enumerators, and character-sum verification.
+their rows span), the NRT weight counts of a span (`span_weight_counts`),
+one rule (`_route`) that picks ranks, words or a check-matrix walk for
+those counts, minimum weights and corner box counts, box and weight
+enumerators, and character-sum verification.
 
 Codes are stored as RREF bases over the flattened n*s coordinates (row
 major), which makes canonical comparisons and double duals bit-exact.
@@ -11,11 +12,13 @@ major), which makes canonical comparisons and double duals bit-exact.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import cache
 from operator import attrgetter, itemgetter, sub
 
 from .gf import GF
+from .spectra import weak_composition_count
 from .words import Distribution, Space
 
 ENUMERATION_BOUND = 1 << 21
@@ -155,45 +158,26 @@ class LinearCode:
         return Distribution(self.space, generator=self.basis)
 
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
-        """Minimum weight over the nonzero codewords.  The Hamming weight
-        is the NRT weight at depth 1, of the flat basis in Mat_{ns,1}.
-
-        Within the enumeration bound it is the first nonzero entry after
-        w_0 of the weight counts of the basis's span: NRT counts from
-        `span_weight_counts`, Hamming counts over the codewords in blocks
-        (`bulk.span_weight_histogram`).  Beyond the enumeration bound it
-        comes from the complement rows (`_complement`), a check matrix:
-        one `_dependent_profile` walk up to total ns - k finds the least
-        dependent total of their prefix profiles, at depth 1 the least
-        number of dependent columns.  Given only a check code H, C's
-        weight is `H.parity_check().min_weight(metric, method="parity")`.
-        """
+        """Minimum weight over the nonzero codewords; a Hamming weight is
+        the NRT weight at depth 1, of the flat basis in Mat_{ns,1}.  By the
+        route `_route` picks, it is the first nonzero entry after w_0 of
+        `span_weight_counts` of the basis, or it comes from the complement
+        rows (`_complement`), a check matrix: one `_dependent_profile` walk
+        up to total ns - k finds the least dependent total of their prefix
+        profiles, at depth 1 the least number of dependent columns.
+        `method="parity"` always walks: given only a check code H, C's
+        weight is `H.parity_check().min_weight(metric, method="parity")`."""
         if metric not in ("nrt", "hamming"):
             raise ValueError(f"unknown metric {metric!r}")
-        if method not in ("auto", "enumerate", "parity"):
+        if method not in ("auto", "parity"):
             raise ValueError(f"unknown method {method!r}")
         if self.k == 0:
             raise ValueError("zero code has no nonzero word")
-        if self.k == self.space.dim:
-            return 1
-        space, size = self.space, self.space.q ** self.k  # len() stops at 2^63
-        if metric == "hamming":
-            space = Space(space.gf, space.dim, 1)
-        if method == "auto":
-            method = "parity" if size > ENUMERATION_BOUND else "enumerate"
-        if method == "parity":
+        space = self.space if metric == "nrt" else Space(self.space.gf, self.space.dim, 1)
+        if method == "parity" or _route(space, self.k, weight=True) == "walk":
             # any basis of the check has the same dependent columns
             return _dependent_profile(space, self._complement(), space.dim - self.k, 0)
-        if size > ENUMERATION_BOUND:
-            raise ValueError("code too large to enumerate")
-        if metric == "hamming":
-            # words, not `span_weight_counts`: at depth 1 its rule picks a
-            # rank table about 10x slower than counting the words
-            from . import bulk
-
-            counts = bulk.span_weight_histogram(space.gf, self.basis, space.dim, 1)
-        else:
-            counts = span_weight_counts(space, self.basis)
+        counts = span_weight_counts(space, self.basis)
         # the basis is independent, so w_0 = 1 counts the zero word only
         return next(w for w in range(1, space.dim + 1) if counts[w])
 
@@ -299,11 +283,9 @@ def _dependent_profile(space: Space, rows, total: int, enough: int) -> int:
     (0 <= d_j <= s) whose columns, the first d_j of each block of the
     flat `rows`, are linearly dependent, else `total` + 1; the walk ends
     early at a dependent total <= `enough`.  The rows are a check matrix
-    (the complement rows for `LinearCode.min_weight` and `is_mds` when
-    2k > ns; any rows that span a check have its dependent columns), or
-    the basis turned end to end (`_turned`) for `is_mds` when 2k <= ns:
-    either way, [X | I] or [A' | I], the unit columns come last.  The
-    walk goes depth first through the profile tree, recursing only
+    [X | I] (any rows that span a check have its dependent columns) or a
+    basis turned end to end (`_turned`), [A' | I]: the unit columns come
+    last.  The walk goes depth first through the profile tree, recursing only
     across blocks: a node adds the next column of its last block or the
     first of a later block, and reduces it against the echelon rows of
     its ancestors' columns.  A column reducing to 0 sets the best total;
@@ -434,29 +416,58 @@ def duality_ok(code: LinearCode, dual: LinearCode) -> bool:
                zip(_profile_totals(space), _profile_ranks(space, dual.basis), mirrored))
 
 
-def _counted_from_ranks(space: Space, k: int) -> bool:
-    """Whether NRT counts over the span of k rows are read from the ranks
-    of the (s+1)^n prefix profiles: when they are no more than the q^k
-    words, or than 16, below which numpy's fixed cost per call is more
-    than the whole rank walk."""
-    return (space.s + 1) ** space.n <= max(space.q ** k, 16)
+def _route(space: Space, k: int, weight: bool = False) -> str:
+    """The one route rule, from counts known before any work: how the
+    NRT weight or corner box counts of a span of k flat rows, or with
+    `weight` the least nonzero weight of a code of dimension k, are found.
+    "ranks" reads the P = (s+1)^n prefix profiles (`_profile_ranks`),
+    "words" counts the W = q^k words in blocks, and "walk" walks the
+    complement rows (`_dependent_profile`).  The least price in ns wins:
+    ranks 15 us + P (8 k^2 + 45 n); words 15 us + 10 us k + 3.5 W ns, and
+    about 80 ms more while numpy is not loaded; the walk at most
+    4 us + 3.5 N (ns - k)^2, N the profiles of total up to ns - k, summed
+    only while it can win.  These fit best-of-7 in-process times over 384
+    random, MDS and sweep-grid spans, q <= 16 (2 vCPUs of an x86-64 host,
+    Python 3.11, numpy 2.4).  No ranks above ENUMERATION_BOUND profiles, no
+    words above as many words; with neither, a weight walks, a count fails."""
+    n, s, dim = space.n, space.s, space.dim
+    profiles, words, prices = (s + 1) ** n, space.q ** k, {}
+    if profiles <= ENUMERATION_BOUND:
+        prices["ranks"] = 15_000 + profiles * (8 * k * k + 45 * n)
+    if words <= ENUMERATION_BOUND:
+        prices["words"] = (15_000 + 10_000 * k + 3.5 * words * dim
+                           + (0 if "numpy" in sys.modules else 80_000_000))
+    if weight and not prices:
+        return "walk"  # the only route: its count of profiles may be huge
+    if weight:
+        walk, best = 4_000, min(prices.values())
+        # by increasing total, so that each count recurses one level
+        for total in range(dim - k + 1):
+            walk += 3.5 * weak_composition_count(n, total, s) * (dim - k) ** 2
+            if walk >= best:
+                break
+        else:
+            prices["walk"] = walk
+    if not prices:
+        raise ValueError(f"span too large to count: (s+1)^n = {profiles} profiles and "
+                         f"q^k = {words} words, both above {ENUMERATION_BOUND}")
+    return min(prices, key=prices.get)
 
 
 def span_weight_counts(space: Space, rows) -> list[int]:
     """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
     of the flat `rows` (with multiplicity, as the `Distribution` they
-    generate counts them), in Python ints.  When `_counted_from_ranks`,
-    they come from the ranks of the prefix profiles: the corner box of
-    side exponents a holds the q^(k - rank(a)) combinations with row
-    weights at most s - a_j, orthogonal to the columns of profile a of
-    the block-reversed rows.  Profile s - b is the mirror of b in the C
-    order of `_profile_ranks`, so the mirrored corner counts count the
-    combinations with row weights at most b; their difference along each
-    axis counts those with row weights exactly b, and these summed by
-    b_1 + ... + b_n give w.  Otherwise the words are counted in blocks
-    (`bulk.span_weight_histogram`)."""
+    generate counts them), in Python ints, by the route `_route` picks:
+    the words counted in blocks (`bulk.span_weight_histogram`), or the
+    ranks of the prefix profiles.  The corner box of side exponents a
+    holds the q^(k - rank(a)) combinations with row weights at most
+    s - a_j, orthogonal to the columns of profile a of the block-reversed
+    rows.  Profile s - b is the mirror of b in the C order of
+    `_profile_ranks`, so the mirrored corner counts count the combinations
+    with row weights at most b; their difference along each axis counts
+    those with row weights exactly b, summed by b_1 + ... + b_n into w."""
     q, k, s = space.q, len(rows), space.s
-    if not _counted_from_ranks(space, k):
+    if _route(space, k) == "words":
         from . import bulk
 
         return bulk.span_weight_histogram(space.gf, rows, space.n, s).tolist()
@@ -480,8 +491,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
     i.e. the coefficient table of the box enumerator phi(D).  There are
     (s+1)^n of them, at most ENUMERATION_BOUND.  A set with a generator
-    (see `Distribution`) with no more boxes than its q^k points reads
-    them from the ranks of its k generator rows, box a holding the
+    (see `Distribution`) whose route (`_route`) is "ranks" reads them
+    from the ranks of its k generator rows, box a holding the
     q^(k - rank(a)) combinations orthogonal to the columns of prefix
     profile a (`_profile_ranks`), without its array, in Python ints;
     any other set counts its points."""
@@ -494,7 +505,7 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
     rows = dist.generator
-    if rows is not None and _counted_from_ranks(space, len(rows)):
+    if rows is not None and _route(space, len(rows)) == "ranks":
         q, k = space.q, len(rows)
         counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
     else:

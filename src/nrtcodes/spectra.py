@@ -1,9 +1,8 @@
 """Sphere and ball combinatorics of the NRT metric, exact distance spectra
 of point sets, and the closed-form spectra of MDS codes and zero-deficiency
 nets.  A spectrum is counted word by word, except that of a set built as a
-span, from the origin, which comes from its generator
-(`codes.span_weight_counts`): from the ranks of its prefix profiles, or by
-counting its words in blocks.
+span, from the origin: `codes.span_weight_counts` of its generator, by the
+route `codes._route` picks.
 
 All counting is done in unbounded Python integers; the closed forms can
 legitimately go negative outside the existence range (that negativity is

@@ -167,16 +167,6 @@ class Space:
             return self
         return Space(GF(self.gf.p), self.n, self.s * self.gf.e)
 
-    def word_to_base_p(self, word: Word) -> Word:
-        """Expand every q-digit into its e base-p digits, low digit first."""
-        if self.gf.e == 1:
-            return word
-        gf = self.gf
-        return tuple(
-            tuple(d for v in row for d in gf.coeffs(v))
-            for row in word
-        )
-
 
 class Distribution:
     """A multiset of points of Q^n(q^s), stored as their digit words: an
@@ -187,8 +177,7 @@ class Distribution:
     combinations once each, in its own order, and only `codes.own_span`
     and `reshaped` build this form.  `codes.is_mds` of the generator's
     code decides `geometry.optimum_report`; `spectra.distance_spectrum`
-    and `codes.corner_box_counts` read its prefix-profile ranks, without
-    the array."""
+    and `codes.corner_box_counts` count from it by `codes._route`."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None):
         import numpy as np

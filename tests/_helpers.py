@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 from itertools import product
+from unittest import mock
 
 import numpy as np
 
 import nrtcodes
+from nrtcodes import codes
 from nrtcodes.codes import LinearCode, corner_box_counts, weight_enumerator
 from nrtcodes.construct import _check_nodes
 from nrtcodes.gf import DIGIT_CHARS, GF
@@ -91,6 +93,22 @@ def random_code(space, k, rng):
         code = LinearCode(space, rows)
         if code.k == k:
             return code
+
+
+def route_counts(route, space, rows):
+    """`codes.span_weight_counts` of the flat rows by `route`, "ranks" or
+    "words", whichever route `codes._route` would pick."""
+    with mock.patch.object(codes, "_route", lambda *args, **kwargs: route):
+        return codes.span_weight_counts(space, rows)
+
+
+def counted_weight(code, metric="nrt"):
+    """The least nonzero weight of a nonzero code, read off the weight
+    counts of its span (`codes.span_weight_counts`; the Hamming weight at
+    depth 1), whichever route `LinearCode.min_weight` takes."""
+    space = code.space if metric == "nrt" else Space(code.space.gf, code.space.dim, 1)
+    counts = codes.span_weight_counts(space, code.basis)
+    return next(w for w in range(1, space.dim + 1) if counts[w])
 
 
 def all_subspaces(space):
@@ -626,8 +644,14 @@ def split_rows(word: Word, g: int) -> Word:
     return tuple(out)
 
 
+def word_to_base_p(space: Space, word: Word) -> Word:
+    """Every q-digit of `word` expanded into its e base-p digits, low digit
+    first: the one-word oracle of `Distribution.to_base_p`."""
+    return tuple(tuple(d for v in row for d in space.gf.coeffs(v)) for row in word)
+
+
 def word_base_change_weights(space: Space, word: Word) -> BaseChangeWeights:
-    word_p = space.word_to_base_p(word)
+    word_p = word_to_base_p(space, word)
     return BaseChangeWeights(nrt_weight(word), nrt_weight(word_p),
                              hamming_weight(word), hamming_weight(word_p),
                              space.gf.e, space.n)

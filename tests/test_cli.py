@@ -539,24 +539,32 @@ def test_field_info_builds_no_tables():
 
 
 def test_code_commands_start_without_numpy(tmp_path):
-    # codes and duals with (s+1)^n <= q^k take their weights from the
-    # profile ranks, so these commands need the scalar lookups only
+    # the route rule charges numpy's start to counting words, so these
+    # commands read profile ranks or walk a check matrix, with the scalar
+    # lookups only; with numpy loaded, words would win at (4,4,4,5)
     for gf, name in ((GF(5), "prime"), (GF(2, 2), "extension")):
         space = Space(gf, 2, 2)
         code = LinearCode(space, [[1, 2, 0, 1], [0, 1, 1, 3]])
-        assert code.k == 2 and (space.s + 1) ** space.n <= len(code)
+        assert code.k == 2
         with open(tmp_path / f"{name}.code", "w") as fh:
             write_code(fh, code)
+    # the built code files of the benchmark's analyze workload
+    for gf, n, s, k, name in ((GF(5), 4, 3, 6, "L5"), (GF(2, 2), 4, 4, 5, "L4")):
+        with open(tmp_path / f"{name}.code", "w") as fh:
+            write_code(fh, build_mds_code(Space(gf, n, s), k))
     commands = [[f"dual --in {name}.code",
                  f"dual --in {name}.code --out {name}.dual",
                  f"verify --kind mds --in {name}.code",
                  f"peano --type code --g 2 --in {name}.code"]
-                for name in ("prime", "extension")]
+                for name in ("prime", "extension", "L5", "L4")]
     script = "".join(f"assert cli.main({argv.split()!r}) in (0, 1)\n"
                      for group in commands for argv in group)
     out = run_without_numpy(script, cwd=tmp_path)
-    assert out.count("dual [4,2]") == 4 and out.count("MDS:") == 2
+    assert out.count("dual [4,2]") == 4 and out.count("MDS:") == 4
     assert out.count("merged to [4,2]_4") == 2
+    assert out.count("code [12,6] weight 7") == out.count("dual [12,6] weight 7") == 2
+    assert out.count("code [16,5] weight 12") == out.count("dual [16,11] weight 6") == 2
+    assert "MDS: True (weight 7, bound 7)" in out and "MDS: True (weight 12, bound 12)" in out
     for name in ("prime", "extension"):
         with open(tmp_path / f"{name}.dual") as fh:
             dual = read_code(fh)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nrtcodes import bulk
+from nrtcodes import bulk, codes
 from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, _dependent_profile,
                             character_sum_report, corner_box_counts, duality_ok, is_mds,
                             rank, read_code, rref, weight_enumerator, write_code)
@@ -16,8 +16,8 @@ from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
 from _helpers import (all_subspaces, bounded_compositions, box_count, box_duality_ok,
-                      macwilliams_n1_ok, parity_weight_by_composition,
-                      profile_ranks_one_by_one, random_code, rref_by_columns,
+                      counted_weight, macwilliams_n1_ok, parity_weight_by_composition,
+                      profile_ranks_one_by_one, random_code, route_counts, rref_by_columns,
                       run_without_numpy, span_array_by_passes, weight_enum_identity_n1)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
@@ -163,7 +163,8 @@ def test_min_weight_validates_its_arguments_at_every_size(k):
     code = {0: LinearCode.zero(sp), 2: build_mds_code(sp, 2),
             4: LinearCode.whole_space(sp)}[k]
     for args, message in ((("bogus",), "unknown metric"),
-                          (("nrt", "bogus"), "unknown method")):
+                          (("nrt", "bogus"), "unknown method"),
+                          (("nrt", "enumerate"), "unknown method")):
         with pytest.raises(ValueError, match=message):
             code.min_weight(*args)
     if k == 0:
@@ -174,7 +175,8 @@ def test_min_weight_validates_its_arguments_at_every_size(k):
         # weight 3 and a word ((0, 1), (0, 1)) of Hamming weight 2
         weights = {2: {"nrt": 3, "hamming": 2}, 4: {"nrt": 1, "hamming": 1}}[k]
         for metric, weight in weights.items():
-            for method in ("auto", "enumerate", "parity"):
+            assert counted_weight(code, metric) == weight
+            for method in ("auto", "parity"):
                 assert code.min_weight(metric, method) == weight
 
 
@@ -184,8 +186,10 @@ def test_hamming_weight_beyond_the_bound_reads_the_check_matrix():
     code = build_mds_code(Space(GF(2), 1, 30), 22)
     for method in ("auto", "parity"):
         assert code.min_weight("hamming", method) == 1
-    with pytest.raises(ValueError, match="too large to enumerate"):
-        code.min_weight("hamming", "enumerate")
+    # 2^30 profiles and 2^22 words: no count of the span is within bounds
+    assert codes._route(Space(GF(2), 30, 1), 22, weight=True) == "walk"
+    with pytest.raises(ValueError, match="too large to count"):
+        counted_weight(code, "hamming")
     assert code.min_weight("nrt") == 9
 
 
@@ -202,14 +206,15 @@ def test_hamming_weight_of_every_method_is_the_least_nonzero_count(data):
         code = random_code(space, k, random.Random(data.draw(st.integers(0, 2 ** 32))))
     counts = np.count_nonzero(code.words_array(), axis=1)
     least = int(counts[counts > 0].min())
-    for method in ("auto", "enumerate", "parity"):
+    assert counted_weight(code, "hamming") == least
+    for method in ("auto", "parity"):
         assert code.min_weight("hamming", method) == least
 
 
 def test_composite_hamming_weights_read_no_profile_ranks(monkeypatch):
-    # 2^21 words or fewer count words in blocks, more walk the check
-    # matrix's columns; neither route reads the (s+1)^n profile ranks
-    from nrtcodes import codes
+    # at depth 1 the [12, 6] code and its dual have 2^12 profiles, 5^6
+    # words and 2510 profiles to walk: the rule walks the check matrix's
+    # columns, and reads no profile ranks
     from nrtcodes.peano import build_composite
 
     code = build_composite(GF(5), 2, 2, 3, 1).code
@@ -293,8 +298,7 @@ def test_parity_weight_matches_bruteforce():
         code = random_code(sp, k, rng)
         check = code.parity_check()
         assert _dependent_profile(sp, check.basis, check.k, 0) == code.min_weight("nrt")
-        assert code.min_weight("nrt", method="parity") == \
-            code.min_weight("nrt", method="enumerate")
+        assert code.min_weight("nrt", method="parity") == counted_weight(code)
 
 
 def _check_parity_weight(check, enumerate_up_to=1 << 12, rows=None):
@@ -317,7 +321,7 @@ def _check_parity_weight(check, enumerate_up_to=1 << 12, rows=None):
     assert weight == parity_weight_by_composition(oracle_check)
     assert weight == code.min_weight("nrt", method="parity")
     if len(code) <= enumerate_up_to:
-        assert weight == code.min_weight("nrt", method="enumerate")
+        assert weight == counted_weight(code)
     return weight
 
 
@@ -407,12 +411,14 @@ def _blocked_nrt_weight(code):
 
 
 def _check_rank_route_weight(code):
-    """The weight read off the profile ranks agrees with the blocked count
-    and with the check-matrix walk."""
+    """The weight read off the profile ranks agrees with the blocked count,
+    with the check-matrix walk and with the route `min_weight` picks."""
     space = code.space
     assert (space.s + 1) ** space.n <= len(code) <= ENUMERATION_BOUND
-    weight = code.min_weight("nrt")
+    counts = route_counts("ranks", space, code.basis)
+    weight = next(w for w in range(1, space.dim + 1) if counts[w])
     assert weight == _blocked_nrt_weight(code) == code.min_weight("nrt", method="parity")
+    assert weight == code.min_weight("nrt")
     return weight
 
 
@@ -423,7 +429,8 @@ def test_rank_route_weight_matches_enumeration_and_the_check_matrix(data):
     n = data.draw(st.integers(1, 4))
     s = data.draw(st.integers(1, 4))
     space = Space(FIELDS[q], n, s)
-    # 0 < k < ns on the rank route, with at most 2^14 words to count
+    # 0 < k < ns, no more profiles than words and at most 2^14 words:
+    # ranks, words and the walk are all cheap to cross-check
     ks = [k for k in range(1, space.dim) if (s + 1) ** n <= q ** k <= 1 << 14]
     assume(ks)
     k = data.draw(st.sampled_from(ks))
