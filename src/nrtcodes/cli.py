@@ -3,11 +3,14 @@ digit-block transforms, base change, and discrepancy, over the text file
 formats of the library.
 
 Exit codes: 0 success / verified, 1 a verification answered "no",
-2 usage, parse or resource errors (among them "out of memory") and
-internal faults, reported on stderr, or under --format json as one
-{"schema": 1, "error": ...} object on stdout.
+2 usage, parse or resource errors (among them "out of memory"), output
+failures and internal faults, reported on stderr, or under --format json
+as one {"schema": 1, "error": ...} object on stdout (on stderr as text
+when stdout itself fails).
 Each command accepts only the options it reads (the `COMMANDS` table);
 any other option is a usage error.
+`main(argv)` returns the code; `run`, the process entry, flushes stdout
+and stderr, then ends the process with `os._exit`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from typing import NoReturn
 
 from .codes import (LinearCode, corner_box_counts, duality_ok, is_mds, own_span,
                     read_code, write_code)
@@ -45,6 +49,10 @@ class _ParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ParseError(self, message)
+
+    def print_help(self, file=None):
+        # argparse's own writer drops write errors; print lets them surface
+        print(self.format_help(), end="", file=file)
 
 
 def _requested_format(argv) -> str:
@@ -501,11 +509,47 @@ def main(argv=None) -> int:
     if fmt == "json":
         import json
 
-        print(json.dumps({"schema": SCHEMA, **error}, sort_keys=True))
-    else:
-        print(f"error: {error['error']}", file=sys.stderr)
+        try:
+            print(json.dumps({"schema": SCHEMA, **error}, sort_keys=True), flush=True)
+            return 2
+        except OSError:  # stdout itself failed: say so where it can be read
+            pass
+    _tell(f"error: {error['error']}")
     return 2
 
 
+def _tell(line: str) -> None:
+    """`line` on stderr, unless stderr cannot be written either."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
+def run() -> NoReturn:
+    """The process entry of `python -m nrtcodes.cli` and of the `nrtcodes`
+    script: `main`'s code, once stdout and stderr are flushed, by
+    `os._exit`, skipping the interpreter's teardown (about 30 ms, mostly
+    numpy's).  `_output` closes every written file before `main` returns,
+    and neither nrtcodes nor numpy registers an `atexit` handler.
+    argparse's exits keep their codes; a failed flush exits 2."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help 0, a text-mode usage error 2
+        code = exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # a fault while reporting one, say out of memory
+        code = 2
+        _tell(f"error: internal: {type(exc).__name__}: {exc}")
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+        except OSError as exc:
+            if code != 2:  # a 2 from `main` has been reported already
+                _tell(f"error: {exc}")
+            code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

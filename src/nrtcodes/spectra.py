@@ -55,8 +55,7 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     with a generator (see `Distribution`) is counted from it, without its
     array, by `codes.span_weight_counts`.  Any other set or anchor reads
     the array."""
-    import numpy as np
-    from . import bulk, codes
+    from . import codes
 
     space = dist.space
     anchor = space.check_word(anchor)
@@ -64,6 +63,9 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     rows = dist.generator
     if rows is not None and not any(flat_anchor):
         return codes.span_weight_counts(space, rows)
+    import numpy as np
+    from . import bulk
+
     arr = dist.array().reshape(len(dist), space.dim)
     diffs = bulk.sub_anchor(space.gf, arr, flat_anchor)
     rho = bulk.nrt_weights(diffs, space.n, space.s)

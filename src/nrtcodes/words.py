@@ -180,18 +180,18 @@ class Distribution:
     and `codes.corner_box_counts` count from it by `codes._route`."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None):
-        import numpy as np
-
         self.space = space
         self.generator = None
         if generator is not None:
             self.generator = tuple(tuple(int(v) for v in r) for r in generator)
             if any(len(r) != space.dim for r in self.generator):
                 raise ValueError("row length mismatch")
-        elif array is None:
-            rows = [space.check_word(w) for w in words]
-            array = np.array(rows, dtype=np.int16).reshape(len(rows), space.n, space.s)
-        if array is not None:
+        if generator is None or array is not None:  # a lazy span loads no numpy
+            import numpy as np
+
+            if array is None:
+                rows = [space.check_word(w) for w in words]
+                array = np.array(rows, dtype=np.int16).reshape(len(rows), space.n, space.s)
             array = np.asarray(array, dtype=np.int16)
             if array.ndim != 3 or array.shape[1:] != (space.n, space.s):
                 raise ValueError("array shape must be (N, n, s)")

@@ -1,8 +1,12 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import nrtcodes
 from nrtcodes.cli import build_parser, main
 from nrtcodes.codes import (LinearCode, corner_box_counts, rank, read_code,
                             weight_enumerator, write_code)
@@ -764,6 +769,72 @@ def test_internal_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch)
         code, out, err = run(["discrepancy", "--in", str(pts), "--format", "json"], capsys)
         assert code == 2 and err == ""
         assert json.loads(out) == {"schema": 1, "error": text}
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_main_returns_2_when_stdout_cannot_be_written(capsys):
+    # the report goes to stderr, the one stream left, in either format
+    full = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    for argv, err in ((["field-info", "--q", "4"], full),
+                      (["field-info", "--q", "4", "--format", "json"], full),
+                      (["field-info", "--q", "6", "--format", "json"],
+                       "error: q = 6 is not a prime power\n"),
+                      (["field-info", "--help"], full)):
+        with contextlib.redirect_stdout(_FullStream()):
+            code = main(argv)
+        assert (code, capsys.readouterr().err) == (2, err), argv
+
+
+def test_run_ends_the_process_with_the_code(monkeypatch, capsys):
+    from nrtcodes import cli
+
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+
+    def raising(exc):
+        def fail():
+            raise exc
+        return fail
+
+    for entry, code in ((lambda: 1, 1), (raising(SystemExit(0)), 0),
+                        (raising(SystemExit(2)), 2), (raising(MemoryError()), 2)):
+        monkeypatch.setattr(cli, "main", entry)
+        cli.run()
+        assert exits.pop() == code
+    assert capsys.readouterr().err == "error: internal: MemoryError: \n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_unwritable_stdout_exits_2_without_traceback(tmp_path):
+    # both process entries, stdout buffered (the failure shows at `run`'s
+    # flush) and unbuffered (at `main`'s print): a numpy-free code command
+    # and a point-file command in both formats, and an error report
+    golden = Path(__file__).parent / "golden" / "in"
+    for name in ("opt.code", "opt.points"):
+        shutil.copy(golden / name, tmp_path / name)
+    src = os.path.dirname(os.path.dirname(nrtcodes.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    entries = ((["-m", "nrtcodes.cli"], {**base, "PYTHONPATH": src}),
+               # what the installed `nrtcodes` script runs
+               (["-c", "import sys; from nrtcodes.cli import run; sys.exit(run())"],
+                {**base, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}))
+    full = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    cases = [(["verify", "--kind", kind, "--in", name, *fmt], full)
+             for kind, name in (("mds", "opt.code"), ("optimum", "opt.points"))
+             for fmt in ([], ["--format", "json"])]
+    cases.append((["verify", "--kind", "mds", "--in", "absent.code", "--format", "json"],
+                  f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'absent.code'"))
+    for entry, env in entries:
+        for argv, err in cases:
+            with open("/dev/full", "w") as stdout:
+                result = subprocess.run([sys.executable, *entry, *argv], stdout=stdout,
+                                        stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                                        env=env, timeout=120)
+            assert (result.returncode, result.stderr) == (2, err + "\n"), (entry, argv)
 
 
 def test_verify_mds_finds_the_minimum_weight_once(tmp_path, capsys, monkeypatch):

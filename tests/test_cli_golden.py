@@ -3,7 +3,10 @@ file of a fixed set of commands, compared byte for byte.
 
 Each case runs its commands in order in a fresh directory holding the
 files of `tests/golden/in/`; the transcript is `tests/golden/out/<case>.txt`.
-After an intended output change, rewrite the transcripts with
+Every case runs in-process through `main(argv)`; the cases of `FRESH` run
+again, each command as `python -m nrtcodes.cli` in its own process,
+against the same transcripts.  After an intended output change, rewrite
+the transcripts with
 
     NRTCODES_UPDATE_GOLDEN=1 python -m pytest tests/test_cli_golden.py
 
@@ -14,10 +17,13 @@ import hashlib
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nrtcodes
 from nrtcodes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +69,10 @@ CASES = {
     "spectrum_empty": [
         "spectrum --in empty.points",
         "spectrum --in empty.points --format json"],
+    # a report of 9201 bytes, more than one 8 KiB stdout buffer
+    "spectrum_large": [
+        "generate --q 4 --n 4 --s 4 --k 5 --out L4",
+        "spectrum --in L4.points --format json"],
     "dual": [
         "dual --in opt.code --out d.code",
         "dual --in opt.code --format json"],
@@ -99,7 +109,17 @@ CASES = {
     "error_field_line_above_bound": [
         "verify --kind optimum --in bigfield.points",
         "discrepancy --in bigfield.points --format json"],
+    # argparse's own exits: a text-mode usage error (2) and --help (0)
+    "usage": [
+        "discrepancy",
+        "discrepancy --format json",
+        "discrepancy --help"],
 }
+
+# exit 0, 1 and 2, argparse's exits, written files and a report larger
+# than a stdout buffer, each command in a process of its own
+FRESH = ("generate_text", "verify_moved", "error_missing_file", "field_info",
+         "usage", "spectrum_large")
 
 
 def _block(title, text):
@@ -111,19 +131,17 @@ def _block(title, text):
     return lines
 
 
-def _transcript(commands, workdir, capsys):
+def _transcript(commands, workdir, run):
+    """The transcript of `commands`, each run by `run(argv)`, which returns
+    the exit code, stdout and stderr."""
     inputs = set(os.listdir(workdir))
     lines = []
     for command in commands:
-        try:
-            code = main(shlex.split(command))
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
+        code, out, err = run(shlex.split(command))
         lines.append(f"$ nrtcodes {command}")
         lines.append(f"exit {code}")
-        lines += _block("stdout:", out.out)
-        lines += _block("stderr:", out.err)
+        lines += _block("stdout:", out)
+        lines += _block("stderr:", err)
     for name in sorted(set(os.listdir(workdir)) - inputs):
         data = (workdir / name).read_bytes()
         if len(data) > INLINE_LIMIT:
@@ -134,14 +152,42 @@ def _transcript(commands, workdir, capsys):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_transcript(case, tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
     for src in (GOLDEN / "in").iterdir():
         shutil.copy(src, tmp_path / src.name)
     monkeypatch.chdir(tmp_path)
-    got = _transcript(CASES[case], tmp_path, capsys)
+    # argparse wraps usage and help to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_transcript(case, workdir, capsys):
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    got = _transcript(CASES[case], workdir, in_process)
     expected = GOLDEN / "out" / f"{case}.txt"
     if os.environ.get("NRTCODES_UPDATE_GOLDEN"):
         expected.parent.mkdir(exist_ok=True)
         expected.write_text(got)
     assert got == expected.read_text()
+
+
+@pytest.mark.parametrize("case", FRESH)
+def test_golden_transcript_in_a_fresh_process(case, workdir):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nrtcodes.__file__))}
+
+    def fresh_process(argv):
+        result = subprocess.run([sys.executable, "-m", "nrtcodes.cli", *argv],
+                                capture_output=True, cwd=workdir, env=env, timeout=120)
+        return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+    got = _transcript(CASES[case], workdir, fresh_process)
+    assert got == (GOLDEN / "out" / f"{case}.txt").read_text()

@@ -172,6 +172,23 @@ def test_built_counts_and_minimum_weight_need_no_numpy():
     assert out.split() == ["7", "7"]
 
 
+def test_a_built_span_is_proven_and_counted_without_numpy():
+    # a lazy span builds no array: its optimum certificate and its spectrum,
+    # by the ranks the route rule picks while numpy is not loaded, load none
+    out = run_without_numpy(
+        "from nrtcodes import codes\n"
+        "from nrtcodes.construct import build_optimum_distribution\n"
+        "from nrtcodes.geometry import optimum_report\n"
+        "from nrtcodes.spectra import distance_spectrum, mds_spectrum\n"
+        "from nrtcodes.words import Space\n"
+        "space = Space(gf.GF(2, 2), 4, 4)\n"
+        "dist = build_optimum_distribution(space, 5)\n"
+        "assert optimum_report(dist, 5).ok and codes._route(space, 5) == 'ranks'\n"
+        "assert distance_spectrum(dist, space.zero()) == mds_spectrum(4, 4, 5, 4)\n"
+        "print(len(dist))\n")
+    assert out.split() == ["1024"]
+
+
 def test_spans_of_at_most_16_profiles_read_their_ranks(monkeypatch):
     # the rule's picks on small GF(2) spans of 2 rows with numpy loaded:
     # at most 27 profiles read their ranks, 2^8 profiles of 2 words count
