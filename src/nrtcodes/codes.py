@@ -243,20 +243,26 @@ def is_mds(code: LinearCode) -> bool:
 
 
 def own_span(dist: Distribution) -> Distribution | None:
-    """The points, keeping their array, with an RREF basis B as their
-    generator if they are the q^r words of span(B) once each, else
-    None.  The pivot columns of B are an information set: a point lies in
-    span(B) iff it is word `key` of `bulk.span_array(B)`, key the Horner
-    value of its pivot digits, and the points are span(B) once each iff
-    moreover the keys are a permutation.  B starts from the rows q^0,
+    """The points with a generator B if they are the q^r words of
+    span(B) once each, else None.  A set whose generator rows are
+    independent, such as a lazy span `words.read_point_set` read, is
+    returned as it is, before numpy is imported; any other keeps its
+    array and gets an RREF basis B as its generator.  The pivot columns
+    of B are an information set: a point lies in span(B) iff it is word
+    `key` of `bulk.span_array(B)`, key the Horner value of its pivot
+    digits, and the points are span(B) once each iff moreover the keys
+    are a permutation.  B starts from the rows q^0,
     ..., q^(r-1), the generator rows of a set in the colex order of
     `Distribution`, then the rows j * 1000003 mod N, distinct as that
     prime is prime to N = q^r; a point outside span(B) joins B, at most
     r + 1 times, so the sample sets the speed only."""
+    space, rows = dist.space, dist.generator
+    if rows is not None and rank(space.gf, rows) == len(rows):
+        return dist
     import numpy as np
     from . import bulk
 
-    space, count, r = dist.space, len(dist), dist.exponent()
+    count, r = len(dist), dist.exponent()
     if r is None or r > space.dim:
         return None
     flat = dist.array().reshape(count, space.dim)
@@ -424,7 +430,8 @@ def _route(space: Space, k: int, weight: bool = False) -> str:
     "words" counts the W = q^k words in blocks, and "walk" walks the
     complement rows (`_dependent_profile`).  The least price in ns wins:
     ranks 15 us + P (8 k^2 + 45 n); words 15 us + 10 us k + 3.5 W ns, and
-    about 80 ms more while numpy is not loaded; the walk at most
+    about 80 ms more while numpy is not loaded, as in every command on a
+    code file or on a point file read as a lazy span; the walk at most
     4 us + 3.5 N (ns - k)^2, N the profiles of total up to ns - k, summed
     only while it can win.  These fit best-of-7 in-process times over 384
     random, MDS and sweep-grid spans, q <= 16 (2 vCPUs of an x86-64 host,
@@ -497,7 +504,6 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     profile a (`_profile_ranks`), without its array, in Python ints;
     any other set counts its points."""
     from itertools import product
-    from . import bulk
 
     space = dist.space
     n, s = space.n, space.s
@@ -509,6 +515,8 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
         q, k = space.q, len(rows)
         counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
     else:
+        from . import bulk
+
         # points with row weights <= b lie in the corner box with a_j = s - b_j
         cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
         counts = cum[(slice(None, None, -1),) * n].ravel().tolist()
@@ -594,7 +602,7 @@ def write_code(stream, code: LinearCode, comments=()) -> None:
     space = code.space
     reverse = _block_reverser(space.n, space.s)
     rows = (" ".join(map(str, reverse(row))) for row in code.basis)
-    _write(stream, space, code.k, comments, "".join(f"{r}\n" for r in rows).encode())
+    _write(stream, space, code.k, comments, ["".join(f"{r}\n" for r in rows).encode()])
 
 
 def read_code(stream) -> LinearCode:

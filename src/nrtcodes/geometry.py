@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .codes import LinearCode, is_mds
+from .codes import LinearCode, _dependent_profile, _turned, is_mds
 from .words import Distribution
 
 DISCREPANCY_CELL_BOUND = 1 << 20
@@ -100,13 +100,25 @@ def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
 def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
-    The net parameter s is read off from the cardinality q^s."""
-    s_net = dist.exponent()
+    The net parameter s is read off from the cardinality q^s.  A set with
+    a generator of s independent rows (see `optimum_report`) is a net
+    when t = s - delta is at most the digit depth, so that no box side
+    passes the stored digits, and no prefix profile of total t has
+    dependent columns: one `codes._dependent_profile` walk over the basis
+    turned end to end (`codes._turned`), as `codes.is_mds` walks at total
+    k.  Its "no", and any other set, goes to the box count `_box_report`
+    for its witness."""
+    space, rows, s_net = dist.space, dist.generator, dist.exponent()
     if s_net is None:
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
-    return _box_report(dist, s_net - delta, s_net - delta)
+    t = s_net - delta
+    if rows is not None and t <= space.s:
+        code = LinearCode(space, rows)
+        if code.k == s_net and _dependent_profile(space, _turned(code.basis), t, t) > t:
+            return BoxReport(True)
+    return _box_report(dist, t, t)
 
 
 def is_net(dist: Distribution, delta: int) -> bool:

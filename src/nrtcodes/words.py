@@ -11,6 +11,7 @@ denominator dividing q^s; no floating point is involved anywhere.
 from __future__ import annotations
 
 import io
+import itertools
 import re
 
 from .gf import DIGIT_CHARS, GF, TABLE_BOUND, FieldBoundError
@@ -113,7 +114,6 @@ class Space:
         return out
 
     def all_words(self):
-        import itertools
         rows = list(itertools.product(range(self.q), repeat=self.s))
         return (w for w in itertools.product(rows, repeat=self.n))
 
@@ -175,9 +175,12 @@ class Distribution:
     the points (a lazy span: its read-only array is built on the first
     call of `array`), or both: then the array holds the generator's q^k
     combinations once each, in its own order, and only `codes.own_span`
-    and `reshaped` build this form.  `codes.is_mds` of the generator's
-    code decides `geometry.optimum_report`; `spectra.distance_spectrum`
-    and `codes.corner_box_counts` count from it by `codes._route`."""
+    and `reshaped` build this form.  `read_point_set` reads a file that
+    spells out a span in that order as a lazy span, and
+    `write_point_set` writes one from its rows.  `codes.is_mds` of the
+    generator's code decides `geometry.optimum_report`, one rank walk
+    `geometry.net_report`; `spectra.distance_spectrum` and
+    `codes.corner_box_counts` count from it by `codes._route`."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None):
         self.space = space
@@ -277,31 +280,95 @@ class PointFileError(ValueError):
         self.line = line
 
 
-def _write(stream, space: Space, count: int, comments, body) -> None:
+def _write(stream, space: Space, count: int, comments, chunks) -> None:
     """The comment lines, the field line when e > 1 and the header
-    "q n s count" of a point or code file, then its ASCII `body`; a text
-    stream gets them as text."""
+    "q n s count" of a point or code file, then its ASCII body, the
+    bytes-like `chunks` in turn; a text stream gets them as text."""
     head = [f"# {c}\n" for c in comments]
     if space.gf.e > 1:
         head.append(space.gf.describe() + "\n")
     head.append(f"{space.q} {space.n} {space.s} {count}\n")
-    for data in ("".join(head).encode(), body):
-        stream.write(bytes(data).decode() if isinstance(stream, io.TextIOBase) else data)
+    text = isinstance(stream, io.TextIOBase)
+    for data in itertools.chain(["".join(head).encode()], chunks):
+        stream.write(bytes(data).decode() if text else data)
+
+
+# points per block of text: the writer, and the reader as it compares a
+# file with a span's text, hold one block at a time
+_BLOCK = 1 << 14
+
+
+def _add_tables(gf: GF, alphabet: bytes) -> list[bytes]:
+    """For each label v, the `bytes.translate` table that maps the byte
+    of label a to byte a + v of `alphabet`."""
+    add, q = gf.add_lookup, gf.q
+    return [bytes(alphabet[add[a][v]] for a in range(q)).ljust(256, b"\0") for v in range(q)]
+
+
+def _span_columns(gf: GF, rows, width: int) -> list[bytes]:
+    """The q^k combinations of the flat `rows` in `bulk.span_array` order,
+    as `width` columns of one label byte per combination (q <= 256).
+    Combination c*q^m + j is combination j plus c times row m: after row
+    m a column is q blocks of the column before, block c that column
+    translated by c * row[m]."""
+    shift, mul = _add_tables(gf, bytes(range(gf.q))), gf.mul_lookup
+    columns = [b"\0"] * width  # the span of no rows: the zero word
+    for row in rows:
+        columns = [b"".join([col.translate(shift[cv]) for cv in mul[v]]) if v else col * gf.q
+                   for col, v in zip(columns, row)]
+    return columns
+
+
+def _lines(columns, n: int, s: int) -> bytearray:
+    """Point lines from digit columns: byte i of column j*s + d, for the
+    flat coordinate of digit d (least significant first) of coordinate j,
+    is that digit's character in point i."""
+    width, count = n * (s + 1), len(columns[0])
+    text = bytearray((b" " * (width - 1) + b"\n") * count)
+    for c, col in enumerate(columns):
+        j, d = divmod(c, s)
+        text[j * (s + 1) + s - 1 - d::width] = col
+    return text
+
+
+def _span_text(gf: GF, rows, n: int, s: int):
+    """The point lines of the span of the flat `rows` in `bulk.span_array`
+    order, one block of q^L points at a time, L the most low rows whose
+    span fits in _BLOCK, as `bulk._span_blocks` enumerates it: block j is
+    the low span plus word j of the span of the other rows, each column
+    one translation of the low span's."""
+    k = len(rows)
+    low_k = min(k, exponent(gf.q, _BLOCK + 1) - 1)
+    low = _span_columns(gf, rows[:low_k], n * s)
+    high = _span_columns(gf, rows[low_k:], n * s)
+    digits = _add_tables(gf, DIGIT_CHARS.encode())
+    for j in range(gf.q ** (k - low_k)):
+        yield _lines([col.translate(digits[word[j]]) for col, word in zip(low, high)], n, s)
+
+
+def _array_text(dist: Distribution):
+    """The point lines of an array-backed set, _BLOCK points at a time."""
+    import numpy as np
+
+    space = dist.space
+    flat = dist.array().reshape(len(dist), space.dim)
+    digits = _add_tables(space.gf, DIGIT_CHARS.encode())[0]
+    for start in range(0, len(flat), _BLOCK):
+        block = np.ascontiguousarray(flat[start:start + _BLOCK].T, dtype=np.uint8)
+        yield _lines([col.tobytes().translate(digits) for col in block], space.n, space.s)
 
 
 def write_point_set(stream, dist: Distribution, comments=()) -> None:
     """Header "q n s N" preceded by the field line when e > 1, then one
-    line per point: n digit strings, most significant digit first."""
-    import numpy as np
-
+    line per point: n digit strings, most significant digit first.  A
+    lazy span's lines come from its generator rows by `bytes.translate`
+    (`_span_text`), without numpy; an array's from its digit columns."""
     space = dist.space
     if space.q > len(DIGIT_CHARS):
         raise ValueError("text digit format supports q <= 36")
-    # each coordinate is s digit bytes plus a space, the last one a newline
-    text = np.full((len(dist), space.n, space.s + 1), ord(" "), dtype=np.uint8)
-    text[:, :, :-1] = np.frombuffer(DIGIT_CHARS.encode(), dtype=np.uint8)[dist.eta_array()]
-    text[:, -1, -1] = ord("\n")
-    _write(stream, space, len(dist), comments, text)
+    blocks = (_array_text(dist) if dist._array is not None
+              else _span_text(space.gf, dist.generator, space.n, space.s))
+    _write(stream, space, len(dist), comments, blocks)
 
 
 # a line ends at LF, CRLF or a lone CR, as in a file opened in text mode
@@ -370,18 +437,56 @@ def _read_header(lines, kind: str):
     return field, n, s, count, lineno
 
 
+def _span_rows(data: bytes, start: int, space: Space, count: int):
+    """The flat rows B at points q^0, ..., q^(r-1) of a body, from byte
+    `start` of `data`, whose first `count` = q^r lines are byte for byte
+    the text `write_point_set` gives for span(B), B independent; else
+    None.  The text is compared block by block (`_span_text`), so a body
+    that is no such span stops at its first differing block, and no more
+    text is built than the body holds."""
+    from .codes import rank
+
+    q, n, s = space.q, space.n, space.s
+    r, width = exponent(q, count), n * (s + 1)
+    if q > len(DIGIT_CHARS) or q ** r != count or len(data) - start < count * width:
+        return None
+    # a span's first point is the zero word, so a coset differs at once
+    if not data.startswith(b" ".join([b"0" * s] * n) + b"\n", start):
+        return None
+    rows = []
+    for m in range(r):
+        at = start + q ** m * width
+        labels = data[at:at + width].translate(_DIGITS)
+        rows.append([labels[j * (s + 1) + s - 1 - d] for j in range(n) for d in range(s)])
+        if max(rows[-1]) >= q:
+            return None
+    if rank(space.gf, rows) < r:
+        return None
+    for text in _span_text(space.gf, rows, n, s):
+        if not data.startswith(text, start):
+            return None
+        start += len(text)
+    return rows
+
+
 def read_point_set(stream) -> Distribution:
     """Parse a point file from a binary or text stream; errors are
     `PointFileError`s naming the first offending line, checked in file
     order (coordinate count, then per digit string: length, bad digit,
-    digit >= q)."""
-    import numpy as np
-
+    digit >= q).  A file whose points spell out the span of its rows at
+    points q^0, ..., q^(r-1) in `bulk.span_array` order, as every file
+    `write_point_set` writes of a lazy span (`_span_rows`), is read as
+    that lazy span, without numpy; any other as an array."""
     data = stream.read()
     data = data if isinstance(data, bytes) else data.encode()
     offsets = []
     field, n, s, count, lineno = _read_header(_byte_lines(data, offsets), "point set")
     space, limit = Space(field, n, s), min(field.q, len(DIGIT_CHARS))
+    rows = _span_rows(data, offsets[-1], space, count)
+    if rows is not None:
+        return Distribution(space, generator=rows)
+    import numpy as np
+
     body = np.frombuffer(memoryview(data)[offsets[-1]:], dtype=np.uint8)
     table = np.frombuffer(_DIGITS, dtype=np.uint8).astype(np.int16)
     # fixed width: n digit strings of s bytes a line, single spaces, and

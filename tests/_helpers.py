@@ -239,6 +239,14 @@ def read_point_array_by_line(stream):
     return np.ascontiguousarray(eta[:, :, ::-1])
 
 
+def point_lines_by_word(arr) -> bytes:
+    """The point lines of an (N, n, s) label array, one `" ".join` of
+    digit strings per word, most significant digit first: the oracle of
+    the body `write_point_set` writes."""
+    return "".join(" ".join("".join(DIGIT_CHARS[v] for v in reversed(row)) for row in word)
+                   + "\n" for word in np.asarray(arr).tolist()).encode()
+
+
 def span_array_by_passes(gf, rows, width):
     """The k-pass span enumeration, the oracle of `bulk.span_array`:
     combination i takes digit m of i in base q as the coefficient of row m."""

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from nrtcodes import bulk, codes, geometry
 from nrtcodes.codes import LinearCode, is_mds
@@ -106,6 +106,33 @@ def test_certificate_agrees_with_enumeration_on_random_rows(data):
     assert report == optimum_report(plain_copy(built), k)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_net_certificate_agrees_with_the_box_count(data):
+    # MDS, random and dependent rows, for every delta: t = k - delta above s
+    # is a "no" and below it the rank walk's answer; each "no" carries the
+    # box count's witness
+    q = data.draw(st.sampled_from(sorted(FIELDS)))
+    space = Space(FIELDS[q], data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    k = data.draw(st.sampled_from([k for k in range(1, space.dim + 1) if q ** k <= 4096]
+                                  or [1]))
+    kind = data.draw(st.sampled_from(["mds", "random", "dependent"]))
+    if kind == "mds" and space.n <= q + 1:
+        rows = [list(r) for r in build_mds_code(space, k).basis]
+    else:
+        entry = st.integers(0, q - 1)
+        rows = data.draw(st.lists(st.lists(entry, min_size=space.dim, max_size=space.dim),
+                                  min_size=k, max_size=k))
+        if kind == "dependent":
+            rows[-1] = rows[0]
+    built = Distribution(space, generator=rows)
+    plain = plain_copy(built)
+    for delta in range(k + 1):
+        report = geometry.net_report(built, delta)
+        assert report == _box_report(plain, k - delta, k - delta), delta
+        event(f"{kind} t {'>' if k - delta > space.s else '<='} s: {report.ok}")
+
+
 def test_built_sets_keep_the_enumeration_witness():
     # a "no" of the certificate falls back to enumeration, so the first
     # failing box, its count and the expected count are unchanged
@@ -195,6 +222,8 @@ def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
     top = Distribution(space, generator=[[int(c == 69 - r) for c in range(70)]
                                               for r in range(65)])
     assert optimum_report(top, 65).ok
+    # t = 65 <= s = 70 top digit columns are independent: a (0,65,1)-net
+    assert geometry.net_report(top, 0).ok and geometry.is_net(top, 0)
     # the span is the words whose 5 low digits are 0
     counts = codes.corner_box_counts(top)
     assert counts == {(a,): 2 ** max(65 - a, 0) for a in range(71)}
@@ -202,7 +231,7 @@ def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
     low = Distribution(space, generator=[[int(c == r) for c in range(70)]
                                               for r in range(65)])
     for check, args in ((optimum_report, (low, 65)), (geometry.check_counts, (top, 65)),
-                        (geometry.net_report, (top, 0)), (geometry.is_net, (top, 0))):
+                        (geometry.net_report, (low, 0)), (geometry.is_net, (low, 0))):
         with pytest.raises(ValueError, match="too large for 64-bit box indices"):
             check(*args)
 

@@ -612,6 +612,52 @@ def test_commands_import_only_what_they_run(tmp_path, capsys):
     assert expected[5][0] == 2 and "error" in json.loads(expected[5][1])
 
 
+def test_linear_point_files_run_without_numpy(tmp_path, capsys):
+    # every file `generate` and `peano` write spells out its span in order:
+    # it is read as its rows, and these commands answer from them alone
+    a, c = tmp_path / "a", tmp_path / "c"
+    commands = [f"generate --q 4 --n 4 --s 2 --k 5 --out {a}",
+                f"generate --q 5 --n 2 --s 2 --g 2 --t 1 --out {c}",
+                f"verify --kind optimum --in {a}.points",
+                f"verify --kind net --delta 3 --in {a}.points",
+                f"peano --type points --g 2 --in {a}.points --out {a}-merged.points",
+                f"spectrum --in {a}.points",
+                f"verify --kind optimum --in {a}-merged.points",
+                f"verify --kind optimum --in {c}.points",
+                f"verify --kind net --delta 0 --in {c}.points",
+                f"spectrum --format json --in {c}.points"]
+    expected = [run(argv.split(), capsys) for argv in commands]
+    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
+                    for argv, (status, _, _) in zip(commands, expected))
+    assert run_without_numpy(calls) == "".join(out for _, out, _ in expected)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+    assert [status for status, _, _ in expected] == [0] * len(commands)
+    # a moved point, a digital shift and a tab: each file is parsed into an
+    # array, with numpy, to the same answers and witness
+    lines = (tmp_path / "a.points").read_text().split("\n")
+    first = lines.index("4 4 2 1024") + 1
+    moved = lines.copy()
+    moved[first + 9] = ("1" if moved[first + 9][0] != "1" else "2") + moved[first + 9][1:]
+    # GF(4) adds labels as bit strings: 1 added to every leading digit
+    shifted = lines[:first] + [str(int(x[0]) ^ 1) + x[1:] if x else x
+                               for x in lines[first:]]
+    tabs = lines.copy()
+    tabs[first + 5] = tabs[first + 5].replace(" ", "\t", 1)
+    copies = []
+    for name, text in (("moved", moved), ("shifted", shifted), ("tabs", tabs)):
+        (tmp_path / f"{name}.points").write_text("\n".join(text))
+        copies.append(f"verify --kind optimum --in {tmp_path / name}.points")
+    expected = [run(argv.split(), capsys) for argv in copies]
+    assert [status for status, _, _ in expected] == [1, 0, 0]
+    assert expected[0][1].startswith("optimum: False\nfirst failing box:")
+    calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
+                    for argv, (status, _, _) in zip(copies, expected))
+    assert run_fresh("import sys\nfrom nrtcodes import cli\n" + calls
+                     + "assert 'numpy' in sys.modules\n") == "".join(
+                         out for _, out, _ in expected)
+
+
 def test_removed_flags_are_usage_errors(capsys):
     for flag in ("--seed", "--threads"):
         with pytest.raises(SystemExit) as exc:
@@ -1086,15 +1132,28 @@ def test_file_commands_keep_the_exit_contract_on_malformed_input(data):
 
 def test_commands_keep_the_exit_contract_under_a_memory_cap(tmp_path, capsys):
     # a small file runs under 110 MB; on several cores, OpenBLAS's default of
-    # a thread per core would fail numpy's start there with exit 1 ("no")
+    # a thread per core would fail numpy's start there with exit 1 ("no").
+    # A CRLF copy is parsed into an array, so numpy starts.
     run(["generate", "--q", "4", "--n", "3", "--s", "2", "--k", "3",
          "--out", str(tmp_path / "small")], capsys)
+    crlf = (tmp_path / "small.points").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "small.points").write_bytes(crlf)
     result = run_cli_capped(["verify", "--kind", "optimum", "--in", "small.points"],
                             110, tmp_path)
     assert (result.returncode, result.stdout) == (0, "optimum: True\n")
-    # 531441 points under 120 MB: an out-of-memory refusal that writes nothing
+    # 531441 points under 120 MB: in span order the file is read as its
+    # rows, and answered from them
     run(["generate", "--q", "9", "--n", "5", "--s", "4", "--k", "6",
          "--out", str(tmp_path / "big")], capsys)
+    result = run_cli_capped(["verify", "--kind", "optimum", "--in", "big.points"],
+                            120, tmp_path)
+    assert (result.returncode, result.stdout) == (0, "optimum: True\n")
+    # with two points swapped it is parsed into an array: an out-of-memory
+    # refusal that writes nothing
+    lines = (tmp_path / "big.points").read_bytes().split(b"\n")
+    first = lines.index(b"9 5 4 531441") + 1
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    (tmp_path / "big.points").write_bytes(b"\n".join(lines))
     files = set(os.listdir(tmp_path))
     for args in (["verify", "--kind", "optimum"],
                  ["verify", "--kind", "net", "--delta", "2", "--format", "json"],

@@ -1,6 +1,6 @@
 """`codes.own_span`, the one proof that a point set is its own span,
 against the oracle "N = q^rank = the number of distinct rows", and the
-two commands that call it: `spectrum` and `verify --kind optimum`."""
+commands that decide a span from its rows: `spectrum` and `verify`."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -157,6 +157,16 @@ def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
     assert "formula matches: True" in out
     assert main(["verify", "--kind", "optimum", "--in", f"{prefix}.points"]) == 0
     assert capsys.readouterr().out == "optimum: True\n"
+    # a net's yes is the rank walk's, on the file and on its merged copy
+    assert main(["verify", "--kind", "net", "--delta", "2", "--in", f"{prefix}.points"]) == 0
+    assert capsys.readouterr().out == "net: True\n"
+    assert main(["peano", "--type", "points", "--g", "2", "--in", f"{prefix}.points",
+                 "--out", f"{prefix}-merged.points"]) == 0
+    capsys.readouterr()
+    for kind in ("optimum", "net"):
+        assert main(["verify", "--kind", kind, "--delta", "0",
+                     "--in", f"{prefix}-merged.points"]) == 0
+        assert capsys.readouterr().out == f"{kind}: True\n"
 
 
 def test_a_moved_copy_keeps_its_witness(tmp_path, capsys):

@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from nrtcodes.codes import rank
+from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.gf import DIGIT_CHARS, GF
+from nrtcodes.peano import merge_distribution
 from nrtcodes.words import (_WIDE_SPACE, Distribution, PointFileError, Space,
                             hamming_weight, nrt_weight, read_point_set,
                             row_weight, write_point_set)
 
-from _helpers import min_distance, read_point_array_by_line, same_multiset, word_to_base_p
+from _helpers import (min_distance, point_lines_by_word, read_point_array_by_line,
+                      same_multiset, span_array_by_passes, word_to_base_p)
 
 
 def test_weight_worked_example():
@@ -298,6 +302,122 @@ def test_vectorized_parse_matches_line_parser(data):
     if draw(st.integers(0, 3)) == 0:
         text = text[:len(text) - draw(st.integers(0, len(text)))]
     _same_outcome(text)
+
+
+def _written(dist, comments=()):
+    """The file `write_point_set` writes of `dist`, after checking it
+    against the per-word formatter."""
+    buf = io.BytesIO()
+    write_point_set(buf, dist, comments=comments)
+    space = dist.space
+    head = "".join(f"# {c}\n" for c in comments)
+    head += space.gf.describe() + "\n" if space.gf.e > 1 else ""
+    head += f"{space.q} {space.n} {space.s} {len(dist)}\n"
+    assert buf.getvalue() == head.encode() + point_lines_by_word(dist.array())
+    return buf.getvalue()
+
+
+SPAN_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(3, 2)]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_file_is_read_as_its_span_exactly_when_it_spells_the_span_out(data):
+    draw = data.draw
+    kind = draw(st.sampled_from(["span", "moved", "shift", "permuted", "crlf", "upper",
+                                 "tab", "trailing", "truncated", "dependent"]))
+    # 11: an upper-case digit needs a letter
+    gf = GF(11) if kind == "upper" else draw(st.sampled_from(SPAN_FIELDS))
+    space = Space(gf, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    q, dim = gf.q, space.dim
+    k = draw(st.integers(0, max(k for k in range(dim + 1) if q ** k <= 1331)))
+    entry = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=k, max_size=k))
+    if kind == "dependent" and k:
+        # row m is the point at q^m: one row a multiple of another, or zero
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        rows[i] = [gf.mul(draw(entry), v) for v in rows[j]] if i != j else [0] * dim
+    text = _written(Distribution(space, generator=rows), comments=["drawn"])
+    lines = text.split(b"\n")[:-1]
+    body = 2 + (gf.e > 1)  # the comment, the field line and the header first
+    arr = span_array_by_passes(gf, rows, dim).reshape(-1, space.n, space.s)
+    assert np.array_equal(read_point_set(io.BytesIO(text)).array(), arr)
+    if kind == "moved":
+        i, c = draw(st.integers(body, len(lines) - 1)), draw(st.integers(0, dim - 1))
+        j, d = divmod(c, space.s)
+        at = j * (space.s + 1) + d
+        digit = DIGIT_CHARS.index(chr(lines[i][at]))
+        new = DIGIT_CHARS[gf.add(digit, draw(st.integers(1, q - 1)))]
+        lines[i] = lines[i][:at] + new.encode() + lines[i][at + 1:]
+    elif kind == "shift":
+        shift = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+        shifted = gf.add_table[arr.reshape(len(arr), dim), shift[None]]
+        lines[body:] = point_lines_by_word(shifted.reshape(arr.shape)).split(b"\n")[:-1]
+    elif kind == "permuted":
+        lines[body:] = [lines[body + i] for i in draw(st.permutations(range(len(arr))))]
+    elif kind == "upper":
+        lettered = [i for i in range(body, len(lines)) if lines[i] != lines[i].upper()]
+        i = draw(st.sampled_from(lettered or [body]))
+        lines[i] = lines[i].upper()
+    elif kind == "tab":
+        i = draw(st.integers(body, len(lines) - 1))
+        lines[i] = lines[i].replace(b" ", b"\t", 1) if space.n > 1 else b"\t" + lines[i]
+    elif kind == "trailing":
+        lines += draw(st.lists(st.sampled_from([b"junk", b"", b"# end", lines[-1]]),
+                               min_size=1, max_size=2))
+    text = b"".join(line + b"\n" for line in lines)
+    if kind == "crlf":
+        text = text.replace(b"\n", b"\r\n")
+    elif kind == "truncated":
+        start = sum(len(line) + 1 for line in lines[:body])
+        text = text[:draw(st.integers(start, len(text) - 1))]
+    # the oracle, and the files that must be read as a lazy span
+    old = _parse_outcome(read_point_array_by_line, text.decode())
+    new = _parse_outcome(read_point_set, text)
+    if not isinstance(old, np.ndarray):
+        assert new == old
+        return
+    lazy = new._array is None
+    assert np.array_equal(new.array(), old)
+    count = len(old)
+    r = next(r for r in range(count + 1) if q ** r >= count)
+    flat = old.reshape(count, dim)
+    basis = [flat[q ** m].tolist() for m in range(r)] if q ** r == count else None
+    start = sum(len(line) + 1 for line in lines[:body])
+    spelled = (basis is not None and rank(gf, basis) == r and text[start:].startswith(
+        point_lines_by_word(span_array_by_passes(gf, basis, dim).reshape(old.shape))))
+    assert lazy == spelled, kind
+    event(f"{kind} {lazy}")
+    if kind in ("span", "trailing"):
+        assert spelled == (rank(gf, rows) == k)
+
+
+def test_sets_and_transforms_write_the_per_word_text():
+    # array-backed sets and spans, some of more than one block of points,
+    # and the outputs of `peano` and `basechange`
+    rng = np.random.default_rng(3)
+    for gf, n, s, count in ((GF(3), 2, 2, 1), (GF(2, 2), 4, 2, 20000), (GF(3, 2), 2, 3, 40000),
+                            (GF(31), 1, 1, 7)):
+        space = Space(gf, n, s)
+        dist = Distribution(space, array=rng.integers(0, gf.q, size=(count, n, s)))
+        _written(dist, comments=["random"])
+        _written(dist.to_base_p())
+        if n % 2 == 0:
+            _written(merge_distribution(dist, 2))
+    span = Distribution(Space(GF(2, 2), 4, 2), generator=[[1, 2, 0, 3, 1, 1, 0, 2]] * 2 + [
+        [0, 1, 2, 3, 0, 1, 2, 3], [3, 3, 0, 0, 1, 0, 2, 2], [0, 0, 0, 0, 0, 0, 0, 1]])
+    for dist in (span, merge_distribution(span, 2), span.to_base_p()):
+        _written(dist)
+    read_back = read_point_set(io.BytesIO(_written(merge_distribution(span, 4))))
+    assert read_back._array is not None  # two equal rows: not read as a span
+    # 3^10 points, 9 blocks of 3^8: read back block by block as the span,
+    # and with its last point moved as an array
+    big = build_optimum_distribution(Space(GF(3), 2, 5), 10)
+    text = _written(big)
+    read_back = read_point_set(io.BytesIO(text))
+    assert read_back._array is None and read_back.generator == big.generator
+    moved = text[:-3] + (b"1" if text[-3:-2] != b"1" else b"2") + text[-2:]
+    assert _same_outcome(moved.decode()).shape == (3 ** 10, 2, 5)
 
 
 def test_parse_errors_keep_message_and_line():
