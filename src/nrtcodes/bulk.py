@@ -22,12 +22,13 @@ def _index_dtype(q: int):
     return np.int16 if q * q <= 1 << 15 else np.int32
 
 
-def _span_blocks(gf: GF, rows, width: int, out=None):
-    """Yield the span of the flat rows in `span_array` order, one block of
-    q^L words at a time, L the most low rows whose span fits in _BLOCK.
-    Block j is the low span plus word j of the span of the other rows,
-    by one flat gather add_table[a, b] = add_table.ravel()[a*q + b].  The
-    blocks are slices of `out` when given, else one reused buffer."""
+def _span_blocks(gf: GF, rows, width: int, out=None, offset=None):
+    """Yield the span of the flat rows in `span_array` order, plus the flat
+    `offset` if given, one block of q^L words at a time, L the most low
+    rows whose span fits in _BLOCK.  Block j is the low span, which starts
+    from the offset, plus word j of the span of the other rows, by one
+    flat gather add_table[a, b] = add_table.ravel()[a*q + b].  The blocks
+    are slices of `out` when given, else one reused buffer."""
     q, k = gf.q, len(rows)
     low_k = 0
     while low_k < k and q ** (low_k + 1) <= _BLOCK:
@@ -35,7 +36,7 @@ def _span_blocks(gf: GF, rows, width: int, out=None):
     size = q ** low_k
     flat = gf.add_table.ravel()
     low = np.empty((size, width), dtype=np.int16) if out is None else out[:size]
-    low[0] = 0
+    low[0] = 0 if offset is None else offset
     # a*q is summed in the small dtype; `take` reads intp indices without
     # a converted copy of them
     scaled = np.empty((size, width), dtype=_index_dtype(q))
@@ -64,12 +65,13 @@ def _span_blocks(gf: GF, rows, width: int, out=None):
         yield block
 
 
-def span_array(gf: GF, rows, width: int) -> np.ndarray:
+def span_array(gf: GF, rows, width: int, offset=None) -> np.ndarray:
     """All q^k combinations of the given flat rows, coefficient index m of
     combination i being digit m of i in base q (so prefixes of the output
-    enumerate the spans of basis prefixes)."""
+    enumerate the spans of basis prefixes), each plus the flat `offset`
+    if given."""
     out = np.empty((gf.q ** len(rows), width), dtype=np.int16)
-    for _ in _span_blocks(gf, rows, width, out):
+    for _ in _span_blocks(gf, rows, width, out, offset):
         pass
     return out
 
@@ -100,7 +102,9 @@ def _row_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def nrt_weights(arr: np.ndarray, n: int, s: int) -> np.ndarray:
     """NRT weight of every word: the sum of its `_row_weights`.  At s = 1
-    it is the Hamming weight."""
+    it is the Hamming weight, one `np.count_nonzero` along the words."""
+    if s == 1:
+        return np.count_nonzero(arr.reshape(arr.shape[0], n), axis=1)
     rw = _row_weights(arr, n, s)
     # n column adds; a sum over the short row axis is about twice as slow
     out = rw[:, 0].astype(np.int64)

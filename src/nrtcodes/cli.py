@@ -21,8 +21,8 @@ import sys
 from contextlib import contextmanager
 from typing import NoReturn
 
-from .codes import (LinearCode, corner_box_counts, duality_ok, is_mds, own_span,
-                    read_code, write_code)
+from .codes import (LinearCode, corner_box_counts, duality_ok, is_linear, is_mds,
+                    own_span, read_code, write_code)
 from .construct import build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
 from .gf import GF, TABLE_BOUND
@@ -246,14 +246,14 @@ def cmd_verify(args) -> int:
         _emit(args, payload, [f"MDS: {ok} (weight {weight}, bound {bound})"])
         return 0 if ok else 1
     dist = _read(args, read_point_set)
+    # a file that is its own span or coset takes the rank certificate
+    span = own_span(dist)
+    dist = dist if span is None else span
     if kind == "net":
-        delta = args.delta if args.delta is not None else 0
-        report = net_report(dist, delta)
+        report = net_report(dist, args.delta if args.delta is not None else 0)
     else:
         k = args.k if args.k is not None else exponent(dist.space.q, len(dist))
-        # a file that is its own span takes the rank certificate
-        span = own_span(dist)
-        report = optimum_report(dist if span is None else span, k)
+        report = optimum_report(dist, k)
     payload = {"kind": kind, "ok": report.ok}
     lines = [f"{kind}: {report.ok}"]
     if not report.ok:
@@ -268,16 +268,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    """The distances from a point of the file: from zero, and with the
+    enumerators, if the file is linear; else from its first point, or from
+    zero if zero is one of its points.  A file that is its own span or
+    coset (`codes.own_span`) is linear iff its offset, its first point,
+    lies in the span of its rows (`codes.is_linear`); no point of a coset
+    that is not linear is zero, so its anchor is its offset, read without
+    its array."""
     dist = _read(args, read_point_set)
     if not len(dist):
         raise ValueError("point set is empty")
     space = dist.space
-    # the enumerators describe the input only when it is its own span; the
-    # proven set carries its basis, so the routes of built sets answer
     span = own_span(dist)
+    linear = span is not None and is_linear(span)
     if span is not None:
-        # a linear set holds zero, the anchor of its spectrum
-        dist, anchor = span, space.zero()
+        # the proven set carries its basis, so the routes of built sets answer
+        dist = span
+        anchor = space.zero() if linear else space.unflatten(span.offset)
     else:
         anchor = dist.word(0) if dist.array().any(axis=(1, 2)).all() else space.zero()
     spec = distance_spectrum(dist, anchor)
@@ -299,7 +306,7 @@ def cmd_spectrum(args) -> int:
     else:
         payload["warning"] = "input is not an optimum distribution; closed forms omitted"
         lines.append("warning: not an optimum distribution, closed forms omitted")
-    if span is not None:
+    if linear:
         payload["weight_enumerator"] = spec
         payload["box_enumerator"] = {
             ",".join(map(str, a)): c

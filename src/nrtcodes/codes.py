@@ -242,20 +242,34 @@ def is_mds(code: LinearCode) -> bool:
     return _dependent_profile(space, rows, total, total) > total
 
 
+def in_span(gf: GF, rows, vec) -> bool:
+    """Whether the flat `vec` lies in the span of the flat `rows`: one
+    rank check, none for a zero vector."""
+    return not any(vec) or rank(gf, [*rows, vec]) == rank(gf, rows)
+
+
+def is_linear(dist: Distribution) -> bool:
+    """Whether a set with a generator is linear: its offset lies in the
+    span of its rows."""
+    return dist.offset is None or in_span(dist.space.gf, dist.generator, dist.offset)
+
+
 def own_span(dist: Distribution) -> Distribution | None:
-    """The points with a generator B if they are the q^r words of
-    span(B) once each, else None.  A set whose generator rows are
-    independent, such as a lazy span `words.read_point_set` read, is
-    returned as it is, before numpy is imported; any other keeps its
-    array and gets an RREF basis B as its generator.  The pivot columns
-    of B are an information set: a point lies in span(B) iff it is word
-    `key` of `bulk.span_array(B)`, key the Horner value of its pivot
-    digits, and the points are span(B) once each iff moreover the keys
-    are a permutation.  B starts from the rows q^0,
-    ..., q^(r-1), the generator rows of a set in the colex order of
-    `Distribution`, then the rows j * 1000003 mod N, distinct as that
-    prime is prime to N = q^r; a point outside span(B) joins B, at most
-    r + 1 times, so the sample sets the speed only."""
+    """The points with a generator B and an offset x0 if they are the
+    q^r words of x0 + span(B) once each, else None.  A set whose
+    generator rows are independent, such as a lazy span or coset
+    `words.read_point_set` read, is returned as it is, before numpy is
+    imported; any other keeps its array, gets its point 0 as offset x0,
+    and is proved from its points minus x0 (`bulk.sub_anchor`, no copy
+    when x0 is zero), which get an RREF basis B as generator.  The pivot
+    columns of B are an information set: a point lies in span(B) iff it
+    is word `key` of `bulk.span_array(B)`, key the Horner value of its
+    pivot digits, and the points are span(B) once each iff moreover the
+    keys are a permutation.  B starts from the rows q^0, ..., q^(r-1),
+    the generator rows of a set in the colex order of `Distribution`,
+    then the rows j * 1000003 mod N, distinct as that prime is prime to
+    N = q^r; a point outside span(B) joins B, at most r + 1 times, so the
+    sample sets the speed only."""
     space, rows = dist.space, dist.generator
     if rows is not None and rank(space.gf, rows) == len(rows):
         return dist
@@ -265,7 +279,8 @@ def own_span(dist: Distribution) -> Distribution | None:
     count, r = len(dist), dist.exponent()
     if r is None or r > space.dim:
         return None
-    flat = dist.array().reshape(count, space.dim)
+    offset = dist.array()[0].ravel().tolist()
+    flat = bulk.sub_anchor(space.gf, dist.array().reshape(count, space.dim), offset)
     stride = np.arange(min(count, 4 * r + 16)) * 1000003 % count
     sample = np.concatenate([space.q ** np.arange(r, dtype=np.int64), stride])
     basis = rref(space.gf, flat[sample].tolist())
@@ -274,12 +289,16 @@ def own_span(dist: Distribution) -> Distribution | None:
         for row in reversed(basis):
             keys *= space.q
             keys += flat[:, row.index(1)]  # the pivot is a row's first 1
+        # N keys below q^rank <= N are a permutation iff none is missed; at
+        # rank r a missed key is a repeated point or one outside span(B),
+        # and either is no coset, so a repeated point costs no span array
+        permutation = np.bincount(keys, minlength=count).all()
+        if len(basis) == r and not permutation:
+            return None
         outside = (bulk.span_array(space.gf, basis, space.dim)[keys] != flat).any(axis=1)
         if not outside.any():
-            # N keys below q^rank <= N are a permutation iff none is missed
-            if not np.bincount(keys, minlength=count).all():
-                return None
-            return Distribution(space, array=dist.array(), generator=basis)
+            return (Distribution(space, array=dist.array(), generator=basis, offset=offset)
+                    if permutation else None)
         basis = rref(space.gf, basis + [flat[outside.argmax()].tolist()])
     return None
 
@@ -497,12 +516,12 @@ def span_weight_counts(space: Space, rows) -> list[int]:
 def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     """Counts of points in every corner box (side exponents A, anchor 0),
     i.e. the coefficient table of the box enumerator phi(D).  There are
-    (s+1)^n of them, at most ENUMERATION_BOUND.  A set with a generator
-    (see `Distribution`) whose route (`_route`) is "ranks" reads them
-    from the ranks of its k generator rows, box a holding the
-    q^(k - rank(a)) combinations orthogonal to the columns of prefix
-    profile a (`_profile_ranks`), without its array, in Python ints;
-    any other set counts its points."""
+    (s+1)^n of them, at most ENUMERATION_BOUND.  A linear set with a
+    generator (see `Distribution`, `is_linear`) whose route (`_route`) is
+    "ranks" reads them from the ranks of its k generator rows, box a
+    holding the q^(k - rank(a)) combinations orthogonal to the columns of
+    prefix profile a (`_profile_ranks`), without its array, in Python
+    ints; any other set counts its points."""
     from itertools import product
 
     space = dist.space
@@ -511,7 +530,7 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
         raise ValueError(f"box enumerator has (s+1)^n = {(s + 1) ** n} "
                          f"coefficients, above the bound {ENUMERATION_BOUND}")
     rows = dist.generator
-    if rows is not None and _route(space, len(rows)) == "ranks":
+    if rows is not None and _route(space, len(rows)) == "ranks" and is_linear(dist):
         q, k = space.q, len(rows)
         counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
     else:

@@ -6,8 +6,9 @@ side exponents A and positions M iff its leading a_j radix digits agree
 with those of m_j / q^(a_j) in every coordinate.  The net, optimum and
 full-count checks share one box count, `_box_report`: side-exponent
 vectors A in colex order, positions M in mixed-radix order, so failure
-reports are deterministic.  A span's optimum check first asks the one
-MDS certificate, `codes.is_mds`, of its generator's code.
+reports are deterministic.  The optimum check of a span, or of a coset
+of one, first asks the one MDS certificate, `codes.is_mds`, of its
+generator's code.
 """
 
 from __future__ import annotations
@@ -101,13 +102,13 @@ def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
     The net parameter s is read off from the cardinality q^s.  A set with
-    a generator of s independent rows (see `optimum_report`) is a net
-    when t = s - delta is at most the digit depth, so that no box side
-    passes the stored digits, and no prefix profile of total t has
-    dependent columns: one `codes._dependent_profile` walk over the basis
-    turned end to end (`codes._turned`), as `codes.is_mds` walks at total
-    k.  Its "no", and any other set, goes to the box count `_box_report`
-    for its witness."""
+    a generator of s independent rows, whatever its offset (see
+    `optimum_report`), is a net when t = s - delta is at most the digit
+    depth, so that no box side passes the stored digits, and no prefix
+    profile of total t has dependent columns: one
+    `codes._dependent_profile` walk over the basis turned end to end
+    (`codes._turned`), as `codes.is_mds` walks at total k.  Its "no", and
+    any other set, goes to the box count `_box_report` for its witness."""
     space, rows, s_net = dist.space, dist.generator, dist.exponent()
     if s_net is None:
         raise ValueError("not q^s points")
@@ -129,10 +130,12 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     """Check that every elementary box with side exponents summing to k
     holds exactly one of the q^k points; at a coarser digit depth d, check
     `dist.project(d)`.  A set with a generator of k rows (a built span,
-    or a file `codes.own_span` proved one) holds q^k points, however
-    many; it is optimum if the rows are independent and span an MDS code
-    (`codes.is_mds`), and trivially if there are none.  Its "no", and any
-    other set, goes to the box count `_box_report` for its witness."""
+    or a file `codes.own_span` proved a span or a coset of one) holds q^k
+    points, however many; it is optimum if the rows are independent and
+    span an MDS code (`codes.is_mds`), and trivially if there are none.
+    Its offset does not enter: adding it digit by digit only permutes the
+    boxes of each family.  Its "no", and any other set, goes to the box
+    count `_box_report` for its witness."""
     space, rows = dist.space, dist.generator
     if dist.exponent() != k:
         raise ValueError("not q^k points")

@@ -1,8 +1,8 @@
 """Sphere and ball combinatorics of the NRT metric, exact distance spectra
 of point sets, and the closed-form spectra of MDS codes and zero-deficiency
-nets.  A spectrum is counted word by word, except that of a set built as a
-span, from the origin: `codes.span_weight_counts` of its generator, by the
-route `codes._route` picks.
+nets.  A spectrum is counted word by word, except that of a span or a
+coset from one of its points: `codes.span_weight_counts` of its
+generator, by the route `codes._route` picks.
 
 All counting is done in unbounded Python integers; the closed forms can
 legitimately go negative outside the existence range (that negativity is
@@ -51,18 +51,23 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
-    must itself belong to the distribution.  From the zero word, a set
-    with a generator (see `Distribution`) is counted from it, without its
-    array, by `codes.span_weight_counts`.  Any other set or anchor reads
-    the array."""
+    must itself belong to the distribution.  A set with a generator B and
+    an offset x0 (see `Distribution`) whose anchor minus x0 lies in
+    span(B) (`codes.in_span`, one rank check) is counted from B, without
+    its array, by `codes.span_weight_counts`: the distances from such an
+    anchor to x0 + span(B) are the weights of span(B).  Any other set or
+    anchor reads the array."""
     from . import codes
 
     space = dist.space
     anchor = space.check_word(anchor)
     flat_anchor = space.flatten(anchor)
-    rows = dist.generator
-    if rows is not None and not any(flat_anchor):
-        return codes.span_weight_counts(space, rows)
+    rows, offset = dist.generator, dist.offset
+    if rows is not None:
+        gf = space.gf
+        moved = flat_anchor if offset is None else list(map(gf.sub, flat_anchor, offset))
+        if codes.in_span(gf, rows, moved):
+            return codes.span_weight_counts(space, rows)
     import numpy as np
     from . import bulk
 

@@ -100,10 +100,6 @@ class Space:
         gf = self.gf
         return tuple(tuple(gf.mul(c, a) for a in row) for row in w)
 
-    def linear_combine(self, alpha: int, w1: Word, beta: int, w2: Word) -> Word:
-        """Digitwise alpha*w1 + beta*w2; the vector space law of Q^n(q^s)."""
-        return self.add(self.scale(alpha, w1), self.scale(beta, w2))
-
     def inner(self, w1: Word, w2: Word) -> int:
         """Reversed pairing: per row sum_i x_i * y_(s+1-i), summed over rows."""
         gf = self.gf
@@ -112,14 +108,6 @@ class Space:
             for a, b in zip(r1, reversed(r2)):
                 out = gf.add(out, gf.mul(a, b))
         return out
-
-    def all_words(self):
-        rows = list(itertools.product(range(self.q), repeat=self.s))
-        return (w for w in itertools.product(rows, repeat=self.n))
-
-    def random_word(self, rng) -> Word:
-        return tuple(tuple(rng.randrange(self.q) for _ in range(self.s))
-                     for _ in range(self.n))
 
     # --- flat (length n*s) views used by the linear algebra ---
 
@@ -171,24 +159,34 @@ class Space:
 class Distribution:
     """A multiset of points of Q^n(q^s), stored as their digit words: an
     (N, n, s) label `array` (given, or built from `words`), a `generator`
-    of k flat rows whose q^k combinations in `bulk.span_array` order are
-    the points (a lazy span: its read-only array is built on the first
-    call of `array`), or both: then the array holds the generator's q^k
-    combinations once each, in its own order, and only `codes.own_span`
-    and `reshaped` build this form.  `read_point_set` reads a file that
-    spells out a span in that order as a lazy span, and
-    `write_point_set` writes one from its rows.  `codes.is_mds` of the
-    generator's code decides `geometry.optimum_report`, one rank walk
-    `geometry.net_report`; `spectra.distance_spectrum` and
-    `codes.corner_box_counts` count from it by `codes._route`."""
+    of k flat rows and a flat `offset` x0 (zero when omitted), whose points
+    are x0 plus the q^k combinations of the rows in `bulk.span_array`
+    order (a lazy span, or a lazy coset x0 + span: its read-only array is
+    built on the first call of `array`), or both: then the array holds
+    x0 + span(generator) once each, in its own order, and only
+    `codes.own_span` and `reshaped` build this form.  Only this class
+    stores the offset.  `read_point_set` reads a file that spells out a
+    span or a coset in span order as one, and `write_point_set` writes one
+    from its rows.  A set is linear iff its offset lies in the span of
+    its generator.  A digital shift permutes the boxes of every family,
+    so `codes.is_mds` of the generator's code decides
+    `geometry.optimum_report`, and one rank walk `geometry.net_report`,
+    whatever the offset; `spectra.distance_spectrum` and
+    `codes.corner_box_counts` count from the rows by `codes._route`."""
 
-    def __init__(self, space: Space, words=None, array=None, generator=None):
+    def __init__(self, space: Space, words=None, array=None, generator=None, offset=None):
         self.space = space
-        self.generator = None
+        self.generator = self.offset = None
         if generator is not None:
             self.generator = tuple(tuple(int(v) for v in r) for r in generator)
             if any(len(r) != space.dim for r in self.generator):
                 raise ValueError("row length mismatch")
+            if offset is not None and any(offset):
+                self.offset = tuple(int(v) for v in offset)
+                if len(self.offset) != space.dim:
+                    raise ValueError("offset length mismatch")
+        elif offset is not None:
+            raise ValueError("an offset needs a generator")
         if generator is None or array is not None:  # a lazy span loads no numpy
             import numpy as np
 
@@ -199,10 +197,6 @@ class Distribution:
             if array.ndim != 3 or array.shape[1:] != (space.n, space.s):
                 raise ValueError("array shape must be (N, n, s)")
         self._array = array
-
-    @classmethod
-    def from_points(cls, space: Space, points) -> "Distribution":
-        return cls(space, words=[space.point_to_word(p) for p in points])
 
     def size(self) -> int:
         """The number of points, q^len(generator) for a span (len() stops at 2^63)."""
@@ -222,10 +216,11 @@ class Distribution:
 
     def reshaped(self, space: Space) -> "Distribution":
         """The same words in a space of the same n*s: each word's flat
-        digits, and so the generator rows, kept in order, cut into rows
-        of the new length.  A lazy span stays lazy."""
+        digits, and so the generator rows and the offset, kept in order,
+        cut into rows of the new length.  A lazy span stays lazy."""
         arr = self._array
-        return Distribution(space, generator=self.generator, array=None if arr is None
+        return Distribution(space, generator=self.generator, offset=self.offset,
+                            array=None if arr is None
                             else arr.reshape(len(arr), space.n, space.s))
 
     def __iter__(self):
@@ -237,7 +232,7 @@ class Distribution:
             from . import bulk
 
             space = self.space
-            arr = bulk.span_array(space.gf, self.generator, space.dim)
+            arr = bulk.span_array(space.gf, self.generator, space.dim, self.offset)
             arr.setflags(write=False)
             self._array = arr.reshape(len(arr), space.n, space.s)
         return self._array
@@ -305,14 +300,16 @@ def _add_tables(gf: GF, alphabet: bytes) -> list[bytes]:
     return [bytes(alphabet[add[a][v]] for a in range(q)).ljust(256, b"\0") for v in range(q)]
 
 
-def _span_columns(gf: GF, rows, width: int) -> list[bytes]:
-    """The q^k combinations of the flat `rows` in `bulk.span_array` order,
-    as `width` columns of one label byte per combination (q <= 256).
-    Combination c*q^m + j is combination j plus c times row m: after row
-    m a column is q blocks of the column before, block c that column
-    translated by c * row[m]."""
+def _span_columns(gf: GF, rows, width: int, offset=None) -> list[bytes]:
+    """The flat `offset` (zero when None) plus each of the q^k combinations
+    of the flat `rows` in `bulk.span_array` order, as `width` columns of
+    one label byte per combination (q <= 256).  Combination c*q^m + j is
+    combination j plus c times row m: after row m a column is q blocks of
+    the column before, block c that column translated by c * row[m]; the
+    columns start from the offset's digits."""
     shift, mul = _add_tables(gf, bytes(range(gf.q))), gf.mul_lookup
-    columns = [b"\0"] * width  # the span of no rows: the zero word
+    # the span of no rows: the offset alone
+    columns = [bytes([v]) for v in offset] if offset else [b"\0"] * width
     for row in rows:
         columns = [b"".join([col.translate(shift[cv]) for cv in mul[v]]) if v else col * gf.q
                    for col, v in zip(columns, row)]
@@ -331,15 +328,16 @@ def _lines(columns, n: int, s: int) -> bytearray:
     return text
 
 
-def _span_text(gf: GF, rows, n: int, s: int):
-    """The point lines of the span of the flat `rows` in `bulk.span_array`
-    order, one block of q^L points at a time, L the most low rows whose
-    span fits in _BLOCK, as `bulk._span_blocks` enumerates it: block j is
-    the low span plus word j of the span of the other rows, each column
-    one translation of the low span's."""
+def _span_text(gf: GF, rows, n: int, s: int, offset=None):
+    """The point lines of x0 + span of the flat `rows`, x0 the flat
+    `offset` (zero when None), in `bulk.span_array` order, one block of
+    q^L points at a time, L the most low rows whose span fits in _BLOCK,
+    as `bulk._span_blocks` enumerates it: block j is x0 plus the low span
+    plus word j of the span of the other rows, each column one
+    translation of the low columns, which start from x0's digits."""
     k = len(rows)
     low_k = min(k, exponent(gf.q, _BLOCK + 1) - 1)
-    low = _span_columns(gf, rows[:low_k], n * s)
+    low = _span_columns(gf, rows[:low_k], n * s, offset)
     high = _span_columns(gf, rows[low_k:], n * s)
     digits = _add_tables(gf, DIGIT_CHARS.encode())
     for j in range(gf.q ** (k - low_k)):
@@ -361,13 +359,14 @@ def _array_text(dist: Distribution):
 def write_point_set(stream, dist: Distribution, comments=()) -> None:
     """Header "q n s N" preceded by the field line when e > 1, then one
     line per point: n digit strings, most significant digit first.  A
-    lazy span's lines come from its generator rows by `bytes.translate`
-    (`_span_text`), without numpy; an array's from its digit columns."""
+    lazy span's or coset's lines come from its generator rows and offset
+    by `bytes.translate` (`_span_text`), without numpy; an array's from
+    its digit columns."""
     space = dist.space
     if space.q > len(DIGIT_CHARS):
         raise ValueError("text digit format supports q <= 36")
     blocks = (_array_text(dist) if dist._array is not None
-              else _span_text(space.gf, dist.generator, space.n, space.s))
+              else _span_text(space.gf, dist.generator, space.n, space.s, dist.offset))
     _write(stream, space, len(dist), comments, blocks)
 
 
@@ -438,53 +437,56 @@ def _read_header(lines, kind: str):
 
 
 def _span_rows(data: bytes, start: int, space: Space, count: int):
-    """The flat rows B at points q^0, ..., q^(r-1) of a body, from byte
-    `start` of `data`, whose first `count` = q^r lines are byte for byte
-    the text `write_point_set` gives for span(B), B independent; else
-    None.  The text is compared block by block (`_span_text`), so a body
-    that is no such span stops at its first differing block, and no more
+    """(B, x0) for a body, from byte `start` of `data`, whose first
+    `count` = q^r lines are byte for byte the text `write_point_set` gives
+    for x0 + span(B), B independent: x0 the flat first point and B the
+    flat rows of the points at q^0, ..., q^(r-1) minus x0; else None.
+    The text is compared block by block (`_span_text`), so a body that is
+    no such span or coset stops at its first differing block, and no more
     text is built than the body holds."""
     from .codes import rank
 
-    q, n, s = space.q, space.n, space.s
+    q, n, s, gf = space.q, space.n, space.s, space.gf
     r, width = exponent(q, count), n * (s + 1)
     if q > len(DIGIT_CHARS) or q ** r != count or len(data) - start < count * width:
         return None
-    # a span's first point is the zero word, so a coset differs at once
-    if not data.startswith(b" ".join([b"0" * s] * n) + b"\n", start):
-        return None
-    rows = []
-    for m in range(r):
-        at = start + q ** m * width
+    points = []
+    for i in [0] + [q ** m for m in range(r)]:
+        at = start + i * width
         labels = data[at:at + width].translate(_DIGITS)
-        rows.append([labels[j * (s + 1) + s - 1 - d] for j in range(n) for d in range(s)])
-        if max(rows[-1]) >= q:
+        points.append([labels[j * (s + 1) + s - 1 - d] for j in range(n) for d in range(s)])
+        if max(points[-1]) >= q:
             return None
-    if rank(space.gf, rows) < r:
+    offset, *points = points
+    rows = [list(map(gf.sub, point, offset)) for point in points]
+    if rank(gf, rows) < r:
         return None
-    for text in _span_text(space.gf, rows, n, s):
+    for text in _span_text(gf, rows, n, s, offset):
         if not data.startswith(text, start):
             return None
         start += len(text)
-    return rows
+    return rows, offset
 
 
 def read_point_set(stream) -> Distribution:
     """Parse a point file from a binary or text stream; errors are
     `PointFileError`s naming the first offending line, checked in file
     order (coordinate count, then per digit string: length, bad digit,
-    digit >= q).  A file whose points spell out the span of its rows at
-    points q^0, ..., q^(r-1) in `bulk.span_array` order, as every file
-    `write_point_set` writes of a lazy span (`_span_rows`), is read as
-    that lazy span, without numpy; any other as an array."""
+    digit >= q).  A file whose points spell out x0 + span(B) in
+    `bulk.span_array` order, x0 its first point and B its points at
+    q^0, ..., q^(r-1) minus x0, as every file `write_point_set` writes of
+    a lazy span or coset (`_span_rows`), is read as that lazy set,
+    `Distribution(space, generator=B, offset=x0)`, without numpy; any
+    other as an array."""
     data = stream.read()
     data = data if isinstance(data, bytes) else data.encode()
     offsets = []
     field, n, s, count, lineno = _read_header(_byte_lines(data, offsets), "point set")
     space, limit = Space(field, n, s), min(field.q, len(DIGIT_CHARS))
-    rows = _span_rows(data, offsets[-1], space, count)
-    if rows is not None:
-        return Distribution(space, generator=rows)
+    found = _span_rows(data, offsets[-1], space, count)
+    if found is not None:
+        rows, offset = found
+        return Distribution(space, generator=rows, offset=offset)
     import numpy as np
 
     body = np.frombuffer(memoryview(data)[offsets[-1]:], dtype=np.uint8)

@@ -86,10 +86,31 @@ def run_without_numpy(script, cwd=None):
                      "assert 'numpy' not in sys.modules\n", cwd)
 
 
+def all_words(space):
+    """Every word of the space, in product order."""
+    rows = list(product(range(space.q), repeat=space.s))
+    return product(rows, repeat=space.n)
+
+
+def random_word(space, rng) -> Word:
+    return tuple(tuple(rng.randrange(space.q) for _ in range(space.s))
+                 for _ in range(space.n))
+
+
+def linear_combine(space, alpha: int, w1: Word, beta: int, w2: Word) -> Word:
+    """Digitwise alpha*w1 + beta*w2; the vector space law of Q^n(q^s)."""
+    return space.add(space.scale(alpha, w1), space.scale(beta, w2))
+
+
+def from_points(space, points) -> Distribution:
+    """The point set of exact coordinates `points`."""
+    return Distribution(space, words=[space.point_to_word(p) for p in points])
+
+
 def random_code(space, k, rng):
     """A uniformly random k-dimensional code (resampling until full rank)."""
     while True:
-        rows = [space.flatten(space.random_word(rng)) for _ in range(k)]
+        rows = [space.flatten(random_word(space, rng)) for _ in range(k)]
         code = LinearCode(space, rows)
         if code.k == k:
             return code
@@ -116,7 +137,7 @@ def all_subspaces(space):
     zero = LinearCode.zero(space)
     seen = {zero.basis: zero}
     frontier = [zero]
-    vectors = [space.flatten(w) for w in space.all_words()]
+    vectors = [space.flatten(w) for w in all_words(space)]
     while frontier:
         nxt = []
         for code in frontier:

@@ -633,23 +633,39 @@ def test_linear_point_files_run_without_numpy(tmp_path, capsys):
     assert run_without_numpy(calls) == "".join(out for _, out, _ in expected)
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
     assert [status for status, _, _ in expected] == [0] * len(commands)
-    # a moved point, a digital shift and a tab: each file is parsed into an
-    # array, with numpy, to the same answers and witness
+    # a digital shift in span order is read as its rows and an offset, and
+    # answers from them alone too
     lines = (tmp_path / "a.points").read_text().split("\n")
     first = lines.index("4 4 2 1024") + 1
-    moved = lines.copy()
-    moved[first + 9] = ("1" if moved[first + 9][0] != "1" else "2") + moved[first + 9][1:]
     # GF(4) adds labels as bit strings: 1 added to every leading digit
     shifted = lines[:first] + [str(int(x[0]) ^ 1) + x[1:] if x else x
                                for x in lines[first:]]
+    shift = tmp_path / "shifted"
+    (tmp_path / "shifted.points").write_text("\n".join(shifted))
+    commands = [f"verify --kind optimum --in {shift}.points",
+                f"verify --kind net --delta 3 --in {shift}.points",
+                f"spectrum --format json --in {shift}.points",
+                f"peano --type points --g 2 --in {shift}.points --out {shift}-merged.points"]
+    expected = [run(argv.split(), capsys) for argv in commands]
+    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
+                    for argv, (status, _, _) in zip(commands, expected))
+    assert run_without_numpy(calls) == "".join(out for _, out, _ in expected)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+    assert [status for status, _, _ in expected] == [0] * len(commands)
+    assert "weight_enumerator" not in json.loads(expected[2][1])  # a coset is not linear
+    # a moved point and a tab: each file is parsed into an array, with
+    # numpy, to the same answers and witness
+    moved = lines.copy()
+    moved[first + 9] = ("1" if moved[first + 9][0] != "1" else "2") + moved[first + 9][1:]
     tabs = lines.copy()
     tabs[first + 5] = tabs[first + 5].replace(" ", "\t", 1)
     copies = []
-    for name, text in (("moved", moved), ("shifted", shifted), ("tabs", tabs)):
+    for name, text in (("moved", moved), ("tabs", tabs)):
         (tmp_path / f"{name}.points").write_text("\n".join(text))
         copies.append(f"verify --kind optimum --in {tmp_path / name}.points")
     expected = [run(argv.split(), capsys) for argv in copies]
-    assert [status for status, _, _ in expected] == [1, 0, 0]
+    assert [status for status, _, _ in expected] == [1, 0]
     assert expected[0][1].startswith("optimum: False\nfirst failing box:")
     calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
                     for argv, (status, _, _) in zip(copies, expected))

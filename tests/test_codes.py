@@ -13,12 +13,13 @@ from nrtcodes.codes import (ENUMERATION_BOUND, LinearCode, _dependent_profile,
 from nrtcodes.construct import build_mds_code
 from nrtcodes.geometry import ElementaryBox
 from nrtcodes.gf import GF
-from nrtcodes.words import Distribution, Space, nrt_weight
+from nrtcodes.words import Distribution, Space, hamming_weight, nrt_weight
 
-from _helpers import (all_subspaces, bounded_compositions, box_count, box_duality_ok,
+from _helpers import (all_subspaces, all_words, bounded_compositions, box_count, box_duality_ok,
                       counted_weight, macwilliams_n1_ok, parity_weight_by_composition,
-                      profile_ranks_one_by_one, random_code, route_counts, rref_by_columns,
-                      run_without_numpy, span_array_by_passes, weight_enum_identity_n1)
+                      profile_ranks_one_by_one, random_code, random_word, route_counts,
+                      rref_by_columns, run_without_numpy, span_array_by_passes,
+                      weight_enum_identity_n1)
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
           9: GF(3, 2), 16: GF(2, 4)}
@@ -381,7 +382,7 @@ def _planted_code(space, k, rng):
                 for i in range(s)] for d in depths[:n]]
     assert nrt_weight(planted) == space.dim - k
     while True:
-        rows = [space.flatten(space.random_word(rng)) for _ in range(k - 1)]
+        rows = [space.flatten(random_word(space, rng)) for _ in range(k - 1)]
         code = LinearCode(space, rows + [space.flatten(planted)])
         if code.k == k:
             return code
@@ -691,6 +692,20 @@ def test_nrt_weights_match_the_per_word_weight():
     assert bulk.nrt_weights(np.zeros((0, 6), dtype=np.int16), 2, 3).shape == (0,)
 
 
+def test_depth_one_weights_match_the_per_word_hamming_weight():
+    # a Hamming weight is the NRT weight of the flat word at depth 1
+    rng = np.random.default_rng(9)
+    for q, n, s, count in ((2, 1, 1, 30), (3, 4, 2, 40), (5, 3, 4, 40), (16, 5, 3, 50),
+                           (2, 60, 1, 40), (7, 1, 200, 20), (4, 2, 3, 0)):
+        arr = rng.integers(0, q, size=(count, n, s), dtype=np.int16)
+        arr[rng.random(arr.shape) < 0.7] = 0
+        arr[:3] = 0  # all-zero words
+        want = [hamming_weight(tuple(map(tuple, word.tolist()))) for word in arr]
+        for view in (arr, arr.reshape(count, n * s), arr.reshape(count, n * s, 1)):
+            got = bulk.nrt_weights(view, n * s, 1)
+            assert got.shape == (count,) and got.tolist() == want
+
+
 def test_sub_anchor_matches_the_table_gather():
     rng = np.random.default_rng(8)
     for gf in (GF(2), GF(3), GF(2, 2), GF(3, 2)):
@@ -708,7 +723,7 @@ def test_box_enumerator_examples():
     phi = corner_box_counts(origin)
     assert all(v == 1 for v in phi.values())
     assert len(phi) == (sp.s + 1) ** sp.n
-    whole = Distribution(sp, words=list(sp.all_words()))
+    whole = Distribution(sp, words=list(all_words(sp)))
     phi_whole = corner_box_counts(whole)
     for a_vec, count in phi_whole.items():
         assert count == 2 ** (sp.dim - sum(a_vec))
@@ -719,7 +734,7 @@ def test_box_enumerator_matches_box_count():
     rng = random.Random(8)
     for gf, n, s in ((GF(2), 2, 2), (GF(3), 1, 3), (GF(2, 2), 3, 1), (GF(5), 2, 2)):
         sp = Space(gf, n, s)
-        words = [sp.random_word(rng) for _ in range(rng.randrange(1, 12))]
+        words = [random_word(sp, rng) for _ in range(rng.randrange(1, 12))]
         dist = Distribution(sp, words=words + words[:2])
         phi = corner_box_counts(dist)
         assert len(phi) == (s + 1) ** n
@@ -833,7 +848,7 @@ def test_weight_enumerator_examples():
     sp = Space(GF(2), 1, 2)
     origin = Distribution(sp, words=[sp.zero()])
     assert weight_enumerator(origin) == [1, 0, 0]
-    whole = Distribution(sp, words=list(sp.all_words()))
+    whole = Distribution(sp, words=list(all_words(sp)))
     assert weight_enumerator(whole) == [1, 1, 2]
 
 

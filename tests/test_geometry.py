@@ -15,12 +15,12 @@ from nrtcodes.geometry import (BoxReport, ElementaryBox, _box_report, base_reduc
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (bounded_compositions, box_contains, box_count, family_report,
-                      lattice_discrepancy, min_distance, same_multiset)
+from _helpers import (all_words, bounded_compositions, box_contains, box_count, family_report,
+                      from_points, lattice_discrepancy, min_distance, random_word, same_multiset)
 
 
 def frac_points(sp, pts):
-    return Distribution.from_points(sp, [tuple(Fraction(x) for x in p) for p in pts])
+    return from_points(sp, [tuple(Fraction(x) for x in p) for p in pts])
 
 
 def test_box_count_examples():
@@ -38,7 +38,7 @@ def test_box_membership_is_interval_membership():
     sp = Space(GF(3), 2, 2)
     rng = random.Random(0)
     for _ in range(200):
-        w = sp.random_word(rng)
+        w = random_word(sp, rng)
         pt = sp.word_to_point(w)
         a = tuple(rng.randrange(3) for _ in range(2))
         m = tuple(rng.randrange(3 ** aj) for aj in a)
@@ -87,7 +87,7 @@ def test_is_net_examples():
 
 def test_is_optimum_examples():
     sp = Space(GF(3), 2, 2)
-    whole = Distribution(sp, words=list(sp.all_words()))
+    whole = Distribution(sp, words=list(all_words(sp)))
     assert is_optimum(whole, 4)
     built = build_optimum_distribution(sp, 2)
     assert is_optimum(built, 2)
@@ -264,7 +264,7 @@ def test_base_reduce_net():
 def test_optimum_iff_mds_exhaustive():
     # q=2, n=2, s=1, k=1: every 2-point subset, both directions
     sp = Space(GF(2), 2, 1)
-    words = list(sp.all_words())
+    words = list(all_words(sp))
     for pair in itertools.combinations(words, 2):
         d = Distribution(sp, words=list(pair))
         dist_weight = nrt_weight(sp.sub(pair[0], pair[1]))
@@ -274,7 +274,7 @@ def test_optimum_iff_mds_exhaustive():
 def test_optimum_iff_mds_randomized():
     rng = random.Random(5)
     sp = Space(GF(3), 2, 1)
-    words = list(sp.all_words())
+    words = list(all_words(sp))
     for _ in range(60):
         d = Distribution(sp, words=rng.sample(words, 3))
         min_dist = min_distance(d, "nrt")
@@ -286,7 +286,7 @@ def test_corner_box_membership_iff_weight():
     for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(3), 1, 4)):
         sp = Space(gf, n, s)
         ns = n * s
-        for w in sp.all_words():
+        for w in all_words(sp):
             for k in range(ns + 1):
                 in_some = any(
                     all(
@@ -342,7 +342,7 @@ def test_star_discrepancy_examples():
     for q, s in ((2, 3), (3, 2)):
         gf = GF(q)
         sp = Space(gf, 1, s)
-        full = Distribution(sp, words=list(sp.all_words()))
+        full = Distribution(sp, words=list(all_words(sp)))
         assert star_discrepancy(full) == Fraction(1, q ** s)
     # coordinates beyond 64-bit integers: one point at 1 - 2^-70
     deep = Space(GF(2), 1, 70)
@@ -359,7 +359,7 @@ def test_star_discrepancy_matches_bruteforce():
     for trial in range(200):
         sp = spaces[trial % len(spaces)]
         count = rng.randrange(1, 10)
-        words = [sp.random_word(rng) for _ in range(count)]
+        words = [random_word(sp, rng) for _ in range(count)]
         if count > 2:
             words[-1] = words[0]  # a repeated point
         d = Distribution(sp, words=words)
@@ -385,7 +385,7 @@ def test_star_discrepancy_in_int64_and_in_python_integers():
     for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(2, 2), 3, 1), (GF(5), 1, 3)):
         sp = Space(gf, n, s)
         for _ in range(10):
-            d = Distribution(sp, words=[sp.random_word(rng) for _ in range(rng.randrange(1, 12))])
+            d = Distribution(sp, words=[random_word(sp, rng) for _ in range(rng.randrange(1, 12))])
             pad = 64 // n  # len(d) * 2^(n * (s + pad)) >= 2^64
             deep = Distribution(Space(gf, n, s + pad), array=np.concatenate(
                 [np.zeros((len(d), n, pad), dtype=np.int16), d.array()], axis=2))
@@ -402,7 +402,7 @@ def test_star_discrepancy_keys_at_the_int64_edge():
     rng = random.Random(13)
     sp = Space(GF(3), 2, 3)
     for _ in range(10):
-        d = Distribution(sp, words=[sp.random_word(rng) for _ in range(rng.randrange(1, 12))])
+        d = Distribution(sp, words=[random_word(sp, rng) for _ in range(rng.randrange(1, 12))])
         expected = lattice_discrepancy(d)
         for depth in (39, 40):
             deep = Distribution(Space(GF(3), 2, depth), array=np.concatenate(

@@ -1,16 +1,23 @@
-"""`codes.own_span`, the one proof that a point set is its own span,
-against the oracle "N = q^rank = the number of distinct rows", and the
-commands that decide a span from its rows: `spectrum` and `verify`."""
+"""`codes.own_span`, the one proof that a point set is its own span or a
+coset of one, against the oracle "N = q^rank = the number of distinct
+rows" of the points minus the first, and the commands that decide a span
+or a coset from its rows: `spectrum` and `verify`."""
+
+import contextlib
+import io
+import json
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from nrtcodes import bulk, codes, geometry
 from nrtcodes.cli import main
 from nrtcodes.codes import LinearCode, own_span
 from nrtcodes.construct import build_optimum_distribution
 from nrtcodes.gf import GF
-from nrtcodes.words import Distribution, Space
+from nrtcodes.words import Distribution, Space, nrt_weight
+
+from _helpers import bounded_compositions, family_report, point_lines_by_word, span_array_by_passes
 
 
 def is_own_span(space, rows):
@@ -21,13 +28,20 @@ def is_own_span(space, rows):
 
 
 def check(space, rows):
+    """`own_span` against the oracle: the points are a coset x0 + C, each
+    once, iff the points minus x0, x0 the first point, are their own
+    span C."""
     dist = Distribution(space, array=rows.reshape(len(rows), space.n, space.s))
     got = own_span(dist)
-    assert (got is not None) == is_own_span(space, rows)
+    gf = space.gf
+    moved = gf.add_table[rows, gf.neg_table[rows[0]][None]] if len(rows) else rows
+    assert (got is not None) == is_own_span(space, moved)
     if got is not None:
         # the file's array, in its order, with the RREF basis of its span
+        # and its first point as offset
         assert got.array() is dist.array() and len(got) == len(dist)
-        assert got.generator == LinearCode(space, rows.tolist()).basis
+        assert got.generator == LinearCode(space, moved.tolist()).basis
+        assert got.offset == (tuple(rows[0].tolist()) if rows[0].any() else None)
     return got
 
 
@@ -147,19 +161,27 @@ def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
     assert main(["generate", "--q", "4", "--n", "4", "--s", "2", "--k", "4",
                  "--out", prefix]) == 0
     capsys.readouterr()
+    # a digital shift, and its CRLF copy: GF(4) adds labels as bit strings,
+    # so 1 is added to the leading digit of every first coordinate
+    lines = (tmp_path / "g.points").read_text().split("\n")
+    first = lines.index("4 4 2 256") + 1
+    shifted = lines[:first] + [str(int(x[0]) ^ 1) + x[1:] if x else x for x in lines[first:]]
+    (tmp_path / "shift.points").write_text("\n".join(shifted))
+    (tmp_path / "shift-crlf.points").write_text("\r\n".join(shifted))
 
     def refuse(*args):
         raise AssertionError("_box_report reached")
 
     monkeypatch.setattr(geometry, "_box_report", refuse)
-    assert main(["spectrum", "--in", f"{prefix}.points"]) == 0
-    out = capsys.readouterr().out
-    assert "formula matches: True" in out
-    assert main(["verify", "--kind", "optimum", "--in", f"{prefix}.points"]) == 0
-    assert capsys.readouterr().out == "optimum: True\n"
-    # a net's yes is the rank walk's, on the file and on its merged copy
-    assert main(["verify", "--kind", "net", "--delta", "2", "--in", f"{prefix}.points"]) == 0
-    assert capsys.readouterr().out == "net: True\n"
+    for path in (f"{prefix}.points", tmp_path / "shift.points", tmp_path / "shift-crlf.points"):
+        assert main(["spectrum", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "formula matches: True" in out
+        assert main(["verify", "--kind", "optimum", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "optimum: True\n"
+        # a net's yes is the rank walk's, on the file and on its merged copy
+        assert main(["verify", "--kind", "net", "--delta", "2", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "net: True\n"
     assert main(["peano", "--type", "points", "--g", "2", "--in", f"{prefix}.points",
                  "--out", f"{prefix}-merged.points"]) == 0
     capsys.readouterr()
@@ -186,3 +208,75 @@ def test_a_moved_copy_keeps_its_witness(tmp_path, capsys):
         "optimum: False\n"
         "first failing box: sides (2, 2, 0, 0) positions (6, 14, 0, 0) "
         "holds 0, expected 1\n")
+
+
+def _run(argv):
+    """`main`'s status and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_cosets_answer_as_their_points_do(tmp_path_factory, data):
+    """A coset x0 + span(B), in span order, with CRLF line ends, permuted,
+    or with one point moved: `verify --kind optimum`, `verify --kind net`
+    at every deficiency and `spectrum --format json` agree with the box
+    counts of `family_report`, witness included, and with the NRT weight
+    histogram from the first point (from zero where zero is a point)."""
+    draw = data.draw
+    gf = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5)]))
+    space = Space(gf, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    q, n, s, dim = gf.q, space.n, space.s, space.dim
+    k = draw(st.integers(0, max(k for k in range(dim + 1) if q ** k <= 625)))
+    word = st.lists(st.integers(0, q - 1), min_size=dim, max_size=dim)
+    if n <= q + 1 and k and draw(st.booleans()):
+        rows = build_optimum_distribution(space, k).generator
+    else:
+        rows = draw(st.lists(word, min_size=k, max_size=k))
+    offset = np.array(draw(word))
+    arr = gf.add_table[span_array_by_passes(gf, rows, dim), offset[None]]
+    kind = draw(st.sampled_from(["span order", "crlf", "permuted", "moved"]))
+    if kind == "permuted":
+        arr = arr[draw(st.permutations(range(len(arr))))]
+    elif kind == "moved":
+        i, c = draw(st.integers(0, len(arr) - 1)), draw(st.integers(0, dim - 1))
+        arr[i, c] = gf.add(int(arr[i, c]), draw(st.integers(1, q - 1)))
+    arr = arr.reshape(len(arr), n, s)
+    head = (gf.describe() + "\n" if gf.e > 1 else "") + f"{q} {n} {s} {len(arr)}\n"
+    text = head.encode() + point_lines_by_word(arr)
+    path = tmp_path_factory.getbasetemp() / "coset.points"
+    path.write_bytes(text.replace(b"\n", b"\r\n") if kind == "crlf" else text)
+    dist = Distribution(space, array=arr)
+
+    def expect(name, report):
+        if report.ok:
+            return 0, f"{name}: True\n"
+        return 1, (f"{name}: False\nfirst failing box: sides {report.box.a} positions "
+                   f"{report.box.m} holds {report.count}, expected {report.expected}\n")
+
+    optimum = family_report(dist, [(a, 1) for a in bounded_compositions(k, n, s)])
+    assert _run(["verify", "--kind", "optimum", "--in", str(path)]) == expect("optimum", optimum)
+    for delta in range(k + 1):
+        t = k - delta  # sides above s read zero digits
+        net = family_report(dist, [(a, q ** delta) for a in bounded_compositions(t, n, t)])
+        assert _run(["verify", "--kind", "net", "--delta", str(delta), "--in", str(path)]) == (
+            expect("net", net))
+    flat = arr.reshape(len(arr), dim)
+    anchor = arr[0] if flat.any(axis=1).all() else np.zeros_like(arr[0])
+    hist = [0] * (dim + 1)
+    for point in arr:
+        hist[nrt_weight(gf.add_table[point, gf.neg_table[anchor]].tolist())] += 1
+    status, out = _run(["spectrum", "--format", "json", "--in", str(path)])
+    payload = json.loads(out)
+    assert status == 0 and payload["w"] == hist
+    assert payload["anchor"] == anchor.tolist()
+    assert ("formula" in payload) == optimum.ok
+    linear = is_own_span(space, flat)
+    assert ("weight_enumerator" in payload) == ("box_enumerator" in payload) == linear
+    if kind != "moved" and LinearCode(space, rows).k == k:
+        # a coset of q^k points, each once, is linear iff it holds zero
+        assert linear == (not flat.any(axis=1).all())
+    event(f"{kind} linear={linear} optimum={optimum.ok}")

@@ -14,8 +14,8 @@ from nrtcodes.spectra import (ball_size, composition_count, distance_spectrum,
                               nets_exist, sphere_size, weak_composition_count)
 from nrtcodes.words import Distribution, Space, nrt_weight, row_weight
 
-from _helpers import (ball_packing_ok, bounded_compositions, mds_spectrum_alt,
-                      net_spectrum_alt)
+from _helpers import (all_words, ball_packing_ok, bounded_compositions, mds_spectrum_alt,
+                      net_spectrum_alt, random_word)
 
 
 def compositions_brute(parts, total, bound):
@@ -53,7 +53,7 @@ def test_weak_composition_count():
 def brute_sphere(q, n, s, gf):
     sp = Space(gf, n, s)
     hist = [0] * (n * s + 1)
-    for w in sp.all_words():
+    for w in all_words(sp):
         hist[nrt_weight(w)] += 1
     return hist
 
@@ -82,7 +82,7 @@ def test_fragment_decomposition():
         (Fraction(1, q ** (s - b + 1)), Fraction(1, q ** (s - b)))
         for b in range(1, s + 1)
     ]
-    for w in sp.all_words():
+    for w in all_words(sp):
         pt = sp.word_to_point(w)
         fragment = tuple(
             next(b for b, (lo, hi) in enumerate(intervals) if lo <= x < hi)
@@ -109,7 +109,7 @@ def test_ball_is_union_of_boxes():
     gf = GF(2)
     sp = Space(gf, 2, 2)
     s = 2
-    for w in sp.all_words():
+    for w in all_words(sp):
         for t in range(5):
             in_union = any(
                 all(all(w[j][s - 1 - i] == 0 for i in range(s - a))
@@ -123,7 +123,7 @@ def test_distance_spectrum_basics():
     sp = Space(GF(2), 2, 2)
     single = Distribution(sp, words=[sp.zero()])
     assert distance_spectrum(single, sp.zero()) == [1, 0, 0, 0, 0]
-    whole = Distribution(sp, words=list(sp.all_words()))
+    whole = Distribution(sp, words=list(all_words(sp)))
     spec = distance_spectrum(whole, sp.zero())
     assert spec == [sphere_size(r, 2, 2, 2) for r in range(5)]
     with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ def test_mds_spectrum_of_the_zero_code():
         assert mds_spectrum_alt(n, s, 0, q) == [1] + [0] * (n * s)
         # a one-point set is an optimum distribution with k = 0
         sp = Space(GF(2), n, s)
-        point = Distribution(sp, words=[sp.random_word(random.Random(n))])
+        point = Distribution(sp, words=[random_word(sp, random.Random(n))])
         assert distance_spectrum(point, point.word(0)) == mds_spectrum(n, s, 0, q)
     for k in (-1, 7):
         with pytest.raises(ValueError, match="k out of range"):

@@ -17,8 +17,9 @@ from nrtcodes.words import (_WIDE_SPACE, Distribution, PointFileError, Space,
                             hamming_weight, nrt_weight, read_point_set,
                             row_weight, write_point_set)
 
-from _helpers import (min_distance, point_lines_by_word, read_point_array_by_line,
-                      same_multiset, span_array_by_passes, word_to_base_p)
+from _helpers import (all_words, from_points, linear_combine, min_distance, point_lines_by_word,
+                      random_word, read_point_array_by_line, same_multiset, span_array_by_passes,
+                      word_to_base_p)
 
 
 def test_weight_worked_example():
@@ -37,9 +38,9 @@ def test_linear_combine():
     sp = Space(GF(2), 1, 2)
     half = sp.point_to_word((Fraction(1, 2),))
     assert half == ((0, 1),)
-    assert sp.linear_combine(1, half, 1, half) == sp.zero()
+    assert linear_combine(sp, 1, half, 1, half) == sp.zero()
     x = sp.point_to_word((Fraction(1, 4),))
-    assert sp.linear_combine(1, x, 0, half) == x
+    assert linear_combine(sp, 1, x, 0, half) == x
     assert sp.sub(x, x) == sp.zero()
 
 
@@ -53,13 +54,13 @@ def test_inner_product_examples():
     rng = random.Random(0)
     sp4 = Space(GF(2, 2), 2, 3)
     for _ in range(30):
-        w1, w2 = sp4.random_word(rng), sp4.random_word(rng)
+        w1, w2 = random_word(sp4, rng), random_word(sp4, rng)
         assert sp4.inner(w1, w2) == sp4.inner(w2, w1)
 
 
 def test_inner_product_nondegenerate():
     sp = Space(GF(2), 2, 2)
-    words = list(sp.all_words())
+    words = list(all_words(sp))
     for w in words:
         if all(sp.inner(w, other) == 0 for other in words):
             assert w == sp.zero()
@@ -67,7 +68,7 @@ def test_inner_product_nondegenerate():
 
 def test_metric_axioms_exhaustive_small():
     sp = Space(GF(2), 2, 2)
-    words = list(sp.all_words())
+    words = list(all_words(sp))
     for w in words:
         if w != sp.zero():
             assert nrt_weight(w) > 0
@@ -82,7 +83,7 @@ def test_metric_axioms_randomized():
     for gf in (GF(3), GF(2, 2)):
         sp = Space(gf, 3, 2)
         for _ in range(200):
-            w1, w2 = sp.random_word(rng), sp.random_word(rng)
+            w1, w2 = random_word(sp, rng), random_word(sp, rng)
             a = rng.randrange(1, gf.q)
             assert nrt_weight(sp.scale(a, w1)) == nrt_weight(w1)
             assert nrt_weight(sp.add(w1, w2)) <= nrt_weight(w1) + nrt_weight(w2)
@@ -103,7 +104,7 @@ def test_lower_triangular_invariance():
                 v[i][i] = rng.randrange(1, gf.q)
                 for j in range(i):
                     v[i][j] = rng.randrange(gf.q)
-            row = sp.random_word(rng)[0]
+            row = random_word(sp, rng)[0]
             image = tuple(
                 # sum_i row[i] * v[i][j]
                 _dot(gf, row, [v[i][j] for i in range(s)])
@@ -138,7 +139,7 @@ def test_point_word_roundtrip():
         sp = Space(gf, 2, 3)
         rng = random.Random(3)
         for _ in range(50):
-            w = sp.random_word(rng)
+            w = random_word(sp, rng)
             assert sp.point_to_word(sp.word_to_point(w)) == w
     sp = Space(GF(2), 1, 2)
     with pytest.raises(ValueError):
@@ -147,13 +148,13 @@ def test_point_word_roundtrip():
 
 def test_distribution_basics():
     sp = Space(GF(2), 2, 1)
-    d = Distribution.from_points(sp, [(Fraction(0), Fraction(0)),
-                                      (Fraction(1, 2), Fraction(1, 2))])
+    d = from_points(sp, [(Fraction(0), Fraction(0)),
+                         (Fraction(1, 2), Fraction(1, 2))])
     assert len(d) == 2
     assert min_distance(d, "nrt") == 2
     d2 = Distribution(sp, words=list(reversed(d.words())))
     assert same_multiset(d, d2)
-    d3 = Distribution.from_points(sp, [(Fraction(0), Fraction(0))] * 2)
+    d3 = from_points(sp, [(Fraction(0), Fraction(0))] * 2)
     assert not same_multiset(d, d3)
     assert min_distance(d3, "nrt") == 0
     empty = np.zeros((0, 2, 1), dtype=np.int16)
@@ -163,7 +164,7 @@ def test_distribution_basics():
 
 def test_distribution_projection():
     sp = Space(GF(3), 1, 3)
-    d = Distribution.from_points(sp, [(Fraction(m, 27),) for m in (0, 5, 26)])
+    d = from_points(sp, [(Fraction(m, 27),) for m in (0, 5, 26)])
     proj = d.project(2)
     assert proj.space.s == 2
     # keeping the first two ternary digits of m/27 gives floor(m/3)/9
@@ -184,7 +185,7 @@ def test_point_set_file_roundtrip():
     for gf in (GF(3), GF(2, 2)):
         sp = Space(gf, 2, 2)
         rng = random.Random(4)
-        d = Distribution(sp, words=[sp.random_word(rng) for _ in range(7)])
+        d = Distribution(sp, words=[random_word(sp, rng) for _ in range(7)])
         buf = io.StringIO()
         write_point_set(buf, d, comments=["roundtrip"])
         back = read_point_set(io.StringIO(buf.getvalue()))
@@ -246,7 +247,7 @@ def test_vectorized_parse_matches_line_parser(data):
     n, s, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     sp = Space(gf, n, s)
-    dist = Distribution(sp, words=[sp.random_word(rng) for _ in range(count)])
+    dist = Distribution(sp, words=[random_word(sp, rng) for _ in range(count)])
     buf = io.StringIO()
     write_point_set(buf, dist, comments=["generated"])
     lines = buf.getvalue().split("\n")[:-1]
@@ -324,8 +325,8 @@ SPAN_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(3, 2)]
 @given(st.data())
 def test_a_file_is_read_as_its_span_exactly_when_it_spells_the_span_out(data):
     draw = data.draw
-    kind = draw(st.sampled_from(["span", "moved", "shift", "permuted", "crlf", "upper",
-                                 "tab", "trailing", "truncated", "dependent"]))
+    kind = draw(st.sampled_from(["span", "moved", "shift", "shift crlf", "permuted", "crlf",
+                                 "upper", "tab", "trailing", "truncated", "dependent"]))
     # 11: an upper-case digit needs a letter
     gf = GF(11) if kind == "upper" else draw(st.sampled_from(SPAN_FIELDS))
     space = Space(gf, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
@@ -349,10 +350,14 @@ def test_a_file_is_read_as_its_span_exactly_when_it_spells_the_span_out(data):
         digit = DIGIT_CHARS.index(chr(lines[i][at]))
         new = DIGIT_CHARS[gf.add(digit, draw(st.integers(1, q - 1)))]
         lines[i] = lines[i][:at] + new.encode() + lines[i][at + 1:]
-    elif kind == "shift":
+    elif kind.startswith("shift"):
         shift = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
         shifted = gf.add_table[arr.reshape(len(arr), dim), shift[None]]
         lines[body:] = point_lines_by_word(shifted.reshape(arr.shape)).split(b"\n")[:-1]
+        # the writer spells out the same coset from its rows and offset
+        coset = _written(Distribution(space, generator=rows, offset=shift.tolist()),
+                         comments=["drawn"])
+        assert coset == b"".join(line + b"\n" for line in lines)
     elif kind == "permuted":
         lines[body:] = [lines[body + i] for i in draw(st.permutations(range(len(arr))))]
     elif kind == "upper":
@@ -366,12 +371,13 @@ def test_a_file_is_read_as_its_span_exactly_when_it_spells_the_span_out(data):
         lines += draw(st.lists(st.sampled_from([b"junk", b"", b"# end", lines[-1]]),
                                min_size=1, max_size=2))
     text = b"".join(line + b"\n" for line in lines)
-    if kind == "crlf":
+    if kind.endswith("crlf"):
         text = text.replace(b"\n", b"\r\n")
     elif kind == "truncated":
         start = sum(len(line) + 1 for line in lines[:body])
         text = text[:draw(st.integers(start, len(text) - 1))]
-    # the oracle, and the files that must be read as a lazy span
+    # the oracle, and the files that must be read as a lazy span or coset:
+    # x0 + span(B), x0 the first point and B the points at q^m minus x0
     old = _parse_outcome(read_point_array_by_line, text.decode())
     new = _parse_outcome(read_point_set, text)
     if not isinstance(old, np.ndarray):
@@ -382,13 +388,19 @@ def test_a_file_is_read_as_its_span_exactly_when_it_spells_the_span_out(data):
     count = len(old)
     r = next(r for r in range(count + 1) if q ** r >= count)
     flat = old.reshape(count, dim)
-    basis = [flat[q ** m].tolist() for m in range(r)] if q ** r == count else None
+    x0 = flat[0] if count else None
+    basis = ([[gf.sub(int(a), int(b)) for a, b in zip(flat[q ** m], x0)] for m in range(r)]
+             if q ** r == count else None)
     start = sum(len(line) + 1 for line in lines[:body])
     spelled = (basis is not None and rank(gf, basis) == r and text[start:].startswith(
-        point_lines_by_word(span_array_by_passes(gf, basis, dim).reshape(old.shape))))
+        point_lines_by_word(gf.add_table[span_array_by_passes(gf, basis, dim), x0[None]]
+                            .reshape(old.shape))))
     assert lazy == spelled, kind
     event(f"{kind} {lazy}")
-    if kind in ("span", "trailing"):
+    if lazy:
+        assert new.generator == tuple(map(tuple, basis))
+        assert new.offset == (tuple(x0.tolist()) if x0.any() else None)
+    if kind in ("span", "trailing", "shift"):
         assert spelled == (rank(gf, rows) == k)
 
 
