@@ -10,11 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import GF
-
-
-# words of the span of the low rows; the rest of a span is visited as
-# translates of that block, so no pass holds more than this many words
-_BLOCK = 1 << 14
+from .words import _BLOCK
 
 
 def _index_dtype(q: int):

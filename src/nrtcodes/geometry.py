@@ -4,11 +4,11 @@ star discrepancy.
 Box membership is decided purely on digits: a point lies in the box with
 side exponents A and positions M iff its leading a_j radix digits agree
 with those of m_j / q^(a_j) in every coordinate.  The net, optimum and
-full-count checks share one box count, `_box_report`: side-exponent
-vectors A in colex order, positions M in mixed-radix order, so failure
-reports are deterministic.  The optimum check of a span, or of a coset
-of one, first asks the one MDS certificate, `codes.is_mds`, of its
-generator's code.
+full-count checks share one walk over the box families, `_box_report`:
+side-exponent vectors A in colex order, positions M in mixed-radix order,
+so failure reports are deterministic; a set with a generator (a span or
+a coset) is walked on the ranks of its rows.  Its optimum check first
+asks the one MDS certificate, `codes.is_mds`, of its generator's code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .codes import LinearCode, _dependent_profile, _turned, is_mds
+from .codes import LinearCode, _lookups, _push, in_span, is_mds
 from .words import Distribution
 
 DISCREPANCY_CELL_BOUND = 1 << 20
@@ -52,74 +52,84 @@ class BoxReport(namedtuple("BoxReport", "ok box count expected",
 
 
 def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
-    """Check that every elementary box whose side exponents sum to `total`,
-    each at most `bound`, holds len(dist) / q^total points; the witness is
-    the first failing box, in key order, of the first failing family in
-    colex order, the last coordinate's exponent outermost: the order of
-    the walk.  A point's key in family a is
-    m_1 + q^a_1 (m_2 + q^a_2 (m_3 + ...)); one more unit of a_j takes the
-    key times q plus the next digit column of coordinate j (zero past the
-    stored digits).  The walk loops down a coordinate and recurses only
-    across coordinates, so it holds at most n key arrays.  Each family is
-    one bincount of q^total <= len(dist) cells."""
-    import numpy as np
+    """Check that every elementary box whose side exponents sum to `total`
+    <= k, each at most `bound`, holds q^(k - total) of the q^k points; the
+    witness is the first failing box, in key order, of the first failing
+    family in colex order, last coordinate outermost: the walk's order.  It
+    recurses only across coordinates, holding at most n states, each one
+    extended by a digit column of coordinate j per unit of a_j: an array's
+    keys m_1 + q^a_1 (m_2 + ...) times q plus the digits (0 past the stored
+    ones), one bincount a family; or the `codes._push` stack of B's RREF
+    columns for a set x0 + span(B), none past the stored digits, so no
+    point is built.  A family reaches q^r boxes, r its columns' rank, of
+    q^(k - r) points: all fail iff r < total, and box 0 is reached iff x0
+    on those columns lies in their row space."""
+    space, rows, a_vec = dist.space, dist.generator, [0] * dist.space.n
+    q, n, s = space.q, space.n, space.s
+    if rows is None:
+        import numpy as np
+        eta, copy = dist.eta_array(), np.copy
+        per_box, state = len(dist) // q ** total, np.zeros(len(dist), dtype=np.int64)
 
-    q, n, s = dist.space.q, dist.space.n, dist.space.s
-    if dist.size() >= 1 << 63 or q ** total > 1 << 63:
-        raise ValueError("point set or box family too large for 64-bit box indices")
-    eta = dist.eta_array()
-    per_box = len(dist) // q ** total
-    a_vec = [0] * n
+        def extend(keys, j, a):
+            keys *= q
+            if a <= s:
+                keys += eta[:, j, a - 1]
 
-    def walk(j: int, keys, left: int) -> BoxReport:
-        # the families with a_vec[j + 1:] fixed and sum(a_vec[:j + 1]) =
-        # left; `keys` are the points' keys over coordinates j + 1, ...
-        keys = keys.copy()
+        def leaf(keys):
+            counts = np.bincount(keys, minlength=q ** total)
+            bad = np.flatnonzero(counts != per_box)
+            if bad.size:
+                m_vec = np.unravel_index(bad[0], [q ** a_j for a_j in reversed(a_vec)])
+                return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(
+                    int(m) for m in reversed(m_vec))), int(counts[bad[0]]), per_box)
+    else:
+        basis, lookups, copy = LinearCode(space, rows).basis, _lookups(space.gf), list.copy
+        columns = list(zip(*basis)) or [()] * space.dim
+        per_box, state = q ** (len(rows) - total), []
+
+        def extend(echelon, j, a):
+            if a <= s:
+                _push(lookups, echelon, columns[j * s + s - a])
+
+        def leaf(echelon):
+            if len(echelon) < total:
+                cols = [j * s + s - a for j in range(n) for a in range(1, min(a_vec[j], s) + 1)]
+                sub = [[r[c] for c in cols] for r in basis]
+                reached = not dist.offset or in_span(space.gf, sub, [dist.offset[c] for c in cols])
+                return BoxReport(False, ElementaryBox(tuple(a_vec), (0,) * n),
+                                 q ** (len(rows) - len(echelon)) if reached else 0, per_box)
+
+    def walk(j: int, state, left: int) -> BoxReport | None:
+        # the first failure of the families ending in a_vec[j + 1:] whose a_0..a_j sum to left
+        state = copy(state)
         for a in range(min(left, bound) + 1):
             if a:
-                keys *= q
-                if a <= s:
-                    keys += eta[:, j, a - 1]
+                extend(state, j, a)
             a_vec[j] = a
             if j and left - a <= j * bound:
-                report = walk(j - 1, keys, left - a)
-                if not report:
+                report = walk(j - 1, state, left - a)
+                if report is not None:
                     return report
             elif not j and a == left:
-                counts = np.bincount(keys, minlength=q ** total)
-                bad = np.flatnonzero(counts != per_box)
-                if bad.size:
-                    m_vec = np.unravel_index(bad[0], [q ** a_j for a_j in reversed(a_vec)])
-                    return BoxReport(False, ElementaryBox(
-                        tuple(a_vec), tuple(int(m) for m in reversed(m_vec))),
-                        int(counts[bad[0]]), per_box)
-        return BoxReport(True)
+                return leaf(state)
 
-    return walk(n - 1, np.zeros(len(dist), dtype=np.int64), total)
+    report = walk(n - 1, state, total)
+    return BoxReport(True) if report is None else report
 
 
 def net_report(dist: Distribution, delta: int) -> BoxReport:
     """Check the defining property of a (delta, s, n)-net in base q: every
     elementary box of volume q^(delta-s) holds exactly q^delta points.
-    The net parameter s is read off from the cardinality q^s.  A set with
-    a generator of s independent rows, whatever its offset (see
-    `optimum_report`), is a net when t = s - delta is at most the digit
-    depth, so that no box side passes the stored digits, and no prefix
-    profile of total t has dependent columns: one
-    `codes._dependent_profile` walk over the basis turned end to end
-    (`codes._turned`), as `codes.is_mds` walks at total k.  Its "no", and
-    any other set, goes to the box count `_box_report` for its witness."""
-    space, rows, s_net = dist.space, dist.generator, dist.exponent()
+    The net parameter s is read off from the cardinality q^s.  One
+    `_box_report` walk over the families of total s - delta decides it,
+    and gives the witness; a set with a generator is walked on ranks."""
+    s_net = dist.exponent()
     if s_net is None:
         raise ValueError("not q^s points")
     if not 0 <= delta <= s_net:
         raise ValueError("deficiency out of range")
-    t = s_net - delta
-    if rows is not None and t <= space.s:
-        code = LinearCode(space, rows)
-        if code.k == s_net and _dependent_profile(space, _turned(code.basis), t, t) > t:
-            return BoxReport(True)
-    return _box_report(dist, t, t)
+    return _box_report(dist, s_net - delta, s_net - delta)
 
 
 def is_net(dist: Distribution, delta: int) -> bool:
@@ -131,11 +141,10 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     holds exactly one of the q^k points; at a coarser digit depth d, check
     `dist.project(d)`.  A set with a generator of k rows (a built span,
     or a file `codes.own_span` proved a span or a coset of one) holds q^k
-    points, however many; it is optimum if the rows are independent and
-    span an MDS code (`codes.is_mds`), and trivially if there are none.
-    Its offset does not enter: adding it digit by digit only permutes the
-    boxes of each family.  Its "no", and any other set, goes to the box
-    count `_box_report` for its witness."""
+    points, however many; whatever its offset, it is optimum if the rows
+    are independent and span an MDS code (`codes.is_mds`), and trivially
+    if there are none.  Its "no", and any other set, goes to the one walk
+    `_box_report` for its witness."""
     space, rows = dist.space, dist.generator
     if dist.exponent() != k:
         raise ValueError("not q^k points")

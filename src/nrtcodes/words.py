@@ -169,9 +169,8 @@ class Distribution:
     span or a coset in span order as one, and `write_point_set` writes one
     from its rows.  A set is linear iff its offset lies in the span of
     its generator.  A digital shift permutes the boxes of every family,
-    so `codes.is_mds` of the generator's code decides
-    `geometry.optimum_report`, and one rank walk `geometry.net_report`,
-    whatever the offset; `spectra.distance_spectrum` and
+    so `codes.is_mds` and `geometry._box_report` decide it from the ranks
+    of its rows, whatever the offset; `spectra.distance_spectrum` and
     `codes.corner_box_counts` count from the rows by `codes._route`."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None, offset=None):
@@ -198,13 +197,9 @@ class Distribution:
                 raise ValueError("array shape must be (N, n, s)")
         self._array = array
 
-    def size(self) -> int:
-        """The number of points, q^len(generator) for a span (len() stops at 2^63)."""
-        if self._array is None:
-            return self.space.q ** len(self.generator)
-        return self._array.shape[0]
-
-    __len__ = size
+    def __len__(self):
+        """The number of points (len() refuses 2^63 or more; `exponent` does not)."""
+        return self.space.q ** len(self.generator) if self._array is None else len(self._array)
 
     def exponent(self) -> int | None:
         """The k of the set's q^k points: the generator's length for a
@@ -288,8 +283,8 @@ def _write(stream, space: Space, count: int, comments, chunks) -> None:
         stream.write(bytes(data).decode() if text else data)
 
 
-# points per block of text: the writer, and the reader as it compares a
-# file with a span's text, hold one block at a time
+# points per block: the text writer, the reader as it compares a file
+# with a span's text, and `bulk`'s span passes hold one block at a time
 _BLOCK = 1 << 14
 
 

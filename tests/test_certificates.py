@@ -109,9 +109,10 @@ def test_certificate_agrees_with_enumeration_on_random_rows(data):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_net_certificate_agrees_with_the_box_count(data):
-    # MDS, random and dependent rows, for every delta: t = k - delta above s
-    # is a "no" and below it the rank walk's answer; each "no" carries the
-    # box count's witness
+    # MDS, random and dependent rows, as a span or a coset, for every delta:
+    # t = k - delta above s is a "no" and below it the rank walk's answer;
+    # each "no" carries the box count's witness, and so do the optimum
+    # check and the full count, none of which builds the lazy set's keys
     q = data.draw(st.sampled_from(sorted(FIELDS)))
     space = Space(FIELDS[q], data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
     k = data.draw(st.sampled_from([k for k in range(1, space.dim + 1) if q ** k <= 4096]
@@ -125,12 +126,23 @@ def test_net_certificate_agrees_with_the_box_count(data):
                                   min_size=k, max_size=k))
         if kind == "dependent":
             rows[-1] = rows[0]
-    built = Distribution(space, generator=rows)
+    offset = data.draw(st.none() | st.lists(st.integers(0, q - 1), min_size=space.dim,
+                                            max_size=space.dim))
+    built = Distribution(space, generator=rows, offset=offset)
     plain = plain_copy(built)
+
+    def unbuilt():
+        raise AssertionError("the box keys were built")
+
+    built.eta_array = unbuilt
     for delta in range(k + 1):
         report = geometry.net_report(built, delta)
         assert report == _box_report(plain, k - delta, k - delta), delta
         event(f"{kind} t {'>' if k - delta > space.s else '<='} s: {report.ok}")
+    report = optimum_report(built, k)
+    assert report == _box_report(plain, k, space.s)
+    assert geometry.check_counts(built, k) == geometry.check_counts(plain, k)
+    event(f"{kind} {'coset' if built.offset else 'span'} optimum: {report.ok}")
 
 
 def test_built_sets_keep_the_enumeration_witness():
@@ -213,7 +225,7 @@ def test_merge_distribution_keeps_the_generator():
 
 def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
     # 2^65 points: len() of such a set overflows, its 65 rows do not;
-    # every answer and refusal comes before the points would be built
+    # every answer, and every witness, comes from the rows
     def unbuilt(self):
         raise AssertionError("the points were built")
 
@@ -230,10 +242,21 @@ def test_spans_beyond_int64_are_decided_from_their_rows(monkeypatch):
     assert all(type(c) is int for c in counts.values())
     low = Distribution(space, generator=[[int(c == r) for c in range(70)]
                                               for r in range(65)])
-    for check, args in ((optimum_report, (low, 65)), (geometry.check_counts, (top, 65)),
-                        (geometry.net_report, (low, 0)), (geometry.is_net, (low, 0))):
-        with pytest.raises(ValueError, match="too large for 64-bit box indices"):
-            check(*args)
+    assert geometry.check_counts(top, 65).ok
+    # the top 65 digit columns of the low rows have rank 60, as the top 5
+    # are zero: box 0 of the first family holds 2^(65 - 60) points
+    witness = geometry.BoxReport(False, geometry.ElementaryBox((65,), (0,)), 32, 1)
+    assert optimum_report(low, 65) == witness
+    assert geometry.net_report(low, 0) == witness and not geometry.is_net(low, 0)
+    assert geometry.check_counts(low, 65) == geometry.BoxReport(
+        False, geometry.ElementaryBox((1,), (0,)), 2 ** 65, 2 ** 64)
+    for delta in range(65):
+        # the low rows have rank max(t - 5, 0) on the top t = 65 - delta digits
+        t = 65 - delta
+        assert geometry.net_report(low, delta) == geometry.BoxReport(
+            False, geometry.ElementaryBox((t,), (0,)), 2 ** (65 - max(t - 5, 0)), 2 ** delta)
+        assert geometry.net_report(top, delta).ok
+    assert geometry.net_report(low, 65).ok
 
 
 def test_echelon_check_rows_skip_the_reduction(monkeypatch):
@@ -273,7 +296,8 @@ def test_built_sets_are_decided_without_enumeration(monkeypatch):
     monkeypatch.setattr(codes, "_dependent_profile",
                         lambda *args: walks.append(1) or walk(*args))
     monkeypatch.setattr(bulk, "span_array", refuse("span_array"))
-    monkeypatch.setattr(geometry, "_box_report", refuse("_box_report"))
+    # the key walk of `geometry._box_report` starts from the digit array
+    monkeypatch.setattr(Distribution, "eta_array", refuse("eta_array"))
     for code, dist, k in cases:
         # each answer takes exactly one rank walk
         walks.clear()
@@ -281,8 +305,15 @@ def test_built_sets_are_decided_without_enumeration(monkeypatch):
         if dist is not None:
             walks.clear()
             assert optimum_report(dist, k).ok and len(walks) == 1
+            # a (0, k, n)-net iff k <= s; else the first family, (k, 0, ...),
+            # has its top s digits of coordinate 0, of rank s, and no more
+            space = dist.space
+            assert geometry.net_report(dist, 0) == (
+                geometry.BoxReport(True) if k <= space.s else geometry.BoxReport(
+                    False, ((k,) + (0,) * (space.n - 1), (0,) * space.n),
+                    space.q ** (k - space.s), 1))
     assert reached == []
-    with pytest.raises(AssertionError, match="_box_report reached"):
+    with pytest.raises(AssertionError, match="eta_array reached"):
         optimum_report(plain, cases[0][2])
 
 

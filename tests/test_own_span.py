@@ -10,7 +10,7 @@ import json
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
-from nrtcodes import bulk, codes, geometry
+from nrtcodes import bulk, codes
 from nrtcodes.cli import main
 from nrtcodes.codes import LinearCode, own_span
 from nrtcodes.construct import build_optimum_distribution
@@ -170,9 +170,10 @@ def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
     (tmp_path / "shift-crlf.points").write_text("\r\n".join(shifted))
 
     def refuse(*args):
-        raise AssertionError("_box_report reached")
+        raise AssertionError("the box keys were built")
 
-    monkeypatch.setattr(geometry, "_box_report", refuse)
+    # the key walk of `geometry._box_report` starts from the digit array
+    monkeypatch.setattr(Distribution, "eta_array", refuse)
     for path in (f"{prefix}.points", tmp_path / "shift.points", tmp_path / "shift-crlf.points"):
         assert main(["spectrum", "--in", str(path)]) == 0
         out = capsys.readouterr().out
@@ -182,6 +183,12 @@ def test_generated_files_never_count_boxes(tmp_path, capsys, monkeypatch):
         # a net's yes is the rank walk's, on the file and on its merged copy
         assert main(["verify", "--kind", "net", "--delta", "2", "--in", str(path)]) == 0
         assert capsys.readouterr().out == "net: True\n"
+        # and so is a "no", witness included: t = 4 > s = 2, so the top two
+        # digits of the first coordinate, of rank 2, hold 4^(4 - 2) points
+        assert main(["verify", "--kind", "net", "--delta", "0", "--in", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "net: False\nfirst failing box: sides (4, 0, 0, 0) positions (0, 0, 0, 0) "
+            "holds 16, expected 1\n")
     assert main(["peano", "--type", "points", "--g", "2", "--in", f"{prefix}.points",
                  "--out", f"{prefix}-merged.points"]) == 0
     capsys.readouterr()
