@@ -22,6 +22,7 @@ from .spectra import weak_composition_count
 from .words import Distribution, Space
 
 ENUMERATION_BOUND = 1 << 21
+NUMPY_START_NS = 80_000_000  # numpy's start, the price of a route that loads it
 
 
 # a field's (add, mul, neg, inv) lookups, as `_push` takes them
@@ -448,8 +449,8 @@ def _route(space: Space, k: int, weight: bool = False) -> str:
     "ranks" reads the P = (s+1)^n prefix profiles (`_profile_ranks`),
     "words" counts the W = q^k words in blocks, and "walk" walks the
     complement rows (`_dependent_profile`).  The least price in ns wins:
-    ranks 15 us + P (8 k^2 + 45 n); words 15 us + 10 us k + 3.5 W ns, and
-    about 80 ms more while numpy is not loaded, as in every command on a
+    ranks 15 us + P (8 k^2 + 45 n); words 15 us + 10 us k + 3.5 W ns, plus
+    NUMPY_START_NS while numpy is not loaded, as in every command on a
     code file or on a point file read as a lazy span; the walk at most
     4 us + 3.5 N (ns - k)^2, N the profiles of total up to ns - k, summed
     only while it can win.  These fit best-of-7 in-process times over 384
@@ -462,7 +463,7 @@ def _route(space: Space, k: int, weight: bool = False) -> str:
         prices["ranks"] = 15_000 + profiles * (8 * k * k + 45 * n)
     if words <= ENUMERATION_BOUND:
         prices["words"] = (15_000 + 10_000 * k + 3.5 * words * dim
-                           + (0 if "numpy" in sys.modules else 80_000_000))
+                           + (0 if "numpy" in sys.modules else NUMPY_START_NS))
     if weight and not prices:
         return "walk"  # the only route: its count of profiles may be huge
     if weight:

@@ -14,12 +14,17 @@ asks the one MDS certificate, `codes.is_mds`, of its generator's code.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add, sub
 
-from .codes import LinearCode, _lookups, _push, in_span, is_mds
-from .words import Distribution
+from .codes import NUMPY_START_NS, LinearCode, _lookups, _push, in_span, is_mds, rank
+from .words import Distribution, _span_columns
 
 DISCREPANCY_CELL_BOUND = 1 << 20
+_TOO_LARGE = "point set too large for the exact grid sweep; sampled estimation is out of scope"
 
 
 class ElementaryBox(namedtuple("ElementaryBox", "a m")):
@@ -205,21 +210,86 @@ def base_reduce_net(dist: Distribution, delta: int):
     return reduced, delta_p, net_report(reduced, delta_p)
 
 
+def _grid_sizes(space, rows) -> list[int]:
+    """The q^(r_j) values of each coordinate j of x0 + span of the flat `rows`,
+    and 1: r_j is the rank of their block-j columns (Niederreiter 1992, ch. 4)."""
+    s = space.s
+    return [space.q ** rank(space.gf, [r[j * s:(j + 1) * s] for r in rows]) + 1
+            for j in range(space.n)]
+
+
 def star_discrepancy(dist: Distribution) -> Fraction:
     """Exact star discrepancy sup |count/N - volume| over anchored boxes,
     as a Fraction.
 
     The supremum over the half-open boxes [0, y) is reached at the corners
     c of the grid of distinct point coordinates (and 1), by the count of
-    points x < c there or by the count of x <= c in the limit from above.
-    Ranking each coordinate's values, one cumulative histogram over the
-    ranks gives the closed count x <= c at every corner, and the same
-    array shifted one rank along every axis the open count x < c.
-    Integer arithmetic only, in int64 while N q^(sn) < 2^63 and in Python
-    integers above; grids of more than DISCREPANCY_CELL_BOUND cells are
-    refused before allocating, as soon as the grid sizes of the axes
-    ranked so far, times 2 for each axis still to rank, exceed it.
-    """
+    points x < c there or by the count of x <= c in the limit from above:
+    the cumulative histogram of the points' ranks on each axis, and it
+    shifted one rank along every axis.  x0 + span(B) is refused above
+    DISCREPANCY_CELL_BOUND cells from its rows (`_grid_sizes`); else the
+    cheaper route is taken, in ns from the C cells, the G entries of the n
+    axes and the D digits of its q^k points: Python integers at
+    (200 + 50 n) C + 750 G + 90 D if q <= 256, or numpy at 150 us + 6 n C
+    + 12 D + `codes.NUMPY_START_NS` while numpy is not loaded, fit within
+    0.85-1.4x to best-of-5 in-process times of 29 spans, q <= 16, of 676 to
+    531 441 cells (2 vCPUs, x86-64, Python 3.11, numpy 2.4).  Arrays take numpy."""
+    space, rows = dist.space, dist.generator
+    if rows is None:
+        return _numpy_discrepancy(dist)
+    sizes = _grid_sizes(space, rows)
+    cells, digits, n = math.prod(sizes), space.q ** len(rows) * space.dim, space.n
+    if cells > DISCREPANCY_CELL_BOUND:
+        raise ValueError(_TOO_LARGE)
+    python = (200 + 50 * n) * cells + 750 * sum(sizes) + 90 * digits
+    numpy = (150_000 + 6 * n * cells + 12 * digits
+             + (0 if "numpy" in sys.modules else NUMPY_START_NS))
+    return (_python_discrepancy if space.q <= 256 and python <= numpy
+            else _numpy_discrepancy)(dist)
+
+
+def _turned(counts: list, shape, cumulative: bool) -> list:
+    """The flat C-order table `counts` of `shape` summed, or shifted one entry
+    (0 first), along each axis in turn, which goes from last to first."""
+    for size in reversed(shape):
+        parts = [counts[d::size] for d in range(size)]
+        parts = (accumulate(parts, lambda run, part: list(map(add, run, part))) if cumulative
+                 else [[0] * len(parts[0]), *parts[:-1]])
+        counts = list(chain.from_iterable(parts))
+    return counts
+
+
+def _python_discrepancy(dist: Distribution) -> Fraction:
+    """`star_discrepancy` of x0 + span(B), q <= 256, in Python integers,
+    from its digit columns (`words._span_columns`)."""
+    from fractions import Fraction
+
+    space = dist.space
+    q, n, s = space.q, space.n, space.s
+    count, unit = q ** len(dist.generator), q ** (s * n)
+    columns = _span_columns(space.gf, dist.generator, space.dim, dist.offset)
+    index, grids = [0] * count, []
+    for j in range(n):
+        values = list(columns[j * s + s - 1])
+        for col in reversed(columns[j * s:j * s + s - 1]):  # Horner's rule
+            values = list(map(add, map(q.__mul__, values), col))
+        grids.append(sorted(set(values)) + [q ** s])  # then 1
+        ranks = {v: r for r, v in enumerate(grids[-1])}
+        index = list(map(add, map(len(grids[-1]).__mul__, index), map(ranks.__getitem__, values)))
+    shape = list(map(len, grids))
+    closed = [0] * math.prod(shape)
+    for i in index:
+        closed[i] += unit  # counts times q^(sn), against count * volume * q^(sn)
+    closed = _turned(closed, shape, True)
+    opened = _turned(closed, shape, False)
+    volume = reduce(lambda vol, grid: [v * g for v in vol for g in grid], grids, [count])
+    return Fraction(max(max(map(sub, closed, volume)), max(map(sub, volume, opened))),
+                    count * unit)
+
+
+def _numpy_discrepancy(dist: Distribution) -> Fraction:
+    """`star_discrepancy` by numpy, in int64 while N q^(sn) < 2^63; an array is
+    refused once its axes ranked so far, times 2 an axis to come, pass the bound."""
     from fractions import Fraction
 
     import numpy as np
@@ -248,8 +318,7 @@ def star_discrepancy(dist: Distribution) -> Fraction:
         grids.append(np.append(nums.astype(dtype, copy=False), q ** s))  # then 1
         # an axis not ranked yet holds at least a value and 1
         if math.prod(map(len, grids)) * 2 ** (n - 1 - j) > DISCREPANCY_CELL_BOUND:
-            raise ValueError("point set too large for the exact grid sweep; "
-                             "sampled estimation is out of scope")
+            raise ValueError(_TOO_LARGE)
     shape = tuple(len(g) for g in grids)
     # closed and open counts times q^(sn) against count * volume * q^(sn)
     closed = bulk._cumulative_counts(ranks, shape).astype(dtype, copy=False)

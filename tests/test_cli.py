@@ -23,7 +23,8 @@ from nrtcodes.construct import build_mds_code
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
-from _helpers import run_cli_capped, run_fresh, run_without_numpy, same_multiset
+from _helpers import (lattice_discrepancy, read_point_array_by_line, run_cli_capped, run_fresh,
+                      run_without_numpy, same_multiset)
 
 
 def run(args, capsys):
@@ -625,7 +626,9 @@ def test_linear_point_files_run_without_numpy(tmp_path, capsys):
                 f"verify --kind optimum --in {a}-merged.points",
                 f"verify --kind optimum --in {c}.points",
                 f"verify --kind net --delta 0 --in {c}.points",
-                f"spectrum --format json --in {c}.points"]
+                f"spectrum --format json --in {c}.points",
+                f"discrepancy --in {a}.points",
+                f"discrepancy --format json --in {a}-merged.points"]
     expected = [run(argv.split(), capsys) for argv in commands]
     written = {path: path.read_bytes() for path in tmp_path.iterdir()}
     calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
@@ -645,7 +648,8 @@ def test_linear_point_files_run_without_numpy(tmp_path, capsys):
     commands = [f"verify --kind optimum --in {shift}.points",
                 f"verify --kind net --delta 3 --in {shift}.points",
                 f"spectrum --format json --in {shift}.points",
-                f"peano --type points --g 2 --in {shift}.points --out {shift}-merged.points"]
+                f"peano --type points --g 2 --in {shift}.points --out {shift}-merged.points",
+                f"discrepancy --in {shift}.points"]
     expected = [run(argv.split(), capsys) for argv in commands]
     written = {path: path.read_bytes() for path in tmp_path.iterdir()}
     calls = "".join(f"assert cli.main({argv.split()!r}) == {status}\n"
@@ -654,6 +658,16 @@ def test_linear_point_files_run_without_numpy(tmp_path, capsys):
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
     assert [status for status, _, _ in expected] == [0] * len(commands)
     assert "weight_enumerator" not in json.loads(expected[2][1])  # a coset is not linear
+    # with numpy loaded, a discrepancy took the numpy route; without it, the
+    # Python route, to the same fraction as the full-grid oracle.  A grid of
+    # 3^21 cells is refused from the rows of its span, with no numpy either
+    with open(tmp_path / "shifted.points") as fh:
+        shifted = Distribution(Space(GF(2, 2), 4, 2), array=read_point_array_by_line(fh))
+    assert expected[4][1] == f"{lattice_discrepancy(shifted)}\n"
+    (tmp_path / "wide.points").write_text("2 21 1 2\n" + " ".join("0" * 21) + "\n"
+                                          + " ".join("1" * 21) + "\n")
+    assert run_without_numpy(f"assert cli.main(['discrepancy', '--in', "
+                             f"{str(tmp_path / 'wide.points')!r}]) == 2\n") == ""
     # a moved point and a tab: each file is parsed into an array, with
     # numpy, to the same answers and witness
     moved = lines.copy()

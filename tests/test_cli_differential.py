@@ -5,23 +5,27 @@ with one point moved and a copy with one point doubled, each in LF or CRLF.
 Every command runs through `cli.main` with `--format json`; its exit code
 and its whole payload are compared with an oracle that takes none of the
 package's routes: box counts family by family with their witness
-(`family_report`), NRT weights word by word (`words.nrt_weight`), and the
-dual enumerated over the whole space by the reversed pairing."""
+(`family_report`), NRT weights word by word (`words.nrt_weight`), the
+dual enumerated over the whole space by the reversed pairing, and the
+star discrepancy over the whole q^-s lattice (`lattice_discrepancy`)."""
 
 import contextlib
 import io
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
+from nrtcodes import geometry
 from nrtcodes.cli import main
 from nrtcodes.construct import build_mds_code
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, nrt_weight
 
-from _helpers import (bounded_compositions, family_report, point_lines_by_word,
-                      rref_by_columns, span_array_by_passes)
+from _helpers import (bounded_compositions, family_report, lattice_discrepancy,
+                      point_lines_by_word, rref_by_columns, span_array_by_passes)
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5)]
 
@@ -80,10 +84,11 @@ def check_code(space, basis, path):
 
 
 def check_points(space, flat, k, path, crlf):
-    """`verify --kind optimum`, `verify --kind net` at every deficiency and
-    `spectrum` on the q^k points `flat`, in file order, against `family_report`
-    and the weights from the first point (from zero where zero is a point).
-    The set is linear iff its points are distinct and q^rank of them."""
+    """`verify --kind optimum`, `verify --kind net` at every deficiency,
+    `spectrum` and `discrepancy` on the q^k points `flat`, in file order,
+    against `family_report`, the weights from the first point (from zero
+    where zero is a point) and `lattice_discrepancy`.  The set is linear
+    iff its points are distinct and q^rank of them."""
     gf, q, n, s = space.gf, space.q, space.n, space.s
     arr = flat.reshape(len(flat), n, s)
     head = (gf.describe() + "\n" if gf.e > 1 else "") + f"{q} {n} {s} {len(arr)}\n"
@@ -110,6 +115,14 @@ def check_points(space, flat, k, path, crlf):
     assert payload.get("formula_matches", True)
     assert payload.get("weight_enumerator", hist) == hist
     assert ("box_enumerator" in payload) == linear
+    # priced with numpy loaded, and as a fresh process prices it, where a
+    # span or coset (an LF file read as its rows) takes the Python route
+    value = lattice_discrepancy(dist)
+    answer = (0, {"discrepancy": str(value), "numerator": value.numerator,
+                  "denominator": value.denominator})
+    assert run(["discrepancy", "--in", str(path)]) == answer
+    with mock.patch.object(geometry, "sys", SimpleNamespace(modules={})):
+        assert run(["discrepancy", "--in", str(path)]) == answer
     return optimum.ok, linear
 
 

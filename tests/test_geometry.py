@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nrtcodes import geometry
 from nrtcodes.codes import CharacterReport
-from nrtcodes.construct import build_optimum_distribution
+from nrtcodes.construct import build_mds_code, build_optimum_distribution
 from nrtcodes.geometry import (BoxReport, ElementaryBox, _box_report, base_reduce_net,
                                check_counts, is_net, is_optimum, net_from_optimum,
                                net_report, optimum_report, star_discrepancy)
@@ -394,6 +395,107 @@ def test_star_discrepancy_in_int64_and_in_python_integers():
     edge = Space(GF(2), 1, 62)
     assert star_discrepancy(Distribution(edge, words=[((1,) * 62,)])) == 1 - Fraction(1, 2 ** 62)
     assert star_discrepancy(Distribution(edge, words=[edge.zero()] * 2)) == 1
+
+
+def both_routes(dist):
+    """`star_discrepancy` of a set with a generator by each of its routes,
+    which must agree."""
+    by_python = geometry._python_discrepancy(dist)
+    assert geometry._numpy_discrepancy(dist) == by_python
+    return by_python
+
+
+def deep_span(dist, pad):
+    """The lazy set `dist` in a space of `pad` more digits a coordinate,
+    each below the stored ones and 0: the same points."""
+    space = dist.space
+    s, deep = space.s, Space(space.gf, space.n, space.s + pad)
+
+    def padded(flat):
+        return [v for j in range(space.n) for v in [0] * pad + list(flat[j * s:(j + 1) * s])]
+
+    return Distribution(deep, generator=[padded(r) for r in dist.generator],
+                        offset=padded(dist.offset) if dist.offset else None)
+
+
+def test_star_discrepancy_of_lazy_sets_in_int64_and_in_python_integers():
+    # the inputs of the test above, as lazy spans and cosets: both routes,
+    # on the set and on its deep copy, against the full-grid oracle
+    rng = random.Random(12)
+    for gf, n, s in ((GF(2), 2, 3), (GF(3), 2, 2), (GF(2, 2), 3, 1), (GF(5), 1, 3)):
+        sp = Space(gf, n, s)
+        for _ in range(10):
+            k = rng.randrange(0, 4)
+            d = Distribution(sp, generator=[sp.flatten(random_word(sp, rng)) for _ in range(k)],
+                             offset=sp.flatten(random_word(sp, rng)) if k % 2 else None)
+            expected = lattice_discrepancy(d)
+            assert both_routes(d) == both_routes(deep_span(d, 64 // n)) == expected
+    # one point at 1 - 2^-62, and the zero point twice: a coset and a span
+    edge = Space(GF(2), 1, 62)
+    top = Distribution(edge, generator=[], offset=[1] * 62)
+    assert both_routes(top) == 1 - Fraction(1, 2 ** 62)
+    assert both_routes(Distribution(edge, generator=[[0] * 62])) == 1
+    # coordinates keyed in int64 (3^39 < 2^63) and in Python integers (3^40)
+    sp = Space(GF(3), 2, 3)
+    for _ in range(10):
+        d = Distribution(sp, generator=[sp.flatten(random_word(sp, rng)) for _ in range(2)],
+                         offset=sp.flatten(random_word(sp, rng)))
+        expected = lattice_discrepancy(d)
+        for depth in (39, 40):
+            assert both_routes(deep_span(d, depth - 3)) == expected
+
+
+ROUTE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_the_two_discrepancy_routes_agree(data):
+    # spans and cosets whose full q^-s lattice is small enough for the oracle
+    gf = data.draw(st.sampled_from(ROUTE_FIELDS))
+    n, s = data.draw(st.sampled_from([(n, s) for n in (1, 2, 3) for s in (1, 2, 3)
+                                      if gf.q ** (n * s) <= 8192]))
+    sp = Space(gf, n, s)
+    word = st.lists(st.integers(0, gf.q - 1), min_size=sp.dim, max_size=sp.dim)
+    k = data.draw(st.integers(0, max(k for k in range(sp.dim + 1) if gf.q ** k <= 1024)))
+    rows = data.draw(st.lists(word, min_size=k, max_size=k))
+    d = Distribution(sp, generator=rows, offset=data.draw(st.none() | word))
+    # axis j takes q^(r_j) values, r_j the rank of the block-j columns
+    eta = d.eta_array()
+    assert [size - 1 for size in geometry._grid_sizes(sp, d.generator)] == [
+        len(np.unique(eta[:, j, :], axis=0)) for j in range(n)]
+    assert both_routes(d) == star_discrepancy(d) == lattice_discrepancy(d)
+
+
+def test_star_discrepancy_above_256_takes_the_numpy_route(monkeypatch):
+    def refuse(dist):
+        raise AssertionError("the Python route ran")
+
+    monkeypatch.setattr(geometry, "_python_discrepancy", refuse)
+    sp = Space(GF(2, 9), 2, 1)
+    span = Distribution(sp, generator=[[1, 5]], offset=[0, 7])
+    assert star_discrepancy(span) == lattice_discrepancy(span)
+
+
+def test_star_discrepancy_refuses_a_span_from_its_rows(monkeypatch):
+    # a refused span or coset is refused from the ranks of its rows: no
+    # point is built, and the message is the one an array gets
+    def unbuilt(self):
+        raise AssertionError("the points were built")
+
+    space = Space(GF(2, 4), 5, 3)
+    rows = build_mds_code(space, 5).basis
+    sets = [Distribution(space, generator=rows),
+            Distribution(space, generator=rows, offset=[1] * space.dim),
+            Distribution(Space(GF(2), 1, 70), generator=[[int(c == 69 - r) for c in range(70)]
+                                                         for r in range(65)])]
+    monkeypatch.setattr(Distribution, "array", unbuilt)
+    monkeypatch.setattr(Distribution, "eta_array", unbuilt)
+    for dist in sets:
+        with pytest.raises(ValueError) as refused:
+            star_discrepancy(dist)
+        assert str(refused.value) == ("point set too large for the exact grid sweep; "
+                                      "sampled estimation is out of scope")
 
 
 def test_star_discrepancy_keys_at_the_int64_edge():
