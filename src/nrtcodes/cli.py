@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from typing import NoReturn
 
-from .codes import (LinearCode, corner_box_counts, duality_ok, is_linear, is_mds,
-                    own_span, read_code, write_code)
+from .codes import (corner_box_counts, duality_ok, is_linear, is_mds, own_span, read_code,
+                    write_code)
 from .construct import build_optimum_distribution, default_nodes
 from .geometry import net_report, optimum_report, star_discrepancy
 from .gf import GF, TABLE_BOUND
@@ -126,14 +125,16 @@ def _read(args, reader):
         return reader(fh)
 
 
-@contextmanager
-def _output(path: str):
-    """A stream whose contents replace `path` only if the block succeeds;
-    it writes to a temporary file in the same directory meanwhile."""
+def _save(path: str, write, *args, **kwargs) -> None:
+    """`write(stream, *args, **kwargs)`, whose bytes replace `path` only if it
+    succeeds: it writes to a temporary file in the same directory
+    meanwhile.  Nothing is written when `path` is empty."""
+    if not path:
+        return
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            yield fh
+            write(fh, *args, **kwargs)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -158,12 +159,10 @@ def cmd_generate(args) -> int:
     dist = build_optimum_distribution(space, k, nodes=nodes)
     comments = [f"nodes {_nodes_text(nodes)}"]
     out = args.out or "out"
-    with _output(f"{out}.points") as fh:
-        write_point_set(fh, dist, comments=comments)
-    with _output(f"{out}.code") as fh:
-        write_code(fh, LinearCode(space, dist.generator), comments=comments)
-    # the code's words are the points, so one certificate (`is_mds` of that
-    # code, inside `optimum_report`) answers both
+    _save(f"{out}.points", write_point_set, dist, comments=comments)
+    _save(f"{out}.code", write_code, dist.code(), comments=comments)
+    # the code's words are the points, so one certificate (`is_mds` of the
+    # set's held code, inside `optimum_report`) answers both
     ok = optimum_report(dist, k).ok
     payload = {
         "q": gf.q, "n": n, "s": s, "k": k,
@@ -214,10 +213,8 @@ def _generate_composite(args, gf) -> int:
                  and weights["dual_hamming"] >= t * g + 1)
     # written only once every check has an answer, so a refusal leaves no file
     comments = [f"nodes {_nodes_text(nodes)}", f"merged g={g} t={t}"]
-    with _output(f"{out}.points") as fh:
-        write_point_set(fh, build.dist, comments=comments)
-    with _output(f"{out}.code") as fh:
-        write_code(fh, build.code, comments=comments)
+    _save(f"{out}.points", write_point_set, build.dist, comments=comments)
+    _save(f"{out}.code", write_code, build.code, comments=comments)
     payload = {
         "q": gf.q, "n": n, "s": s, "g": g, "t": t, "k": g * k,
         "field": gf.describe(), "nodes": _nodes_text(nodes),
@@ -271,10 +268,9 @@ def cmd_spectrum(args) -> int:
     """The distances from a point of the file: from zero, and with the
     enumerators, if the file is linear; else from its first point, or from
     zero if zero is one of its points.  A file that is its own span or
-    coset (`codes.own_span`) is linear iff its offset, its first point,
-    lies in the span of its rows (`codes.is_linear`); no point of a coset
-    that is not linear is zero, so its anchor is its offset, read without
-    its array."""
+    coset (`codes.own_span`) is linear iff its offset lies in the span of
+    its rows (`codes.is_linear`); else no point is zero, so its anchor is
+    its offset, read without its array."""
     dist = _read(args, read_point_set)
     if not len(dist):
         raise ValueError("point set is empty")
@@ -308,13 +304,13 @@ def cmd_spectrum(args) -> int:
         lines.append("warning: not an optimum distribution, closed forms omitted")
     if linear:
         payload["weight_enumerator"] = spec
-        payload["box_enumerator"] = {
-            ",".join(map(str, a)): c
-            for a, c in sorted(corner_box_counts(dist).items())
-        }
+        counts = corner_box_counts(dist)  # refused above its bound before a key is built
+        keys = sides = [str(a) for a in range(space.s + 1)]
+        for _ in range(space.n - 1):
+            keys = [f"{key},{a}" for key in keys for a in sides]
+        payload["box_enumerator"] = dict(zip(keys, counts))
         if space.n == 1:
-            code = LinearCode(space, dist.generator)
-            ok = duality_ok(code, code.dual())
+            ok = duality_ok(dist.code(), dist.code().dual())
             payload["macwilliams_n1"] = ok
             lines.append(f"n=1 MacWilliams identity: {ok}")
     _emit(args, payload, lines)
@@ -324,9 +320,7 @@ def cmd_spectrum(args) -> int:
 def cmd_dual(args) -> int:
     code = _read(args, read_code)
     dual = code.dual()
-    if args.out:
-        with _output(args.out) as fh:
-            write_code(fh, dual)
+    _save(args.out, write_code, dual)
     payload = {
         "k": code.k, "dual_k": dual.k,
         "weight": code.min_weight("nrt") if code.k else None,
@@ -348,9 +342,7 @@ def cmd_peano(args) -> int:
         if code.space.n % g:
             raise UsageError("--g must divide n")
         merged = peano.merge_code(code, g)
-        if args.out:
-            with _output(args.out) as fh:
-                write_code(fh, merged)
+        _save(args.out, write_code, merged)
         w_before = code.min_weight("nrt") if code.k else None
         w_after = merged.min_weight("nrt") if merged.k else None
         payload = {"g": g, "weight_before": w_before, "weight_after": w_after,
@@ -364,9 +356,7 @@ def cmd_peano(args) -> int:
         if dist.space.n % g:
             raise UsageError("--g must divide n")
         merged = peano.merge_distribution(dist, g)
-        if args.out:
-            with _output(args.out) as fh:
-                write_point_set(fh, merged)
+        _save(args.out, write_point_set, merged)
         payload = {"g": g, "n": merged.space.n, "s": merged.space.s,
                    "points": len(merged)}
         _emit(args, payload, [f"merged {len(merged)} points into "
@@ -382,9 +372,7 @@ def cmd_basechange(args) -> int:
     dist = _read(args, read_point_set)
     reduced = dist.to_base_p()
     rep = peano.distribution_base_change_weights(dist, reduced)
-    if args.out:
-        with _output(args.out) as fh:
-            write_point_set(fh, reduced)
+    _save(args.out, write_point_set, reduced)
     payload = {
         "p": dist.space.gf.p, "e": dist.space.gf.e,
         "nrt_q": rep.nrt_q, "nrt_p": rep.nrt_p,
@@ -537,7 +525,7 @@ def run() -> NoReturn:
     """The process entry of `python -m nrtcodes.cli` and of the `nrtcodes`
     script: `main`'s code, once stdout and stderr are flushed, by
     `os._exit`, skipping the interpreter's teardown (about 30 ms, mostly
-    numpy's).  `_output` closes every written file before `main` returns,
+    numpy's).  `_save` closes every written file before `main` returns,
     and neither nrtcodes nor numpy registers an `atexit` handler.
     argparse's exits keep their codes; a failed flush exits 2."""
     try:

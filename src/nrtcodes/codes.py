@@ -1,20 +1,19 @@
 """Linear codes in Mat_{n,s}(F_q): reduced-row-echelon bases, duality under
 the reversed inner product and its MacWilliams identity, minimum weights
 (a Hamming weight is the NRT weight at depth 1), check matrices (the codes
-their rows span), the NRT weight counts of a span (`span_weight_counts`),
+their rows span), the NRT weight counts of a code (`span_weight_counts`),
 one rule (`_route`) that picks ranks, words or a check-matrix walk for
 those counts, minimum weights and corner box counts, box and weight
-enumerators, and character-sum verification.
-
-Codes are stored as RREF bases over the flattened n*s coordinates (row
-major), which makes canonical comparisons and double duals bit-exact.
-"""
+enumerators, and character-sum verification.  Codes are stored as RREF
+bases over the flattened n*s coordinates (row major), which makes
+canonical comparisons and double duals bit-exact; a set with a generator
+holds its code (`Distribution.code`), and a code its rank table."""
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from functools import cache
+from functools import cache, cached_property
 from operator import attrgetter, itemgetter, sub
 
 from .gf import GF
@@ -89,8 +88,8 @@ def _block_reverser(n: int, s: int):
 
 
 class LinearCode:
-    """A k-dimensional subspace of Mat_{n,s}(F_q), held as an RREF basis
-    of flattened words."""
+    """A k-dimensional subspace of Mat_{n,s}(F_q), held as an RREF basis of
+    flattened words, and its `_profile_ranks` table `_ranks`, walked once."""
 
     def __init__(self, space: Space, basis_rows):
         self.space = space
@@ -125,6 +124,10 @@ class LinearCode:
     def k(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _ranks(self) -> list[int]:
+        return _profile_ranks(self.space, self.basis)
+
     def __len__(self):
         return self.space.q ** self.k
 
@@ -148,21 +151,20 @@ class LinearCode:
         return bulk.span_array(self.space.gf, self.basis, self.space.dim)
 
     def words(self):
-        return [self.space.unflatten(tuple(int(v) for v in row))
-                for row in self.words_array()]
+        return self.distribution().words()
 
     def distribution(self) -> Distribution:
-        """The codewords as a point set, in `words_array` order, with the
-        basis as its generator (a lazy span, see `Distribution`)."""
+        """The codewords as a point set, in `words_array` order: a lazy span
+        of the basis, holding this code (see `Distribution`)."""
         if self.space.q ** self.k > ENUMERATION_BOUND:
             raise ValueError("code too large to enumerate")
-        return Distribution(self.space, generator=self.basis)
+        return Distribution(self.space, generator=self.basis)._holding(self)
 
     def min_weight(self, metric: str = "nrt", method: str = "auto") -> int:
         """Minimum weight over the nonzero codewords; a Hamming weight is
         the NRT weight at depth 1, of the flat basis in Mat_{ns,1}.  By the
         route `_route` picks, it is the first nonzero entry after w_0 of
-        `span_weight_counts` of the basis, or it comes from the complement
+        `span_weight_counts` of the code, or it comes from the complement
         rows (`_complement`), a check matrix: one `_dependent_profile` walk
         up to total ns - k finds the least dependent total of their prefix
         profiles, at depth 1 the least number of dependent columns.
@@ -178,7 +180,8 @@ class LinearCode:
         if method == "parity" or _route(space, self.k, weight=True) == "walk":
             # any basis of the check has the same dependent columns
             return _dependent_profile(space, self._complement(), space.dim - self.k, 0)
-        counts = span_weight_counts(space, self.basis)
+        # an RREF of flat rows is one at depth 1 too
+        counts = span_weight_counts(self._reduced(space, self.basis) if metric != "nrt" else self)
         # the basis is independent, so w_0 = 1 counts the zero word only
         return next(w for w in range(1, space.dim + 1) if counts[w])
 
@@ -244,35 +247,38 @@ def is_mds(code: LinearCode) -> bool:
 
 
 def in_span(gf: GF, rows, vec) -> bool:
-    """Whether the flat `vec` lies in the span of the flat `rows`: one
-    rank check, none for a zero vector."""
-    return not any(vec) or rank(gf, [*rows, vec]) == rank(gf, rows)
+    """Whether the flat `vec` is in the span of the flat `rows`: one `_push` pass of both."""
+    echelon, lookups = [], _lookups(gf)
+    for row in rows:
+        _push(lookups, echelon, row)
+    return not _push(lookups, echelon, vec)
 
 
 def is_linear(dist: Distribution) -> bool:
     """Whether a set with a generator is linear: its offset lies in the
-    span of its rows."""
-    return dist.offset is None or in_span(dist.space.gf, dist.generator, dist.offset)
+    span of the basis of its held code (`Distribution.code`)."""
+    return dist.offset is None or in_span(dist.space.gf, dist.code().basis, dist.offset)
 
 
 def own_span(dist: Distribution) -> Distribution | None:
     """The points with a generator B and an offset x0 if they are the
     q^r words of x0 + span(B) once each, else None.  A set whose
-    generator rows are independent, such as a lazy span or coset
-    `words.read_point_set` read, is returned as it is, before numpy is
-    imported; any other keeps its array, gets its point 0 as offset x0,
-    and is proved from its points minus x0 (`bulk.sub_anchor`, no copy
-    when x0 is zero), which get an RREF basis B as generator.  The pivot
-    columns of B are an information set: a point lies in span(B) iff it
-    is word `key` of `bulk.span_array(B)`, key the Horner value of its
-    pivot digits, and the points are span(B) once each iff moreover the
-    keys are a permutation.  B starts from the rows q^0, ..., q^(r-1),
+    generator rows are independent (as many as its held code's,
+    `Distribution.code`), such as a lazy set `words.read_point_set` read,
+    is returned as it is, before numpy is imported; any other keeps its
+    array, gets its point 0 as offset x0, and is proved from its points
+    minus x0 (`bulk.sub_anchor`, no copy when x0 is zero), which get an
+    RREF basis B as generator and hold B's code.  The pivot columns of B
+    are an information set: a point lies in span(B) iff it is word `key`
+    of `bulk.span_array(B)`, key the Horner value of its pivot digits, and
+    the points are span(B) once each iff moreover the keys are a
+    permutation.  B starts from the rows q^0, ..., q^(r-1),
     the generator rows of a set in the colex order of `Distribution`,
     then the rows j * 1000003 mod N, distinct as that prime is prime to
     N = q^r; a point outside span(B) joins B, at most r + 1 times, so the
     sample sets the speed only."""
     space, rows = dist.space, dist.generator
-    if rows is not None and rank(space.gf, rows) == len(rows):
+    if rows is not None and dist.code().k == len(rows):
         return dist
     import numpy as np
     from . import bulk
@@ -299,7 +305,7 @@ def own_span(dist: Distribution) -> Distribution | None:
         outside = (bulk.span_array(space.gf, basis, space.dim)[keys] != flat).any(axis=1)
         if not outside.any():
             return (Distribution(space, array=dist.array(), generator=basis, offset=offset)
-                    if permutation else None)
+                    ._holding(LinearCode._reduced(space, basis)) if permutation else None)
         basis = rref(space.gf, basis + [flat[outside.argmax()].tolist()])
     return None
 
@@ -431,15 +437,14 @@ def duality_ok(code: LinearCode, dual: LinearCode) -> bool:
     side exponents a (`corner_box_counts`).  In the ranks of the prefix
     profiles it reads rank_C'(b) = |b| - k + rank_C(s - b), and profile
     s - b is the mirror of b in the C order of `_profile_ranks`, so one
-    pass over the two rank lists decides it, with no words and no numpy.
-    At b = (s, ..., s) it reads dim C' = ns - k.  False when the spaces
-    differ."""
+    pass over the two held tables (`LinearCode._ranks`) decides it, with
+    no words and no numpy; at b = (s, ..., s) it reads dim C' = ns - k.
+    False when the spaces differ."""
     space, k = code.space, code.k
     if dual.space != space:
         return False
-    mirrored = reversed(_profile_ranks(space, code.basis))
     return all(r == t - k + m for t, r, m in
-               zip(_profile_totals(space), _profile_ranks(space, dual.basis), mirrored))
+               zip(_profile_totals(space), dual._ranks, reversed(code._ranks)))
 
 
 def _route(space: Space, k: int, weight: bool = False) -> str:
@@ -481,24 +486,24 @@ def _route(space: Space, k: int, weight: bool = False) -> str:
     return min(prices, key=prices.get)
 
 
-def span_weight_counts(space: Space, rows) -> list[int]:
-    """Counts (w_0, ..., w_ns) of the NRT weights of all q^k combinations
-    of the flat `rows` (with multiplicity, as the `Distribution` they
-    generate counts them), in Python ints, by the route `_route` picks:
-    the words counted in blocks (`bulk.span_weight_histogram`), or the
-    ranks of the prefix profiles.  The corner box of side exponents a
-    holds the q^(k - rank(a)) combinations with row weights at most
+def span_weight_counts(code: LinearCode) -> list[int]:
+    """Counts (w_0, ..., w_ns) of the NRT weights of the q^k words of
+    `code`, in Python ints, by the route `_route` picks: the words counted
+    in blocks (`bulk.span_weight_histogram`), or the code's held ranks of
+    the prefix profiles (`LinearCode._ranks`).  The corner box of side
+    exponents a holds the q^(k - rank(a)) words with row weights at most
     s - a_j, orthogonal to the columns of profile a of the block-reversed
-    rows.  Profile s - b is the mirror of b in the C order of
-    `_profile_ranks`, so the mirrored corner counts count the combinations
-    with row weights at most b; their difference along each axis counts
-    those with row weights exactly b, summed by b_1 + ... + b_n into w."""
-    q, k, s = space.q, len(rows), space.s
+    basis.  Profile s - b is the mirror of b in the C order of
+    `_profile_ranks`, so the mirrored corner counts count the words with
+    row weights at most b; their difference along each axis counts those
+    with row weights exactly b, summed by b_1 + ... + b_n into w."""
+    space, k = code.space, code.k
+    q, s = space.q, space.s
     if _route(space, k) == "words":
         from . import bulk
 
-        return bulk.span_weight_histogram(space.gf, rows, space.n, s).tolist()
-    counts = [q ** (k - r) for r in reversed(_profile_ranks(space, rows))]
+        return bulk.span_weight_histogram(space.gf, code.basis, space.n, s).tolist()
+    counts = [q ** (k - r) for r in reversed(code._ranks)]
     for _ in range(space.n):
         # difference along the last axis while turning it to the front, one
         # slice per digit: n turns difference every axis and restore the order
@@ -514,17 +519,15 @@ def span_weight_counts(space: Space, rows) -> list[int]:
 
 # --- enumerators and character sums ---
 
-def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
-    """Counts of points in every corner box (side exponents A, anchor 0),
-    i.e. the coefficient table of the box enumerator phi(D).  There are
-    (s+1)^n of them, at most ENUMERATION_BOUND.  A linear set with a
-    generator (see `Distribution`, `is_linear`) whose route (`_route`) is
-    "ranks" reads them from the ranks of its k generator rows, box a
-    holding the q^(k - rank(a)) combinations orthogonal to the columns of
-    prefix profile a (`_profile_ranks`), without its array, in Python
-    ints; any other set counts its points."""
-    from itertools import product
-
+def corner_box_counts(dist: Distribution) -> list[int]:
+    """Counts of points in every corner box (side exponents a, anchor 0),
+    the coefficients of the box enumerator phi(D), a flat list in the C
+    order of `_profile_ranks` (a in `itertools.product` order), at most
+    ENUMERATION_BOUND of them.  A linear set with a generator of k rows
+    (`is_linear`) whose route (`_route`) is "ranks" reads them from its
+    held code's ranks (`LinearCode._ranks`), box a holding the
+    q^(k - rank(a)) combinations orthogonal to the columns of prefix
+    profile a, in Python ints; any other set counts its points."""
     space = dist.space
     n, s = space.n, space.s
     if (s + 1) ** n > ENUMERATION_BOUND:
@@ -533,14 +536,12 @@ def corner_box_counts(dist: Distribution) -> dict[tuple[int, ...], int]:
     rows = dist.generator
     if rows is not None and _route(space, len(rows)) == "ranks" and is_linear(dist):
         q, k = space.q, len(rows)
-        counts = [q ** (k - r) for r in _profile_ranks(space, rows)]
-    else:
-        from . import bulk
+        return [q ** (k - r) for r in dist.code()._ranks]
+    from . import bulk
 
-        # points with row weights <= b lie in the corner box with a_j = s - b_j
-        cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
-        counts = cum[(slice(None, None, -1),) * n].ravel().tolist()
-    return dict(zip(product(range(s + 1), repeat=n), counts))
+    # points with row weights <= b lie in the corner box with a_j = s - b_j
+    cum = bulk._cumulative_counts(bulk._row_weights(dist.array(), n, s).T, (s + 1,) * n)
+    return cum[(slice(None, None, -1),) * n].ravel().tolist()
 
 
 def weight_enumerator(dist: Distribution) -> list[int]:

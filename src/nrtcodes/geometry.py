@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import accumulate, chain
 from operator import add, sub
 
-from .codes import NUMPY_START_NS, LinearCode, _lookups, _push, in_span, is_mds, rank
+from .codes import NUMPY_START_NS, _lookups, _push, in_span, is_mds, rank
 from .words import Distribution, _span_columns
 
 DISCREPANCY_CELL_BOUND = 1 << 20
@@ -64,9 +64,9 @@ def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
     recurses only across coordinates, holding at most n states, each one
     extended by a digit column of coordinate j per unit of a_j: an array's
     keys m_1 + q^a_1 (m_2 + ...) times q plus the digits (0 past the stored
-    ones), one bincount a family; or the `codes._push` stack of B's RREF
-    columns for a set x0 + span(B), none past the stored digits, so no
-    point is built.  A family reaches q^r boxes, r its columns' rank, of
+    ones), one bincount a family; or the `codes._push` stack of the basis
+    columns of x0 + span(B)'s held code, none past the stored digits, so
+    no point is built.  A family reaches q^r boxes, r its columns' rank, of
     q^(k - r) points: all fail iff r < total, and box 0 is reached iff x0
     on those columns lies in their row space."""
     space, rows, a_vec = dist.space, dist.generator, [0] * dist.space.n
@@ -89,7 +89,7 @@ def _box_report(dist: Distribution, total: int, bound: int) -> BoxReport:
                 return BoxReport(False, ElementaryBox(tuple(a_vec), tuple(
                     int(m) for m in reversed(m_vec))), int(counts[bad[0]]), per_box)
     else:
-        basis, lookups, copy = LinearCode(space, rows).basis, _lookups(space.gf), list.copy
+        basis, lookups, copy = dist.code().basis, _lookups(space.gf), list.copy
         columns = list(zip(*basis)) or [()] * space.dim
         per_box, state = q ** (len(rows) - total), []
 
@@ -146,19 +146,17 @@ def optimum_report(dist: Distribution, k: int) -> BoxReport:
     holds exactly one of the q^k points; at a coarser digit depth d, check
     `dist.project(d)`.  A set with a generator of k rows (a built span,
     or a file `codes.own_span` proved a span or a coset of one) holds q^k
-    points, however many; whatever its offset, it is optimum if the rows
-    are independent and span an MDS code (`codes.is_mds`), and trivially
-    if there are none.  Its "no", and any other set, goes to the one walk
-    `_box_report` for its witness."""
-    space, rows = dist.space, dist.generator
+    points, however many; whatever its offset, it is optimum if its held
+    code (`Distribution.code`) has dimension k and is MDS (`codes.is_mds`),
+    and trivially if k = 0.  Its "no", and any other set, goes to the one
+    walk `_box_report` for its witness."""
+    space, code = dist.space, dist.code()
     if dist.exponent() != k:
         raise ValueError("not q^k points")
     if not 0 <= k <= space.dim:
         raise ValueError("k out of range")
-    if rows is not None:
-        code = LinearCode(space, rows)
-        if code.k == k and (not k or is_mds(code)):
-            return BoxReport(True)
+    if code is not None and code.k == k and (not k or is_mds(code)):
+        return BoxReport(True)
     return _box_report(dist, k, space.s)
 
 
@@ -226,19 +224,21 @@ def star_discrepancy(dist: Distribution) -> Fraction:
     c of the grid of distinct point coordinates (and 1), by the count of
     points x < c there or by the count of x <= c in the limit from above:
     the cumulative histogram of the points' ranks on each axis, and it
-    shifted one rank along every axis.  x0 + span(B) is refused above
-    DISCREPANCY_CELL_BOUND cells from its rows (`_grid_sizes`); else the
-    cheaper route is taken, in ns from the C cells, the G entries of the n
-    axes and the D digits of its q^k points: Python integers at
-    (200 + 50 n) C + 750 G + 90 D if q <= 256, or numpy at 150 us + 6 n C
-    + 12 D + `codes.NUMPY_START_NS` while numpy is not loaded, fit within
+    shifted one rank along every axis.  x0 + span(B) is counted as x0 plus
+    the span of its held code's basis, as dependent rows repeat each point
+    alike, and refused above DISCREPANCY_CELL_BOUND cells (`_grid_sizes`);
+    else the cheaper route is taken, in ns from the C cells, the G entries
+    of the n axes and the D digits of its q^k points: Python integers at
+    (200 + 50 n) C + 750 G + 90 D if q <= 256, or numpy at 150 us + 6 n C +
+    12 D + `codes.NUMPY_START_NS` while numpy is not loaded, fit within
     0.85-1.4x to best-of-5 in-process times of 29 spans, q <= 16, of 676 to
     531 441 cells (2 vCPUs, x86-64, Python 3.11, numpy 2.4).  Arrays take numpy."""
-    space, rows = dist.space, dist.generator
-    if rows is None:
+    space, code = dist.space, dist.code()
+    if code is None:
         return _numpy_discrepancy(dist)
-    sizes = _grid_sizes(space, rows)
-    cells, digits, n = math.prod(sizes), space.q ** len(rows) * space.dim, space.n
+    dist = Distribution(space, generator=code.basis, offset=dist.offset)
+    sizes = _grid_sizes(space, code.basis)
+    cells, digits, n = math.prod(sizes), space.q ** code.k * space.dim, space.n
     if cells > DISCREPANCY_CELL_BOUND:
         raise ValueError(_TOO_LARGE)
     python = (200 + 50 * n) * cells + 750 * sum(sizes) + 90 * digits

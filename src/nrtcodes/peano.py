@@ -118,9 +118,9 @@ class CompositeBuild(namedtuple("CompositeBuild",
 
 def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> CompositeBuild:
     """Merged images of the gn-row construction with k = s*t; requires
-    1 <= t <= n-1 and q >= gn - 1.  The tall code is spanned by the tall
-    set's generator, so the rows are built once; one
-    `geometry.optimum_report` of the merged set decides if it is MDS."""
+    1 <= t <= n-1 and q >= gn - 1.  The codes are the sets' held codes,
+    so the rows are built and reduced once; one `geometry.optimum_report`
+    of the merged set decides if it is MDS."""
     if not 1 <= t <= n - 1:
         raise ValueError("need 1 <= t <= n-1")
     k = s * t
@@ -129,10 +129,9 @@ def build_composite(gf, g: int, n: int, s: int, t: int, nodes=None) -> Composite
         nodes = default_nodes(gf, g * n)
     # the distribution first: it refuses q^(gk) points before any row is built
     dist_tall = build_optimum_distribution(tall, g * k, nodes=nodes)
-    code_tall = LinearCode(tall, dist_tall.generator)
-    return CompositeBuild(g, t, code_tall, dist_tall,
-                          merge_code(code_tall, g),
-                          merge_distribution(dist_tall, g))
+    code_tall = dist_tall.code()
+    dist = merge_distribution(dist_tall, g)  # holds the tall code's basis too
+    return CompositeBuild(g, t, code_tall, dist_tall, dist.code(), dist)
 
 
 # --- base p^e -> p weight relations ---

@@ -1,8 +1,8 @@
 """Sphere and ball combinatorics of the NRT metric, exact distance spectra
 of point sets, and the closed-form spectra of MDS codes and zero-deficiency
 nets.  A spectrum is counted word by word, except that of a span or a
-coset from one of its points: `codes.span_weight_counts` of its
-generator, by the route `codes._route` picks.
+coset from one of its points: `codes.span_weight_counts` of its held
+code, by the route `codes._route` picks.
 
 All counting is done in unbounded Python integers; the closed forms can
 legitimately go negative outside the existence range (that negativity is
@@ -51,12 +51,11 @@ def ball_size(t: int, n: int, s: int, q: int) -> int:
 
 def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     """Histogram (w_0, ..., w_ns) of NRT distances from `anchor`, which
-    must itself belong to the distribution.  A set with a generator B and
-    an offset x0 (see `Distribution`) whose anchor minus x0 lies in
-    span(B) (`codes.in_span`, one rank check) is counted from B, without
-    its array, by `codes.span_weight_counts`: the distances from such an
-    anchor to x0 + span(B) are the weights of span(B).  Any other set or
-    anchor reads the array."""
+    must itself belong to the distribution.  A set x0 + span(B) whose
+    anchor minus x0 lies in span(B) (`codes.in_span`) is counted from the
+    held code C of B, without its array (`codes.span_weight_counts`): the
+    distances are the weights of C, each q^(len(B) - dim C) times.  Any
+    other set or anchor reads the array."""
     from . import codes
 
     space = dist.space
@@ -64,10 +63,11 @@ def distance_spectrum(dist: Distribution, anchor) -> list[int]:
     flat_anchor = space.flatten(anchor)
     rows, offset = dist.generator, dist.offset
     if rows is not None:
-        gf = space.gf
+        gf, code = space.gf, dist.code()
         moved = flat_anchor if offset is None else list(map(gf.sub, flat_anchor, offset))
-        if codes.in_span(gf, rows, moved):
-            return codes.span_weight_counts(space, rows)
+        if not any(moved) or codes.in_span(gf, code.basis, moved):
+            copies = space.q ** (len(rows) - code.k)
+            return [w * copies for w in codes.span_weight_counts(code)]
     import numpy as np
     from . import bulk
 

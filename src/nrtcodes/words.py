@@ -165,13 +165,12 @@ class Distribution:
     built on the first call of `array`), or both: then the array holds
     x0 + span(generator) once each, in its own order, and only
     `codes.own_span` and `reshaped` build this form.  Only this class
-    stores the offset.  `read_point_set` reads a file that spells out a
-    span or a coset in span order as one, and `write_point_set` writes one
-    from its rows.  A set is linear iff its offset lies in the span of
-    its generator.  A digital shift permutes the boxes of every family,
-    so `codes.is_mds` and `geometry._box_report` decide it from the ranks
-    of its rows, whatever the offset; `spectra.distance_spectrum` and
-    `codes.corner_box_counts` count from the rows by `codes._route`."""
+    stores the offset.  A set is linear iff its offset lies in the span of
+    its generator; a digital shift permutes the boxes of every family, so
+    a coset is decided from its rows as its span is.  Every certificate,
+    count and witness of a set with a generator reads its one
+    `codes.LinearCode`, `code()`, reduced on the first call and held like
+    the array; a reader or builder that reduced the rows hands it on."""
 
     def __init__(self, space: Space, words=None, array=None, generator=None, offset=None):
         self.space = space
@@ -195,7 +194,7 @@ class Distribution:
             array = np.asarray(array, dtype=np.int16)
             if array.ndim != 3 or array.shape[1:] != (space.n, space.s):
                 raise ValueError("array shape must be (N, n, s)")
-        self._array = array
+        self._array, self._code = array, None
 
     def __len__(self):
         """The number of points (len() refuses 2^63 or more; `exponent` does not)."""
@@ -211,12 +210,13 @@ class Distribution:
 
     def reshaped(self, space: Space) -> "Distribution":
         """The same words in a space of the same n*s: each word's flat
-        digits, and so the generator rows and the offset, kept in order,
-        cut into rows of the new length.  A lazy span stays lazy."""
-        arr = self._array
-        return Distribution(space, generator=self.generator, offset=self.offset,
-                            array=None if arr is None
-                            else arr.reshape(len(arr), space.n, space.s))
+        digits, and so the generator rows, the offset and a held code's
+        basis, cut into rows of the new length.  A lazy span stays lazy."""
+        arr, code = self._array, self._code
+        out = Distribution(space, generator=self.generator, offset=self.offset,
+                           array=None if arr is None else arr.reshape(len(arr), space.n, space.s))
+        # an RREF of flat rows is one for any (n, s)
+        return out._holding(None if code is None else type(code)._reduced(space, code.basis))
 
     def __iter__(self):
         return iter(self.words())
@@ -231,6 +231,19 @@ class Distribution:
             arr.setflags(write=False)
             self._array = arr.reshape(len(arr), space.n, space.s)
         return self._array
+
+    def code(self):
+        """The `codes.LinearCode` of the generator rows, reduced once, held."""
+        if self._code is None and self.generator is not None:
+            from .codes import LinearCode
+
+            self._code = LinearCode(self.space, self.generator)
+        return self._code
+
+    def _holding(self, code) -> "Distribution":
+        """This set, holding `code` (None or the code of its generator)."""
+        self._code = code
+        return self
 
     def eta_array(self):
         """(N, n, s) digits in radix order, most significant first."""
@@ -432,14 +445,13 @@ def _read_header(lines, kind: str):
 
 
 def _span_rows(data: bytes, start: int, space: Space, count: int):
-    """(B, x0) for a body, from byte `start` of `data`, whose first
-    `count` = q^r lines are byte for byte the text `write_point_set` gives
-    for x0 + span(B), B independent: x0 the flat first point and B the
-    flat rows of the points at q^0, ..., q^(r-1) minus x0; else None.
-    The text is compared block by block (`_span_text`), so a body that is
-    no such span or coset stops at its first differing block, and no more
-    text is built than the body holds."""
-    from .codes import rank
+    """The lazy set x0 + span(B), holding the code its rank check reduced,
+    for a body from byte `start` of `data` whose first `count` = q^r lines
+    are byte for byte what `write_point_set` writes of it, B independent:
+    x0 the flat first point, B the flat rows of the points at q^0, ...,
+    q^(r-1) minus x0; else None.  Compared block by block (`_span_text`),
+    a body that is no such set stops at its first differing block."""
+    from .codes import LinearCode
 
     q, n, s, gf = space.q, space.n, space.s, space.gf
     r, width = exponent(q, count), n * (s + 1)
@@ -454,13 +466,14 @@ def _span_rows(data: bytes, start: int, space: Space, count: int):
             return None
     offset, *points = points
     rows = [list(map(gf.sub, point, offset)) for point in points]
-    if rank(gf, rows) < r:
+    code = LinearCode(space, rows)
+    if code.k < r:
         return None
     for text in _span_text(gf, rows, n, s, offset):
         if not data.startswith(text, start):
             return None
         start += len(text)
-    return rows, offset
+    return Distribution(space, generator=rows, offset=offset)._holding(code)
 
 
 def read_point_set(stream) -> Distribution:
@@ -478,10 +491,9 @@ def read_point_set(stream) -> Distribution:
     offsets = []
     field, n, s, count, lineno = _read_header(_byte_lines(data, offsets), "point set")
     space, limit = Space(field, n, s), min(field.q, len(DIGIT_CHARS))
-    found = _span_rows(data, offsets[-1], space, count)
-    if found is not None:
-        rows, offset = found
-        return Distribution(space, generator=rows, offset=offset)
+    span = _span_rows(data, offsets[-1], space, count)
+    if span is not None:
+        return span
     import numpy as np
 
     body = np.frombuffer(memoryview(data)[offsets[-1]:], dtype=np.uint8)

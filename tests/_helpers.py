@@ -18,7 +18,7 @@ from nrtcodes.construct import _check_nodes
 from nrtcodes.gf import DIGIT_CHARS, GF
 from nrtcodes.peano import BaseChangeWeights
 from nrtcodes.poly import INF, binom_mod, hyper_eval, normalize
-from nrtcodes.spectra import ball_size
+from nrtcodes.spectra import ball_size, distance_spectrum
 from nrtcodes.words import (Distribution, PointFileError, Space, Word, _read_header,
                             hamming_weight, nrt_weight)
 
@@ -116,20 +116,34 @@ def random_code(space, k, rng):
             return code
 
 
+def span_counts(space, rows):
+    """The NRT weight counts of the q^len(rows) combinations of the flat
+    rows, with multiplicity: the spectrum of their lazy span from zero,
+    which `codes.span_weight_counts` counts from the span's held code."""
+    return distance_spectrum(Distribution(space, generator=rows), space.zero())
+
+
 def route_counts(route, space, rows):
-    """`codes.span_weight_counts` of the flat rows by `route`, "ranks" or
-    "words", whichever route `codes._route` would pick."""
+    """`span_counts` by `route`, "ranks" or "words", whichever route
+    `codes._route` would pick."""
     with mock.patch.object(codes, "_route", lambda *args, **kwargs: route):
-        return codes.span_weight_counts(space, rows)
+        return span_counts(space, rows)
 
 
 def counted_weight(code, metric="nrt"):
     """The least nonzero weight of a nonzero code, read off the weight
-    counts of its span (`codes.span_weight_counts`; the Hamming weight at
+    counts of its words (`codes.span_weight_counts`; the Hamming weight at
     depth 1), whichever route `LinearCode.min_weight` takes."""
-    space = code.space if metric == "nrt" else Space(code.space.gf, code.space.dim, 1)
-    counts = codes.span_weight_counts(space, code.basis)
-    return next(w for w in range(1, space.dim + 1) if counts[w])
+    if metric != "nrt":
+        code = LinearCode._reduced(Space(code.space.gf, code.space.dim, 1), code.basis)
+    counts = codes.span_weight_counts(code)
+    return next(w for w in range(1, code.space.dim + 1) if counts[w])
+
+
+def corner_counts(dist):
+    """`codes.corner_box_counts` keyed by the side exponents of each box."""
+    space = dist.space
+    return dict(zip(product(range(space.s + 1), repeat=space.n), corner_box_counts(dist)))
 
 
 def all_subspaces(space):
@@ -547,8 +561,7 @@ def box_duality_ok(dist: Distribution, dual_dist: Distribution) -> bool:
 
     space = dist.space
     q, n, s = space.q, space.n, space.s
-    counts = corner_box_counts(dist)
-    dual_counts = corner_box_counts(dual_dist)
+    counts, dual_counts = corner_counts(dist), corner_counts(dual_dist)
     for a_vec in product(range(s + 1), repeat=n):
         a_star = tuple(s - a for a in a_vec)
         lhs = counts[a_vec] * q ** sum(a_vec)
@@ -566,10 +579,9 @@ def weight_enum_identity_n1(dist: Distribution) -> bool:
         raise ValueError("identity proven only for n=1")
     s = space.s
     w = weight_enumerator(dist)
-    phi = corner_box_counts(dist)
     # z^s * phi(1/z) has coefficient phi[a] at degree s - a
     lifted = [0] * (s + 2)
-    for (a,), c in phi.items():
+    for a, c in enumerate(corner_box_counts(dist)):
         lifted[s - a] += c
     rhs = [0] * (s + 2)
     for d in range(s + 1):

@@ -17,14 +17,13 @@ from hypothesis import event, given, settings, strategies as st
 
 import nrtcodes
 from nrtcodes.cli import build_parser, main
-from nrtcodes.codes import (LinearCode, corner_box_counts, rank, read_code,
-                            weight_enumerator, write_code)
+from nrtcodes.codes import LinearCode, rank, read_code, weight_enumerator, write_code
 from nrtcodes.construct import build_mds_code
 from nrtcodes.gf import GF
 from nrtcodes.words import Distribution, Space, write_point_set
 
-from _helpers import (lattice_discrepancy, read_point_array_by_line, run_cli_capped, run_fresh,
-                      run_without_numpy, same_multiset)
+from _helpers import (corner_counts, lattice_discrepancy, read_point_array_by_line,
+                      run_cli_capped, run_fresh, run_without_numpy, same_multiset)
 
 
 def run(args, capsys):
@@ -1025,7 +1024,7 @@ def test_spectrum_enumerators_iff_the_input_is_its_own_span(data):
     if linear:
         assert payload["weight_enumerator"] == weight_enumerator(dist)
         assert payload["box_enumerator"] == {
-            ",".join(map(str, a)): c for a, c in corner_box_counts(dist).items()}
+            ",".join(map(str, a)): c for a, c in corner_counts(dist).items()}
 
 
 # the options each command's handler reads, and so the only ones it accepts

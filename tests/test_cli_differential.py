@@ -1,7 +1,8 @@
 """One differential test of the CLI against the slow oracles of
 `_helpers`: random codes over GF(2), GF(3), GF(4) and GF(5), their code
 files, and point files that are their span, a digital shift of it, a copy
-with one point moved and a copy with one point doubled, each in LF or CRLF.
+with one point moved and a copy with one point doubled, each in LF or CRLF,
+and an LF file of a coset of one row, for `discrepancy`.
 Every command runs through `cli.main` with `--format json`; its exit code
 and its whole payload are compared with an oracle that takes none of the
 package's routes: box counts family by family with their witness
@@ -83,6 +84,28 @@ def check_code(space, basis, path):
     event(f"mds {weight == bound}, dual_k {dual_k}")
 
 
+def write_points(space, flat, path, crlf):
+    """The points `flat` in file order, written to `path`, as a set."""
+    gf, q, n, s = space.gf, space.q, space.n, space.s
+    arr = flat.reshape(len(flat), n, s)
+    head = (gf.describe() + "\n" if gf.e > 1 else "") + f"{q} {n} {s} {len(arr)}\n"
+    text = head.encode() + point_lines_by_word(arr)
+    path.write_bytes(text.replace(b"\n", b"\r\n") if crlf else text)
+    return Distribution(space, array=arr)
+
+
+def check_discrepancy(dist, path):
+    """`discrepancy` against `lattice_discrepancy`, priced with numpy
+    loaded, and as a fresh process prices it, where a span or coset (an
+    LF file read as its rows) takes the Python route."""
+    value = lattice_discrepancy(dist)
+    answer = (0, {"discrepancy": str(value), "numerator": value.numerator,
+                  "denominator": value.denominator})
+    assert run(["discrepancy", "--in", str(path)]) == answer
+    with mock.patch.object(geometry, "sys", SimpleNamespace(modules={})):
+        assert run(["discrepancy", "--in", str(path)]) == answer
+
+
 def check_points(space, flat, k, path, crlf):
     """`verify --kind optimum`, `verify --kind net` at every deficiency,
     `spectrum` and `discrepancy` on the q^k points `flat`, in file order,
@@ -90,11 +113,7 @@ def check_points(space, flat, k, path, crlf):
     where zero is a point) and `lattice_discrepancy`.  The set is linear
     iff its points are distinct and q^rank of them."""
     gf, q, n, s = space.gf, space.q, space.n, space.s
-    arr = flat.reshape(len(flat), n, s)
-    head = (gf.describe() + "\n" if gf.e > 1 else "") + f"{q} {n} {s} {len(arr)}\n"
-    text = head.encode() + point_lines_by_word(arr)
-    path.write_bytes(text.replace(b"\n", b"\r\n") if crlf else text)
-    dist = Distribution(space, array=arr)
+    dist = write_points(space, flat, path, crlf)
     optimum = family_report(dist, [(a, 1) for a in bounded_compositions(k, n, s)])
     assert run(["verify", "--kind", "optimum", "--in", str(path)]) == verdict("optimum", optimum)
     for delta in range(k + 1):
@@ -115,14 +134,7 @@ def check_points(space, flat, k, path, crlf):
     assert payload.get("formula_matches", True)
     assert payload.get("weight_enumerator", hist) == hist
     assert ("box_enumerator" in payload) == linear
-    # priced with numpy loaded, and as a fresh process prices it, where a
-    # span or coset (an LF file read as its rows) takes the Python route
-    value = lattice_discrepancy(dist)
-    answer = (0, {"discrepancy": str(value), "numerator": value.numerator,
-                  "denominator": value.denominator})
-    assert run(["discrepancy", "--in", str(path)]) == answer
-    with mock.patch.object(geometry, "sys", SimpleNamespace(modules={})):
-        assert run(["discrepancy", "--in", str(path)]) == answer
+    check_discrepancy(dist, path)
     return optimum.ok, linear
 
 
@@ -159,3 +171,11 @@ def test_commands_answer_as_the_oracles_do(tmp_path_factory, data):
         crlf = draw(st.booleans())
         ok, linear = check_points(space, flat, k, tmp / f"{name}.points", crlf)
         event(f"{name} {'crlf' if crlf else 'lf'}: optimum {ok}, linear {linear}")
+    # q points of a coset of the first row, its offset's top digits nonzero:
+    # few points near the far corner, so that the open term's maximum often
+    # falls at a corner that some point meets in some coordinates
+    offset = draw(word)
+    for j in range(n):
+        offset[j * s + s - 1] = draw(st.integers(1, q - 1))
+    few = gf.add_table[span_array_by_passes(gf, rows[:1], dim), np.array(offset)[None]]
+    check_discrepancy(write_points(space, few, tmp / "few.points", False), tmp / "few.points")

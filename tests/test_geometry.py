@@ -498,6 +498,24 @@ def test_star_discrepancy_refuses_a_span_from_its_rows(monkeypatch):
                                       "sampled estimation is out of scope")
 
 
+def test_star_discrepancy_of_dependent_rows_counts_each_point_once(monkeypatch):
+    # dependent rows repeat each point of x0 + span(B) q^(len(B) - rank)
+    # times, which changes no count over N: 1, 20 or 70 zero rows (2^71
+    # points) leave the one-row set's 7/8, and no point is built
+    def unbuilt(self):
+        raise AssertionError("the points were built")
+
+    sp = Space(GF(2), 2, 2)
+    row, offset = [1, 0, 0, 1], [0, 1, 1, 0]
+    assert star_discrepancy(Distribution(sp, generator=[row])) == Fraction(7, 8)
+    coset = lattice_discrepancy(Distribution(sp, generator=[row], offset=offset))
+    monkeypatch.setattr(Distribution, "array", unbuilt)
+    for zeros in (1, 20, 70):
+        dist = Distribution(sp, generator=[row] + [[0] * 4] * zeros)
+        assert star_discrepancy(dist) == Fraction(7, 8)
+    assert star_discrepancy(Distribution(sp, generator=[row] * 3, offset=offset)) == coset
+
+
 def test_star_discrepancy_keys_at_the_int64_edge():
     # a coordinate is ranked by its value times q^s, in int64 while
     # q^s < 2^63 (3^39 < 2^63) and in Python integers above (3^40 > 2^63)

@@ -23,7 +23,7 @@ from nrtcodes.spectra import distance_spectrum, mds_spectrum
 from nrtcodes.words import Distribution, Space
 
 from _helpers import (counted_weight, profile_ranks_one_by_one, random_code, route_counts,
-                      run_without_numpy, span_array_by_passes)
+                      run_without_numpy, span_array_by_passes, span_counts)
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(2, 4)]
 
@@ -62,7 +62,7 @@ def test_rank_histogram_matches_the_k_pass_enumeration(data):
     # Hamming counts are the NRT counts of the flat rows at depth 1
     for metric, want in expected.items():
         depth = space if metric == "nrt" else Space(gf, width, 1)
-        counts = codes.span_weight_counts(depth, rows)
+        counts = span_counts(depth, rows)
         assert counts == want
         assert all(type(c) is int for c in counts)
     # the rank route on every drawn shape, whichever route the rule picks
@@ -142,7 +142,7 @@ def test_built_corner_counts_read_the_ranks(q, n, s, k, monkeypatch):
     assert codes._route(space, k) == "ranks"
     monkeypatch.setattr(bulk, "span_array", refuse("span_array"))
     assert corner_box_counts(dist) == expected
-    assert list(expected) == list(product(range(s + 1), repeat=n))
+    assert len(expected) == (s + 1) ** n
 
 
 def test_spans_beyond_int64_are_counted_in_python_integers():
@@ -153,8 +153,8 @@ def test_spans_beyond_int64_are_counted_in_python_integers():
     assert spectrum == mds_spectrum(5, 4, 16, 16)
     assert sum(spectrum) == 2 ** 64 and all(type(w) is int for w in spectrum)
     counts = corner_box_counts(dist)
-    assert counts[(0,) * 5] == 2 ** 64
-    assert all(type(c) is int for c in counts.values())
+    assert counts[0] == 2 ** 64
+    assert all(type(c) is int for c in counts)
 
 
 def test_built_counts_and_minimum_weight_need_no_numpy():
@@ -165,7 +165,7 @@ def test_built_counts_and_minimum_weight_need_no_numpy():
         "from nrtcodes.spectra import mds_spectrum\n"
         "from nrtcodes.words import Space\n"
         "code = build_mds_code(Space(gf.GF(5), 4, 3), 6)\n"
-        "assert span_weight_counts(code.space, code.basis) == mds_spectrum(4, 3, 6, 5)\n"
+        "assert span_weight_counts(code) == mds_spectrum(4, 3, 6, 5)\n"
         "print(code.min_weight('nrt'))\n"
         # 9 profiles and 2^2 words: with numpy's start to pay, no words
         "print(build_mds_code(Space(gf.GF(2), 1, 8), 2).min_weight('nrt'))\n")
@@ -204,7 +204,7 @@ def test_spans_of_at_most_16_profiles_read_their_ranks(monkeypatch):
         expected = np.bincount(bulk.nrt_weights(words, n, s), minlength=n * s + 1)
         assert route_counts("ranks", space, rows) == expected.tolist()
         if route == "ranks":
-            assert codes.span_weight_counts(space, rows) == expected.tolist()
+            assert span_counts(space, rows) == expected.tolist()
 
 
 def test_the_route_rule_keeps_its_bounds():
@@ -270,12 +270,12 @@ def test_every_route_gives_the_same_answer(shape):
     for route in routes + ["walk"] * weight:
         with mock.patch.object(codes, "_route", lambda *args, **kwargs: route):
             if route != "walk":
-                counts[route] = codes.span_weight_counts(space, rows)
+                counts[route] = span_counts(space, rows)
                 corners[route] = corner_box_counts(Distribution(space, generator=rows))
             if weight:
                 weights[route] = LinearCode._reduced(space, rows).min_weight("nrt")
     assert len({tuple(c) for c in counts.values()}) == 1
-    assert len({tuple(c.items()) for c in corners.values()}) == 1
+    assert len({tuple(c) for c in corners.values()}) == 1
     if weight:
         assert codes._route(space, k, weight=True) in weights
         least = next(w for w, c in enumerate(counts[routes[0]]) if w and c)
